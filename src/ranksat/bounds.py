@@ -317,6 +317,16 @@ def brute_force_s(q: int, m: int, k: int, rho: int,
     """Smallest n such that some spanning n-dimensional F_q-subspace of
     F_{q^m}^k has saturation radius <= rho, by exhaustive enumeration of
     subspaces of the expanded ambient space F_q^{mk}."""
+    return brute_force_witness(q, m, k, rho, budget).n
+
+
+def brute_force_witness(q: int, m: int, k: int, rho: int,
+                        budget: int = 1 << 26):
+    """First system of least dimension whose saturation radius is <= rho.
+
+    Scans n = k, k+1, ... and, within each n, the n-dimensional
+    subspaces of F_q^{mk} in enumeration order; its `.n` is
+    `brute_force_s`."""
     from . import fqlinalg
     from .covering import saturation_radius
     from .gftower import make_tower
@@ -341,27 +351,5 @@ def brute_force_s(q: int, m: int, k: int, rho: int,
                     continue
                 r, _ = saturation_radius(sysm, budget)
                 if r <= rho:
-                    return n
+                    return sysm
     raise RuntimeError("no saturating system found (unreachable)")
-
-
-def brute_force_witness(q: int, m: int, k: int, rho: int, n: int,
-                        budget: int = 1 << 26):
-    """First n-dimensional system (subspace enumeration order) whose
-    saturation radius is <= rho, or None."""
-    from . import fqlinalg
-    from .covering import saturation_radius
-    from .gftower import make_tower
-    from .qsystem import QSystem, SystemError_
-    tower = make_tower(q, m)
-    for _, batch in fqlinalg.rref_subspaces(m * k, n, tower.base):
-        for M in batch:
-            gen = (M.reshape(n, k, m).astype(np.int64) @ tower._qpow).T
-            try:
-                sysm = QSystem(tower, gen)
-            except SystemError_:
-                continue
-            r, _ = saturation_radius(sysm, budget)
-            if r <= rho:
-                return sysm
-    return None

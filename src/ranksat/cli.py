@@ -43,9 +43,6 @@ def _parse_vector(text, k):
 def _add_common(p):
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="cell budget for exhaustive sweeps (default 2^26)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface compatibility; sweeps "
-                        "currently run single-process")
     p.add_argument("--format", choices=["json", "csv", "markdown"],
                    default="json")
 
@@ -158,11 +155,9 @@ def cmd_search(args) -> int:
     exhausted = False
     if args.mode in ("exhaustive", "auto"):
         try:
-            n = bnd.brute_force_s(args.q, args.m, args.k, args.rho,
-                                  args.budget)
             witness = bnd.brute_force_witness(args.q, args.m, args.k,
-                                              args.rho, n, args.budget)
-            result.update(mode="exhaustive", n=n, minimal=True,
+                                              args.rho, args.budget)
+            result.update(mode="exhaustive", n=witness.n, minimal=True,
                           matrix=io.matrix_to_json(witness.tower,
                                                    witness.generator))
             exhausted = True

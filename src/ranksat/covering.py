@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -38,95 +40,123 @@ class ConsistencyError(AssertionError):
     message names the violated inequality."""
 
 
-_tuple_cache: dict = {}
+# ----------------------------------------------------------------------
+# Span marking: one kernel for the rank-layer and Hamming sweeps
+# ----------------------------------------------------------------------
+
+# Marks per kernel call; bounds the size of the kernel's intermediates.
+_MARK_CHUNK = 1 << 16
 
 
-def _all_tuples(Q: int, w: int, nonzero: bool = False) -> np.ndarray:
-    """((Q or Q-1)^w, w) array of all coordinate tuples, cached."""
-    key = (Q, w, nonzero)
-    if key not in _tuple_cache:
-        vals = np.arange(1, Q) if nonzero else np.arange(Q)
-        if w == 0:
-            arr = np.zeros((1, 0), dtype=np.int64)
-        else:
-            grids = np.meshgrid(*([vals] * w), indexing="ij")
-            arr = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-        _tuple_cache[key] = arr
-    return _tuple_cache[key]
+def _packing(Q: int, k: int) -> np.ndarray:
+    """Place values of a length-k vector's packed index, first entry most
+    significant."""
+    return Q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
+def _span_marks(B, tower: FieldTower, first: int = 0) -> np.ndarray:
+    """Packed indices of sum_j gamma_j B[:, s, j] for each stacked r x w
+    block s of B (shape (r, c, w)) and every gamma in {first..Q-1}^w.
+
+    Returns shape (c, (Q - first)^w); gamma runs in base-(Q - first)
+    order, first coordinate most significant.  Each column gets a
+    multiples table (the packed index of gamma * B[:, s, j] for every
+    gamma); the tables are then combined by broadcasting.  A packed index
+    is a base-p number whose digits add mod p under vector addition: XOR
+    when p = 2, explicit digit arrays otherwise.
+    """
+    r, c, w = B.shape
+    Q, p = tower.order, tower.base.p
+    gammas = np.arange(first, Q, dtype=np.int64)
+    table = np.tensordot(_packing(Q, r), tower.mul_arr(B[..., None], gammas),
+                         axes=1)
+    if p == 2 or w == 1:
+        acc = table[:, 0]
+        for j in range(1, w):
+            acc = (acc[:, :, None] ^ table[:, j, None, :]).reshape(c, -1)
+        return acc
+    ppow = p ** np.arange(r * tower.m * tower.base.e, dtype=np.int64)
+    digits = (table[..., None] // ppow % p).astype(np.min_scalar_type(2 * p))
+    acc = digits[:, 0]
+    for j in range(1, w):
+        acc = ((acc[:, :, None] + digits[:, j, None]) % p).reshape(
+            c, -1, ppow.size)
+    return acc @ ppow
+
+
+def _empty_cover(total: int, budget: int) -> np.ndarray:
+    if total > budget:
+        raise BudgetExceeded(
+            f"syndrome space q^(m r) = {total} exceeds budget {budget}",
+            completed_level=-1, coverage=0.0)
+    covered = np.zeros(total, dtype=bool)
+    covered[0] = True
+    return covered
+
+
+def _charge(work: int, level_work: int, budget: int, what: str, w: int,
+            covered: np.ndarray) -> int:
+    """Add the enumeration of level w to the running work, or refuse."""
+    work += level_work
+    if work > budget:
+        raise BudgetExceeded(
+            f"enumeration through {what} {w} needs {work} > budget {budget}",
+            completed_level=w - 1,
+            coverage=float(covered.sum()) / covered.size)
+    return work
 
 
 # ----------------------------------------------------------------------
 # Rank-layered syndrome sweep (shared by covering radius / saturation)
 # ----------------------------------------------------------------------
 
-def _rank_layer_sweep(H, tower: FieldTower, budget: int,
-                      collect_witnesses: bool = False):
-    """Smallest w such that {H x^T : wt_rk(x) <= w} is the full space.
+def _rank_layers(H, tower: FieldTower, budget: int,
+                 first_touch: dict | None = None):
+    """Yield (w, covered) after marking {H x^T : wt_rk(x) <= w} for
+    w = 0, 1, ... until every syndrome is covered.
 
     x runs over gamma * M with M one RREF representative per F_q-row
     space of dimension w and gamma over all of F_{q^m}^w; duplicate
-    syndromes are harmless because marking is idempotent.
-
-    Returns (w, info) where info carries the covered bitmap history
-    needed for certificates: `first_touch` maps each syndrome index to
-    (level, M matrix, gamma index) when collect_witnesses is set, and
-    `tightness_index` is the smallest syndrome index still uncovered at
-    level w-1.
+    syndromes are harmless because marking is idempotent.  `covered` is
+    one bitmap updated in place.  When `first_touch` is a dict it
+    collects, for each syndrome index, the first x = gamma * M that
+    reaches it, in enumeration order (subspaces, then gamma).
     """
     H = np.atleast_2d(np.asarray(H, dtype=np.int64))
     r, n = H.shape
     Q = tower.order
-    q = tower.base.q
-    total = Q ** r
-    if total > budget:
-        raise BudgetExceeded(
-            f"syndrome space q^(m r) = {total} exceeds budget {budget}",
-            completed_level=-1, coverage=0.0)
-    qpow_r = np.array([Q ** (r - 1 - i) for i in range(r)], dtype=np.int64)
-    covered = np.zeros(total, dtype=bool)
-    covered[0] = True
-    first_touch = {} if collect_witnesses else None
-    tightness_index = None
+    covered = _empty_cover(Q ** r, budget)
     work = 1
     w = 0
+    yield w, covered
     while not covered.all():
-        # the first uncovered syndrome before starting level w+1 is the
-        # tightness witness if that level completes the cover
-        tightness_index = int(np.argmin(covered))
         w += 1
         if w > min(n, tower.m):
             raise RuntimeError("sweep failed to terminate (unreachable)")
-        layer = fqlinalg.count_subspaces(n, w, q) * Q ** w
-        work += layer
-        if work > budget:
-            raise BudgetExceeded(
-                f"enumeration through rank {w} needs {work} > budget {budget}",
-                completed_level=w - 1,
-                coverage=float(covered.sum()) / total)
-        gammas = _all_tuples(Q, w)
+        work = _charge(work, fqlinalg.count_subspaces(n, w, tower.base.q)
+                       * Q ** w, budget, "rank", w, covered)
+        per = max(1, _MARK_CHUNK // Q ** w)
         for _, batch in fqlinalg.rref_subspaces(n, w, tower.base):
-            for M in batch:
-                B = ext_matmul(H, M.T.astype(np.int64), tower)  # r x w
-                S = np.zeros((gammas.shape[0], r), dtype=np.int64)
-                for j in range(w):
-                    S = tower.add_arr(
-                        S, tower.mul_arr(gammas[:, j][:, None],
-                                         B[:, j][None, :]))
-                idx = S @ qpow_r
-                if collect_witnesses:
-                    fresh = ~covered[idx]
-                    if fresh.any():
-                        uniq, upos = np.unique(idx[fresh],
-                                               return_index=True)
-                        gpos = np.nonzero(fresh)[0][upos]
-                        for t, g in zip(uniq, gpos):
-                            ti = int(t)
-                            if ti not in first_touch:
-                                first_touch[ti] = (w, M.copy(), int(g))
+            for lo in range(0, batch.shape[0], per):
+                Ms = batch[lo:lo + per]
+                B = ext_matmul(H, Ms.reshape(-1, n).T.astype(np.int64), tower)
+                idx = _span_marks(B.reshape(r, -1, w), tower).ravel()
+                if first_touch is not None:
+                    fresh = np.nonzero(~covered[idx])[0]
+                    uniq, upos = np.unique(idx[fresh], return_index=True)
+                    pos = fresh[upos]
+                    # pos = subspace * Q^w + gamma index; digits of the
+                    # latter are gamma's coordinates
+                    gammas = pos[:, None] // _packing(Q, w) % Q
+                    terms = tower.mul_arr(gammas[:, :, None],
+                                          Ms[pos // Q ** w])
+                    x = terms[:, 0]
+                    for j in range(1, w):
+                        x = tower.add_arr(x, terms[:, j])
+                    first_touch.update(zip(uniq.tolist(),
+                                           map(tuple, x.tolist())))
                 covered[idx] = True
-    return w, {"first_touch": first_touch,
-               "tightness_index": tightness_index,
-               "syndrome_power": r}
+        yield w, covered
 
 
 def rank_covering_radius(code: RankCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -134,7 +164,8 @@ def rank_covering_radius(code: RankCode, budget: int = DEFAULT_BUDGET) -> int:
     H = code.parity_check
     if H.shape[0] == 0:
         return 0
-    w, _ = _rank_layer_sweep(H, code.tower, budget)
+    for w, _ in _rank_layers(H, code.tower, budget):
+        pass
     return w
 
 
@@ -148,7 +179,7 @@ class SaturationCertificate:
     `witnesses` maps a target vector (tuple of element codes) to the
     coefficient vector lambda with G lambda^T = target and
     wt_rk(lambda) <= rho; `tightness` is a target that no rank-(rho-1)
-    coefficient vector reaches.
+    coefficient vector reaches (None claims no lower bound).
     """
 
     def __init__(self, rho: int, k: int, n: int, tower: FieldTower,
@@ -158,12 +189,18 @@ class SaturationCertificate:
         self.n = n
         self.tower = tower
         self.witnesses = witnesses          # tuple(target) -> tuple(lambda)
-        self.tightness = tightness          # tuple(target) or None (rho == 0)
+        self.tightness = tightness          # tuple(target) or None
         self.system_hash = system_hash
 
     def verify(self, sys: QSystem, budget: int = DEFAULT_BUDGET) -> bool:
-        """Re-check every stored witness and the tightness vector."""
+        """Check that the certificate belongs to `sys`, re-check every
+        stored witness, replay the sweep through level rho and require
+        full coverage there, and confirm that the tightness target is
+        missed at level rho - 1."""
         G, tower = sys.generator, sys.tower
+        if (self.k, self.n, self.system_hash) != (sys.k, sys.n,
+                                                  system_hash(sys)):
+            return False
         for target, lam in self.witnesses.items():
             lam = np.array(lam, dtype=np.int64)
             if rank_weight(lam, tower) > self.rho:
@@ -171,16 +208,16 @@ class SaturationCertificate:
             got = ext_matmul(G, lam.reshape(-1, 1), tower).ravel()
             if tuple(int(x) for x in got) != tuple(target):
                 return False
-        if self.rho > 0 and self.tightness is not None:
-            # replay the sweep one level short and confirm the miss
-            Q = tower.order
-            qpow = np.array([Q ** (self.k - 1 - i) for i in range(self.k)],
-                            dtype=np.int64)
-            t_idx = int(np.array(self.tightness, dtype=np.int64) @ qpow)
-            covered = _coverage_through_level(G, tower, self.rho - 1, budget)
-            if covered[t_idx]:
-                return False
-        return True
+        t_idx = (None if self.tightness is None else
+                 int(np.array(self.tightness, dtype=np.int64)
+                     @ _packing(tower.order, self.k)))
+        reached = False
+        for w, covered in _rank_layers(G, tower, budget):
+            if w < self.rho and t_idx is not None:
+                reached = bool(covered[t_idx])
+            if w == self.rho:
+                break
+        return covered.all() and not reached
 
     def to_json(self) -> dict:
         return {
@@ -208,26 +245,9 @@ class SaturationCertificate:
 def _coverage_through_level(G, tower: FieldTower, w_max: int, budget: int
                             ) -> np.ndarray:
     """Bitmap of targets reachable with coefficient rank <= w_max."""
-    G = np.atleast_2d(np.asarray(G, dtype=np.int64))
-    k, n = G.shape
-    Q = tower.order
-    total = Q ** k
-    if total > budget:
-        raise BudgetExceeded(f"target space {total} exceeds budget {budget}")
-    qpow = np.array([Q ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-    covered = np.zeros(total, dtype=bool)
-    covered[0] = True
-    for w in range(1, w_max + 1):
-        gammas = _all_tuples(Q, w)
-        for _, batch in fqlinalg.rref_subspaces(n, w, tower.base):
-            for M in batch:
-                B = ext_matmul(G, M.T.astype(np.int64), tower)
-                S = np.zeros((gammas.shape[0], k), dtype=np.int64)
-                for j in range(w):
-                    S = tower.add_arr(
-                        S, tower.mul_arr(gammas[:, j][:, None],
-                                         B[:, j][None, :]))
-                covered[S @ qpow] = True
+    for w, covered in _rank_layers(G, tower, budget):
+        if w == w_max:
+            break
     return covered
 
 
@@ -245,28 +265,22 @@ def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET,
     """Smallest rho such that every ambient vector is G lambda^T for some
     lambda of rank <= rho, plus a replayable certificate."""
     tower = sys.tower
-    G = sys.generator
     Q = tower.order
-    total = Q ** sys.k
-    collect = total <= witness_cap
-    rho, info = _rank_layer_sweep(G, tower, budget, collect_witnesses=collect)
-    qpow = np.array([Q ** (sys.k - 1 - i) for i in range(sys.k)],
-                    dtype=np.int64)
+    first_touch = {} if Q ** sys.k <= witness_cap else None
+    tight = None
+    for rho, covered in _rank_layers(sys.generator, tower, budget,
+                                     first_touch):
+        if not covered.all():
+            # the first target still missed when level rho + 1 starts
+            tight = int(np.argmin(covered))
 
-    def decode_target(idx: int):
-        return tuple(int((idx // qpow[i]) % Q) for i in range(sys.k))
+    def decode(idx) -> list:
+        return (np.asarray(idx)[..., None] // _packing(Q, sys.k) % Q).tolist()
 
-    witnesses = {}
-    if collect and info["first_touch"]:
-        for t_idx, (w, M, g) in sorted(info["first_touch"].items()):
-            gamma = _all_tuples(Q, w)[g]
-            lam = np.zeros(sys.n, dtype=np.int64)
-            for i in range(w):
-                lam = tower.add_arr(lam, tower.mul_scalar(
-                    int(gamma[i]), M[i].astype(np.int64)))
-            witnesses[decode_target(t_idx)] = tuple(int(x) for x in lam)
-    tight = (decode_target(info["tightness_index"])
-             if info["tightness_index"] is not None else None)
+    keys = sorted(first_touch or {})
+    witnesses = {tuple(t): first_touch[i] for i, t in zip(keys, decode(keys))}
+    if tight is not None:
+        tight = tuple(decode(tight))
     cert = SaturationCertificate(rho, sys.k, sys.n, tower, witnesses, tight,
                                  system_hash(sys))
     return rho, cert
@@ -355,42 +369,25 @@ def hamming_covering_radius(generator, tower: FieldTower,
                             budget: int = DEFAULT_BUDGET) -> int:
     """Exact Hamming covering radius of the code generated by `generator`,
     by coset-leader syndrome sweep in Hamming-weight layers."""
-    from itertools import combinations
-
-    from math import comb
     Gm = as_matrix(tower, generator)
-    code = RankCode(tower, Gm)
-    H = code.parity_check
+    H = RankCode(tower, Gm).parity_check
     r, N = H.shape[0], Gm.shape[1]
     if r == 0:
         return 0
     Q = tower.order
-    total = Q ** r
-    if total > budget:
-        raise BudgetExceeded(
-            f"syndrome space {total} exceeds budget {budget}")
-    qpow = np.array([Q ** (r - 1 - i) for i in range(r)], dtype=np.int64)
-    covered = np.zeros(total, dtype=bool)
-    covered[0] = True
+    covered = _empty_cover(Q ** r, budget)
     work = 1
     w = 0
     while not covered.all():
         w += 1
         if w > N:
             raise RuntimeError("Hamming sweep failed to terminate")
-        work += comb(N, w) * (Q - 1) ** w
-        if work > budget:
-            raise BudgetExceeded(
-                f"Hamming enumeration through weight {w} needs {work} > "
-                f"budget {budget}", completed_level=w - 1,
-                coverage=float(covered.sum()) / total)
-        vals = _all_tuples(Q, w, nonzero=True)
-        for support in combinations(range(N), w):
-            S = np.zeros((vals.shape[0], r), dtype=np.int64)
-            for j, col in enumerate(support):
-                S = tower.add_arr(S, tower.mul_arr(
-                    vals[:, j][:, None], H[:, col][None, :]))
-            covered[S @ qpow] = True
+        work = _charge(work, comb(N, w) * (Q - 1) ** w, budget,
+                       "Hamming weight", w, covered)
+        supports = combinations(range(N), w)
+        per = max(1, _MARK_CHUNK // (Q - 1) ** w)
+        while chunk := list(islice(supports, per)):
+            covered[_span_marks(H[:, chunk], tower, first=1).ravel()] = True
     return w
 
 

@@ -50,8 +50,13 @@ def matrix_from_json(data) -> tuple[FieldTower, np.ndarray]:
     entries = data["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entry grid does not match rows x cols")
+    q, m = tower.base.q, tower.m
     for i, row in enumerate(entries):
         for j, digs in enumerate(row):
+            if (not isinstance(digs, (list, tuple)) or len(digs) != m
+                    or any(d not in range(q) for d in digs)):
+                raise ValueError(f"entry ({i}, {j}) = {digs} is not a "
+                                 f"length-{m} vector of digits 0..{q - 1}")
             A[i, j] = tower.from_digits(digs)
     return tower, A
 

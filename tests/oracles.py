@@ -26,6 +26,25 @@ def brute_rank_covering_radius(code):
     return worst
 
 
+def brute_min_coefficient_rank(G, tower):
+    """For every target (indexed with its first entry most significant),
+    the least rank weight of a lambda with G lambda^T = target, from all
+    Q^n coefficient vectors and scalar field operations."""
+    G = np.atleast_2d(np.asarray(G, dtype=np.int64))
+    k, n = G.shape
+    Q = tower.order
+    least = np.full(Q ** k, n + 1)
+    for lam in product(range(Q), repeat=n):
+        target = 0
+        for i in range(k):
+            entry = 0
+            for j in range(n):
+                entry = tower.add(entry, tower.mul(int(G[i, j]), lam[j]))
+            target = target * Q + entry
+        least[target] = min(least[target], rank_weight(lam, tower))
+    return least
+
+
 def brute_saturation_radius(sysm):
     """min rho such that every ambient vector lies in the span of some
     rho-subset of U (subset enumeration from the definition)."""

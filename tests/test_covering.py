@@ -124,6 +124,28 @@ def test_tampered_certificate_fails(tower4):
     assert not bad.verify(sysm)
 
 
+def test_forged_certificate_fails(tower16, tower256):
+    # no witnesses and a tightness target missed at level 0 do not make
+    # radius 1: the lifted [6,3] set has radius 2, so level 1 leaves
+    # targets uncovered
+    from ranksat import lift_system
+    from ranksat.covering import system_hash
+    lifted = lift_system(cutting_system_6_3(tower16), tower256)
+    forged = SaturationCertificate(1, 3, 6, tower256, {}, (0, 0, 1),
+                                   system_hash(lifted))
+    assert not forged.verify(lifted)
+
+
+@pytest.mark.parametrize("field, value", [("system_hash", "0" * 16),
+                                          ("k", 3), ("n", 4)])
+def test_certificate_for_another_system_fails(tower4, field, value):
+    sysm = construct_identity_block(tower4, 2, 1)
+    _, cert = saturation_radius(sysm)
+    assert cert.verify(sysm)
+    setattr(cert, field, value)
+    assert not cert.verify(sysm)
+
+
 def test_basis_change_invariance(tower4, rng):
     from ranksat import fqlinalg
     from ranksat.linalg import ext_matmul

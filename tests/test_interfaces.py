@@ -35,6 +35,22 @@ def test_matrix_json_shape_mismatch(tower16):
         io.matrix_from_json(doc)
 
 
+# a digit outside F_2, a coordinate vector shorter than m = 4, and a
+# bare number in place of a vector
+BAD_DIGITS = [[3, 0, 0, 0], [1, 0], 1]
+
+
+def _one_entry_doc(digits):
+    return {"q": 2, "m": 4, "modulus": [1, 1, 0, 0, 1], "rows": 1,
+            "cols": 1, "entries": [[digits]]}
+
+
+@pytest.mark.parametrize("digits", BAD_DIGITS)
+def test_matrix_json_rejects_bad_digits(digits):
+    with pytest.raises(ValueError):
+        io.matrix_from_json(_one_entry_doc(digits))
+
+
 def test_linear_set_export_sorted(tower16):
     ls = linear_set(cutting_system_6_3(tower16))
     doc = io.linear_set_to_json(ls)
@@ -89,6 +105,13 @@ def test_cli_verify_wrong_claim(tmp_path, tower4):
 def test_cli_verify_parse_failure(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
+    assert main(["verify", str(p), "--rho", "1"]) == 2
+
+
+@pytest.mark.parametrize("digits", BAD_DIGITS)
+def test_cli_verify_rejects_bad_digits(tmp_path, digits):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_one_entry_doc(digits)))
     assert main(["verify", str(p), "--rho", "1"]) == 2
 
 
@@ -194,12 +217,14 @@ def test_cli_examples_full_suite(capsys):
 
 
 def test_console_script_entry_point():
+    # the installed console script, or the same entry point run as a
+    # module when the package is used from a source checkout
     import shutil
     import subprocess
+    import sys
     exe = shutil.which("ranksat")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    out = subprocess.run([exe, "examples", "gabidulin-4-2"],
+    cmd = [exe] if exe else [sys.executable, "-m", "ranksat.cli"]
+    out = subprocess.run(cmd + ["examples", "gabidulin-4-2"],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0
     assert "PASS gabidulin-4-2" in out.stdout

@@ -1,0 +1,92 @@
+"""Property tests of the span-marking kernel behind the coefficient,
+rank-covering and Hamming sweeps, on random small systems and codes.
+
+q = 2 and q = 4 (a non-prime base) combine multiples tables by XOR;
+q = 3 takes the base-p digit-array path.
+"""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from ranksat import (associated_code, hamming_covering_radius, make_tower,
+                     rank_covering_radius, random_system, saturation_radius)
+from ranksat.covering import _coverage_through_level
+from ranksat.linalg import ext_matmul, rank_weight
+from ranksat.qsystem import random_code
+
+from oracles import (brute_hamming_covering_radius,
+                     brute_min_coefficient_rank, brute_rank_covering_radius)
+
+TOWERS = {qm: make_tower(*qm) for qm in [(2, 2), (2, 3), (3, 2), (4, 2)]}
+
+# (q, m), k, n with a valid [n, k] system and at most 4096 oracle vectors
+SYSTEMS = [(qm, k, n) for qm in TOWERS for k in (1, 2, 3)
+           for n in range(k, qm[1] * k + 1)
+           if TOWERS[qm].order ** n <= 4096]
+
+# (q, m), k, N with at most 4096 (word, codeword) oracle pairs
+CODES = [(qm, k, N) for qm in TOWERS for N in range(1, 5)
+         for k in range(1, N + 1) if TOWERS[qm].order ** (N + k) <= 4096]
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _index(target, Q):
+    idx = 0
+    for x in target:
+        idx = idx * Q + int(x)
+    return idx
+
+
+@PROPERTY
+@given(st.sampled_from(SYSTEMS), SEEDS)
+def test_coefficient_sweep_matches_oracle(case, seed):
+    qm, k, n = case
+    tower = TOWERS[qm]
+    Q = tower.order
+    sysm = random_system(tower, k, n, random.Random(seed))
+    G = sysm.generator
+    least = brute_min_coefficient_rank(G, tower)
+    rho, cert = saturation_radius(sysm)
+    assert rho == least.max()
+    for w in range(rho + 1):
+        covered = _coverage_through_level(G, tower, w, 1 << 26)
+        assert np.array_equal(covered, least <= w)
+    # every nonzero target has a witness of its least coefficient rank
+    assert len(cert.witnesses) == Q ** k - 1
+    for target, lam in cert.witnesses.items():
+        lam = np.array(lam, dtype=np.int64)
+        got = ext_matmul(G, lam[:, None], tower).ravel()
+        assert tuple(got.tolist()) == target
+        assert rank_weight(lam, tower) == least[_index(target, Q)]
+    if rho > 0:
+        assert least[_index(cert.tightness, Q)] == rho
+    assert cert.verify(sysm)
+
+
+@PROPERTY
+@given(st.sampled_from([c for c in SYSTEMS
+                        if TOWERS[c[0]].order ** (2 * c[2] - c[1]) <= 4096]),
+       SEEDS)
+def test_dual_rank_covering_radius_matches_oracle(case, seed):
+    qm, k, n = case
+    tower = TOWERS[qm]
+    sysm = random_system(tower, k, n, random.Random(seed))
+    dual = associated_code(sysm).dual()
+    rho = rank_covering_radius(dual)
+    assert rho == brute_rank_covering_radius(dual)
+    assert rho == saturation_radius(sysm)[0]
+
+
+@PROPERTY
+@given(st.sampled_from(CODES), SEEDS)
+def test_hamming_covering_radius_matches_oracle(case, seed):
+    qm, k, N = case
+    tower = TOWERS[qm]
+    gen = random_code(tower, k, N, random.Random(seed)).generator
+    assert (hamming_covering_radius(gen, tower)
+            == brute_hamming_covering_radius(gen, tower))
