@@ -15,6 +15,8 @@ from math import gcd, ceil
 
 import numpy as np
 
+from .gftower import _factor
+
 
 def gaussian_binomial(a: int, b: int, q: int) -> int:
     """Number of b-dimensional subspaces of F_q^a (exact big integer).
@@ -69,24 +71,6 @@ def lower_bound(q: int, m: int, k: int, rho: int) -> BoundValue:
 # Exact values (published condition rows, data driven)
 # ----------------------------------------------------------------------
 
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
-def _prime_power_exponent(q: int) -> tuple[int, int]:
-    p = _smallest_prime_factor(q)
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return (p, e) if q == 1 else (0, 0)
-
-
 def _row_3_2_conditions(q: int, r: int) -> str | None:
     """Conditions under which s_{q^{2r}/q}(3, 2) = r + 2; returns the
     matching clause name or None."""
@@ -95,12 +79,13 @@ def _row_3_2_conditions(q: int, r: int) -> str | None:
     if r % 2 == 1:
         # gcd(r, (q^{2s}-q^s+1)!) = 1 means no prime factor of r is
         # <= q^{2s}-q^s+1; required for every s in [1, r] coprime to r
-        spf = _smallest_prime_factor(r)
+        spf = min(_factor(r), default=r)
         if all(spf > q ** (2 * s) - q ** s + 1
                for s in range(1, r + 1) if gcd(r, s) == 1):
             return "factorial-gcd clause"
     if r == 5:
-        p, j = _prime_power_exponent(q)
+        fac = _factor(q)        # q = p^j, or (p, j) = (0, 0)
+        p, j = next(iter(fac.items())) if len(fac) == 1 else (0, 0)
         if p in (2, 3) and j >= 1 and gcd(j, 15) == 1:
             return "q = p^(15h+s), p in {2,3}"
         if p == 5 and j % 15 == 1:
@@ -150,8 +135,8 @@ def _closed_upper_candidates(q: int, m: int, k: int, rho: int):
     if k == 4 and rho == 3 and m == 9:
         out.append((8, "published 8-dim cutting set (any q)"))
     if k == 4 and rho == 3 and m == 12:
-        p, j = _prime_power_exponent(q)
-        if p == 2 and j % 2 == 1:
+        fac = _factor(q)
+        if fac.keys() == {2} and fac[2] % 2 == 1:
             out.append((8, "published 8-dim cutting set (q = 2^odd)"))
     ex = exact_values(q, m, k, rho)
     if ex is not None:
@@ -273,7 +258,7 @@ def verify_published_rows(qmax: int = 5, mmax: int = 12, kmax: int = 12
     """Re-derive every published exact row on the grid and check the
     sandwich everywhere; returns a list of discrepancies (empty = pass)."""
     diffs: list[str] = []
-    qs = [q for q in range(2, qmax + 1) if _is_prime_power(q)]
+    qs = [q for q in range(2, qmax + 1) if len(_factor(q)) == 1]
     for q in qs:
         for m in range(1, mmax + 1):
             table = bounds_table(q, m, kmax)
@@ -299,13 +284,6 @@ def verify_published_rows(qmax: int = 5, mmax: int = 12, kmax: int = 12
                         and e.rho == e.m - 1 and e.exact != e.m + 1):
                     diffs.append(f"s(2r,2r-1) row mismatch at {e}")
     return diffs
-
-
-def _is_prime_power(q: int) -> bool:
-    p = _smallest_prime_factor(q)
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 # ----------------------------------------------------------------------

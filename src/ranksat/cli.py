@@ -19,8 +19,7 @@ from . import interchange as io
 from .constructions import (construct_identity_block, construct_rho1,
                             construct_subgeometry, cutting_system_6_3,
                             cutting_system_8_4, f_sum, gabidulin)
-from .covering import (SaturationCertificate, saturation_radius,
-                       saturation_radius_geometric, system_hash)
+from .covering import geometric_certificate, saturation_radius
 from .gftower import FieldError, make_tower
 from .linalg import BudgetExceeded, DEFAULT_BUDGET
 from .qsystem import QSystem, SystemError_, lift_system, random_system
@@ -58,12 +57,9 @@ def cmd_verify(args) -> int:
         print(f"parse failure: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.method == "geometric":
-            rho = saturation_radius_geometric(sysm, args.budget)
-            cert = SaturationCertificate(rho, sysm.k, sysm.n, tower, {},
-                                         None, system_hash(sysm))
-        else:
-            rho, cert = saturation_radius(sysm, args.budget)
+        sweep = (geometric_certificate if args.method == "geometric" else
+                 saturation_radius)
+        rho, cert = sweep(sysm, args.budget)
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         if exc.completed_level is not None:

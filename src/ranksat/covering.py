@@ -179,7 +179,8 @@ class SaturationCertificate:
     `witnesses` maps a target vector (tuple of element codes) to the
     coefficient vector lambda with G lambda^T = target and
     wt_rk(lambda) <= rho; `tightness` is a target that no rank-(rho-1)
-    coefficient vector reaches (None claims no lower bound).
+    coefficient vector reaches, which proves the lower bound (required
+    when rho > 0).
     """
 
     def __init__(self, rho: int, k: int, n: int, tower: FieldTower,
@@ -200,6 +201,8 @@ class SaturationCertificate:
         G, tower = sys.generator, sys.tower
         if (self.k, self.n, self.system_hash) != (sys.k, sys.n,
                                                   system_hash(sys)):
+            return False
+        if self.rho > 0 and self.tightness is None:
             return False
         for target, lam in self.witnesses.items():
             lam = np.array(lam, dtype=np.int64)
@@ -294,21 +297,72 @@ _FRONTIER_CHUNK = 1 << 16
 _WORK_HARD_CAP = 1 << 33
 
 
-def saturation_radius_geometric(sys: QSystem,
-                                budget: int = DEFAULT_BUDGET) -> int:
-    """Smallest rho such that spans of rho points of L_U cover PG(k-1, q^m).
+def _mark_lines(a, u, indexer: PointIndexer, covered: np.ndarray,
+                seen: np.ndarray | None = None) -> np.ndarray | None:
+    """Mark every point on the line through canonical points a[i] != u[i].
 
-    Marks covered points level by level: level 1 marks L_U itself, and
-    level w+1 marks every point on a line through a point of L_U and a
-    point first covered at level w (which is exactly the union of spans
-    of (w+1)-subsets).
+    The RREF basis (R1, R2) of a line puts R1's pivot at 1 and R2's
+    entry there at 0, so R2 and every R1 + mu R2 are already canonical:
+    their indices follow from packed vectors, with no canonicalize.
+    Each distinct line of the call is marked once (when its key fits in
+    an int64); when `seen` (the sorted keys of lines marked earlier) is
+    given, lines in it are skipped and the updated keys are returned.
     """
-    tower = sys.tower
-    k = sys.k
-    Q = tower.order
-    q = tower.base.q
+    tower, k, total = indexer.tower, indexer.k, indexer.total
+    rows = np.arange(a.shape[0])
+    ja, ju = np.argmax(a != 0, axis=1), np.argmax(u != 0, axis=1)
+    swap = (ju < ja)[:, None]
+    top, other = np.where(swap, u, a), np.where(swap, a, u)
+    other = np.where((ja == ju)[:, None], tower.sub_arr(other, top), other)
+    j1, j2 = np.minimum(ja, ju), np.argmax(other != 0, axis=1)
+    R2 = tower.mul_arr(tower.inv_arr(other[rows, j2])[:, None], other)
+    R1 = tower.sub_arr(top, tower.mul_arr(top[rows, j2][:, None], R2))
+    off = indexer.base[:-1] - indexer.qpow
+    r1, i2 = R1 @ indexer.qpow, off[j2] + R2 @ indexer.qpow
+    if total ** 2 < 1 << 63:
+        # a line's key is (index of R1) * total + (index of R2)
+        key, first = np.unique((off[j1] + r1) * total + i2,
+                               return_index=True)
+        if seen is not None:
+            new = (np.searchsorted(seen, key)
+                   == np.searchsorted(seen, key, side="right"))
+            key, first = key[new], first[new]
+            seen = np.sort(np.concatenate([seen, key]), kind="stable")
+        r1, i2, j1, R2 = r1[first], i2[first], j1[first], R2[first]
+    covered[i2] = True
+    p = tower.base.p
+    per = max(1, _MARK_CHUNK // indexer.Q)
+    for s in range(0, r1.size, per):
+        table = _span_marks(R2[s:s + per].T[:, :, None], tower)  # mu R2
+        a1 = r1[s:s + per, None]
+        if p == 2:
+            marks = a1 ^ table
+        else:
+            # R1 is 0 at R2's pivot j2 >= 1 and mu R2 is 0 left of it, so
+            # only the digits of the last k - 2 coordinates add mod p
+            # (a // p^i is digit i plus p times the higher digits)
+            low = (k - 2) * tower.m * tower.base.e
+            marks = (a1 // p ** low + table // p ** low) * p ** low
+            for pw in (p ** i for i in range(low)):
+                marks += (a1 // pw + table // pw) % p * pw
+        covered[off[j1[s:s + per], None] + marks] = True
+    return seen
+
+
+def _geometric_layers(sys: QSystem, budget: int):
+    """Yield (w, covered) after marking every point of PG(k-1, q^m) in
+    the span of w points of L_U, for w = 0, 1, ... until all are covered.
+
+    Level 1 marks L_U itself, and level w+1 marks every point on a line
+    through a point of L_U and a point first covered at level w (which
+    is exactly the union of spans of (w+1)-subsets).  `covered` is one
+    bitmap over the indices of a PointIndexer, updated in place.
+    """
+    tower, k = sys.tower, sys.k
+    Q, q = tower.order, tower.base.q
     if k == 0:
-        return 0
+        yield 0, np.zeros(0, dtype=bool)
+        return
     indexer = PointIndexer(tower, k)
     if indexer.total > budget:
         raise BudgetExceeded(
@@ -316,49 +370,73 @@ def saturation_radius_geometric(sys: QSystem,
     if q ** sys.n > budget:
         raise BudgetExceeded(
             f"linear set sweep needs q^n = {q ** sys.n} > budget {budget}")
-    vecs = sys.vectors(budget)
-    _, idx, _ = indexer.canonicalize(vecs)
+    _, idx, _ = indexer.canonicalize(sys.vectors(budget))
     covered = np.zeros(indexer.total, dtype=bool)
+    yield 0, covered
     covered[idx] = True
-    L_idx = np.unique(idx)
-    L_reps = indexer.decode(L_idx)
-    ell = L_reps.shape[0]
-    if covered.all():
-        return 1
-    frontier = L_reps
-    mus = np.arange(1, Q, dtype=np.int64)
+    L = indexer.decode(np.unique(idx))
+    ell = L.shape[0]
+    yield 1, covered
+    frontier = L
     level = 1
-    while True:
+    while not covered.all():
         level += 1
         if level > k + 1:
             raise RuntimeError("span sweep failed to terminate (unreachable)")
-        if frontier.shape[0] * ell * (Q - 1) > _WORK_HARD_CAP:
+        f = frontier.shape[0]
+        if f * ell * (Q - 1) > _WORK_HARD_CAP:
             raise BudgetExceeded(
                 f"level-{level} span sweep too large "
-                f"({frontier.shape[0]} x {ell} x {Q - 1} candidates)",
+                f"({f} x {ell} x {Q - 1} candidates)",
                 completed_level=level - 1,
                 coverage=float(covered.sum()) / indexer.total)
         before = covered.copy()
-        done = False
-        for u in L_reps:
-            scaled = tower.mul_arr(mus[:, None], u[None, :])    # (Q-1, k)
-            for lo in range(0, frontier.shape[0], _FRONTIER_CHUNK):
-                chunk = frontier[lo:lo + _FRONTIER_CHUNK]
-                cand = tower.add_arr(chunk[None, :, :],
-                                     scaled[:, None, :]).reshape(-1, k)
-                _, cidx, _ = indexer.canonicalize(cand)
-                covered[cidx] = True
-            if covered.all():
-                done = True
-                break
-        if done or covered.all():
-            return level
-        newly = np.nonzero(covered & ~before)[0]
-        if newly.size == 0:
-            raise RuntimeError(
-                "no progress in span sweep; system does not saturate "
-                "(unreachable for valid systems)")
-        frontier = indexer.decode(newly)
+        # u-chunks double up to ~_FRONTIER_CHUNK pairs, so a sweep that
+        # finishes early stops early.  At level 2 the frontier is L_U:
+        # i > j gives each pair once, and `seen` each line once, as two
+        # points of L_U can span it.  Past level 2 the frontier misses L_U.
+        seen = np.zeros(0, dtype=np.int64) if level == 2 else None
+        lo, per = 0, 1
+        while lo < ell and not covered.all():
+            hi = min(ell, lo + per)
+            pairs = (np.ones((f, hi - lo), dtype=bool) if level > 2 else
+                     np.arange(f)[:, None] > np.arange(lo, hi))
+            ia, iu = np.nonzero(pairs)
+            if ia.size:
+                seen = _mark_lines(frontier[ia], L[lo + iu], indexer,
+                                   covered, seen)
+            lo, per = hi, min(2 * per, max(1, _FRONTIER_CHUNK // f))
+        if not covered.all():
+            newly = np.nonzero(covered & ~before)[0]
+            if newly.size == 0:
+                raise RuntimeError(
+                    "no progress in span sweep; system does not saturate "
+                    "(unreachable for valid systems)")
+            frontier = indexer.decode(newly)
+        yield level, covered
+
+
+def saturation_radius_geometric(sys: QSystem,
+                                budget: int = DEFAULT_BUDGET) -> int:
+    """Smallest rho such that spans of rho points of L_U cover PG(k-1, q^m),
+    by span marking (see _geometric_layers)."""
+    for level, _ in _geometric_layers(sys, budget):
+        pass
+    return level
+
+
+def geometric_certificate(sys: QSystem, budget: int = DEFAULT_BUDGET
+                          ) -> tuple[int, SaturationCertificate]:
+    """Geometric radius with a certificate holding no witnesses; its
+    tightness target is the first point still uncovered at level rho - 1."""
+    tight = None
+    for rho, covered in _geometric_layers(sys, budget):
+        if not covered.all():
+            tight = int(np.argmin(covered))
+    if tight is not None:
+        tight = tuple(PointIndexer(sys.tower, sys.k).decode(tight)[0].tolist())
+    return rho, SaturationCertificate(rho, sys.k, sys.n, sys.tower, {}, tight,
+                                      system_hash(sys))
 
 
 # ----------------------------------------------------------------------

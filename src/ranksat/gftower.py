@@ -346,19 +346,9 @@ class SubfieldEmbedding:
         member = np.zeros(tower.order, dtype=bool)
         member[embed_table] = True
         self.member_mask = member
-        inv = {}
-        for a, img in enumerate(embed_table):
-            inv[int(img)] = a
-        self._inverse = inv
 
     def embed(self, a: int) -> int:
         return int(self.embed_table[a])
-
-    def unembed(self, w: int) -> int:
-        try:
-            return self._inverse[int(w)]
-        except KeyError:
-            raise FieldError(f"{w} is not in the embedded subfield") from None
 
     def contains(self, w) -> bool:
         return bool(self.member_mask[w])

@@ -15,17 +15,6 @@ from .gftower import FieldTower, make_tower
 from .linalg import MatrixExt
 
 
-def field_to_json(tower: FieldTower) -> dict:
-    return tower.to_json()
-
-
-def field_from_json(data) -> FieldTower:
-    if isinstance(data, str):
-        data = json.loads(data)
-    return make_tower(int(data["q"]), int(data["m"]),
-                      data.get("modulus_coeffs"))
-
-
 def matrix_to_json(tower: FieldTower, entries) -> dict:
     A = entries.A if isinstance(entries, MatrixExt) else \
         np.asarray(entries, dtype=np.int64)

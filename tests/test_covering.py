@@ -146,6 +146,28 @@ def test_certificate_for_another_system_fails(tower4, field, value):
     assert not cert.verify(sysm)
 
 
+def test_certificate_without_tightness_fails(tower4):
+    # rho = 3 with full coverage but no tightness target claims a lower
+    # bound it does not prove: the [4,3] identity block has radius 2
+    from ranksat.covering import system_hash
+    sysm = construct_identity_block(tower4, 3, 2)
+    cert = SaturationCertificate(3, 3, 4, tower4, {}, None, system_hash(sysm))
+    assert not cert.verify(sysm)
+
+
+def test_geometric_sweep_refuses_above_hard_cap(monkeypatch):
+    # [9,4]/F_64 block: 449 points of L_U cover 449 of the 266,305 points
+    # of PG(3, 64); level 2 would pair 449 x 449 points with 63 scalars
+    from ranksat import covering
+    monkeypatch.setattr(covering, "_WORK_HARD_CAP", 1 << 20)
+    sysm = construct_identity_block(make_tower(2, 6), 4, 3)
+    with pytest.raises(BudgetExceeded, match=r"level-2 span sweep too large "
+                       r"\(449 x 449 x 63 candidates\)") as exc:
+        saturation_radius_geometric(sysm)
+    assert exc.value.completed_level == 1
+    assert exc.value.coverage == 449 / 266305
+
+
 def test_basis_change_invariance(tower4, rng):
     from ranksat import fqlinalg
     from ranksat.linalg import ext_matmul

@@ -5,17 +5,17 @@ import pytest
 
 from ranksat import (QSystem, construct_identity_block, cutting_system_6_3,
                      gabidulin, linear_set, make_tower, saturation_radius,
-                     weight_spectrum)
+                     tower_from_json, weight_spectrum)
 from ranksat import interchange as io
 from ranksat.cli import main
 from ranksat.covering import SaturationCertificate
 
 
 def test_field_json_round_trip(tower9):
-    doc = io.field_to_json(tower9)
+    doc = tower9.to_json()
     assert doc == {"q": 3, "m": 2, "modulus_coeffs": [1, 0, 1],
                    "gamma": "polynomial"}
-    assert io.field_from_json(doc) == tower9
+    assert tower_from_json(doc) == tower9
 
 
 def test_matrix_json_round_trip(tower16, rng):
@@ -119,6 +119,18 @@ def test_cli_verify_budget_refusal(tmp_path, tower4):
     p = tmp_path / "sys.json"
     _write_system(p, construct_identity_block(tower4, 3, 2))
     assert main(["verify", str(p), "--rho", "2", "--budget", "10"]) == 3
+
+
+def test_cli_geometric_certificate_verifies(tmp_path, tower4):
+    sysm = construct_identity_block(tower4, 3, 2)
+    p = tmp_path / "sys.json"
+    _write_system(p, sysm)
+    cert = tmp_path / "geo.cert.json"
+    assert main(["verify", str(p), "--rho", "2", "--method", "geometric",
+                 "--certificate", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    assert data["tightness"] is not None
+    assert SaturationCertificate.from_json(data, tower4).verify(sysm)
 
 
 def test_cli_construct_verify_round_trip(tmp_path):

@@ -1,5 +1,6 @@
-"""Property tests of the span-marking kernel behind the coefficient,
-rank-covering and Hamming sweeps, on random small systems and codes.
+"""Property tests of the span-marking kernels behind the coefficient,
+geometric, rank-covering and Hamming sweeps, on random small systems
+and codes.
 
 q = 2 and q = 4 (a non-prime base) combine multiples tables by XOR;
 q = 3 takes the base-p digit-array path.
@@ -11,10 +12,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ranksat import (associated_code, hamming_covering_radius, make_tower,
-                     rank_covering_radius, random_system, saturation_radius)
-from ranksat.covering import _coverage_through_level
+                     rank_covering_radius, random_system, saturation_radius,
+                     saturation_radius_geometric)
+from ranksat.covering import _coverage_through_level, _geometric_layers
 from ranksat.linalg import ext_matmul, rank_weight
-from ranksat.qsystem import random_code
+from ranksat.qsystem import PointIndexer, random_code
 
 from oracles import (brute_hamming_covering_radius,
                      brute_min_coefficient_rank, brute_rank_covering_radius)
@@ -66,6 +68,24 @@ def test_coefficient_sweep_matches_oracle(case, seed):
     if rho > 0:
         assert least[_index(cert.tightness, Q)] == rho
     assert cert.verify(sysm)
+
+
+@PROPERTY
+@given(st.sampled_from(SYSTEMS), SEEDS)
+def test_geometric_sweep_matches_oracle(case, seed):
+    # a point is in the span of w points of L_U iff its vectors are
+    # G lambda^T with wt_rk(lambda) <= w
+    qm, k, n = case
+    tower = TOWERS[qm]
+    sysm = random_system(tower, k, n, random.Random(seed))
+    least = brute_min_coefficient_rank(sysm.generator, tower)
+    indexer = PointIndexer(tower, k)
+    reps = indexer.decode(np.arange(indexer.total))
+    point_least = least[[_index(v, tower.order) for v in reps]]
+    levels = [covered.copy() for _, covered in _geometric_layers(sysm, 1 << 26)]
+    assert len(levels) - 1 == least.max() == saturation_radius_geometric(sysm)
+    for w, covered in enumerate(levels):
+        assert np.array_equal(covered, point_least <= w)
 
 
 @PROPERTY
