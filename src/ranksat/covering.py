@@ -27,8 +27,7 @@ import numpy as np
 from . import fqlinalg
 from .gftower import FieldTower, expand
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
-                     ext_matmul, ext_rank, min_rank_distance, rank_weight,
-                     rank_support)
+                     ext_matmul, min_rank_distance, rank_weight, rank_support)
 from .qsystem import (PointIndexer, QSystem, SystemError_, linear_set,
                       is_scattered)
 
@@ -534,13 +533,47 @@ def check_bound_consistency(code: RankCode, budget: int = DEFAULT_BUDGET,
 # Cutting blocking sets / minimal codes
 # ----------------------------------------------------------------------
 
+_CUT_CHUNK = 1 << 14     # entries b * k * n per chunk of b hyperplanes
+
+
+def _echelon(M, field):
+    """Batched RREF of the r x c blocks of M (b, r, c) over a SmallField or
+    FieldTower: (R, pivot_col, rank), where R[s] holds its rank[s] pivot
+    rows, then zero rows, and pivot_col[s, i] is c for a zero row i."""
+    R = np.array(M, dtype=np.int64)
+    b, r, c = R.shape
+    blocks, rows = np.arange(b), np.arange(r)
+    rank = np.zeros(b, dtype=np.int64)
+    pivot_col = np.full((b, r), c, dtype=np.int64)
+    for j in range(c):
+        if (rank == r).all():
+            break
+        live = (R[:, :, j] != 0) & (rows >= rank[:, None])
+        has = live.any(axis=1)
+        top = np.minimum(rank, r - 1)
+        piv = np.where(has, np.argmax(live, axis=1), top)
+        R[blocks, top], R[blocks, piv] = R[blocks, piv], R[blocks, top]
+        # rows from rank on are zero left of column j
+        row = field.mul_arr(field.inv_arr(R[blocks, top, j])[:, None],
+                            R[blocks, top, j:])
+        f = np.where(has[:, None], R[:, :, j], 0)
+        f[blocks, top] = 0
+        R[:, :, j:] = field.sub_arr(R[:, :, j:],
+                                    field.mul_arr(f[:, :, None], row[:, None]))
+        R[blocks[has], top[has], j:] = row[has]
+        pivot_col[blocks[has], top[has]] = j
+        rank += has
+    return R, pivot_col, rank
+
+
 def is_linear_cutting_blocking_set(sys: QSystem,
                                    budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the span of H intersect U is H for every hyperplane H.
 
-    The intersection is computed on coefficient space: the single
-    F_{q^m}-linear constraint h . (G c) = 0 expands to m F_q-linear
-    constraints on c in F_q^n, so no sweep over U is needed.
+    Per chunk of normals h, h . (G c) = 0 expands to m F_q-constraints
+    C c = 0; the RREF rows of C placed at their pivot rows form an
+    idempotent S with kernel ker C, so G (I - S) spans H intersect U,
+    whose rank over F_{q^m} must be k - 1.
     """
     tower = sys.tower
     G = sys.generator
@@ -549,18 +582,16 @@ def is_linear_cutting_blocking_set(sys: QSystem,
     if indexer.total > budget:
         raise BudgetExceeded(
             f"{indexer.total} hyperplanes exceed budget {budget}")
-    for start in range(0, indexer.total, 4096):
-        idxs = np.arange(start, min(start + 4096, indexer.total))
-        normals = indexer.decode(idxs)
-        for h in normals:
-            row = ext_matmul(h[None, :], G, tower).ravel()   # h G, length n
-            constraints = expand(row, tower).T               # m x n over F_q
-            K = fqlinalg.kernel(constraints, tower.base)     # coeffs of H^U
-            if K.shape[0] == 0:
-                return False
-            V = ext_matmul(G, K.T.astype(np.int64), tower)   # k x dim
-            if ext_rank(V, tower) != k - 1:
-                return False
+    per = max(1, _CUT_CHUNK // max(1, k * n))
+    for start in range(0, indexer.total, per):
+        h = indexer.decode(np.arange(start, min(start + per, indexer.total)))
+        C = tower.digit_table()[ext_matmul(h, G, tower)].transpose(0, 2, 1)
+        R, pivot_col, _ = _echelon(C, tower.base)
+        S = np.zeros((len(h), n + 1, n), dtype=np.int64)
+        S[np.arange(len(h))[:, None], pivot_col] = R
+        I_S = tower.base.sub_arr(np.eye(n, dtype=np.int64), S[:, :n])
+        if (_echelon(ext_matmul(G, I_S, tower), tower)[2] != k - 1).any():
+            return False
     return True
 
 

@@ -583,7 +583,8 @@ class FieldTower:
     def sub_arr(self, A, B):
         if self.base.p == 2:
             return np.bitwise_xor(A, B)
-        return self.add_arr(A, self.neg_arr(B))
+        dig = self.digit_table()
+        return self.base._add[dig[A], self.base._neg[dig[B]]] @ self._qpow
 
     def mul_arr(self, A, B):
         A = np.asarray(A)

@@ -107,29 +107,16 @@ def ext_kernel(A, tower: FieldTower) -> np.ndarray:
     return B
 
 
-def ext_solve(A, b, tower: FieldTower):
-    """One solution x of A x = b, or None when inconsistent."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    b = np.asarray(b, dtype=np.int64)
-    cols = A.shape[1]
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-    R, pivots = ext_rref(aug, tower)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, cols]
-    return x
-
-
 def ext_matmul(A, B, tower: FieldTower) -> np.ndarray:
-    """A @ B over F_{q^m} (small matrices; loops over the inner axis)."""
+    """A @ B over F_{q^m}, stacks broadcasting as in np.matmul (small
+    matrices; loops over the inner axis)."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     B = np.atleast_2d(np.asarray(B, dtype=np.int64))
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for i in range(A.shape[1]):
-        # outer contribution A[:, i] * B[i, :]
-        contrib = tower.mul_arr(A[:, i][:, None], B[i, :][None, :])
+    out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+                   + (A.shape[-2], B.shape[-1]), dtype=np.int64)
+    for i in range(A.shape[-1]):
+        # outer contribution A[..., :, i] * B[..., i, :]
+        contrib = tower.mul_arr(A[..., :, i, None], B[..., i, None, :])
         out = tower.add_arr(out, contrib)
     return out
 

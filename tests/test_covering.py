@@ -290,8 +290,33 @@ def test_cutting_against_oracle_random(tower4, rng):
         assert is_linear_cutting_blocking_set(sysm) == brute_cutting(sysm)
 
 
+def test_single_coordinate_system_is_cutting(tower4):
+    # k = 1: the only hyperplane is {0}, spanned by the empty set
+    sysm = QSystem(tower4, [[1, 2]])
+    assert is_linear_cutting_blocking_set(sysm)
+    assert brute_cutting(sysm)
+    assert is_minimal_rank_code(associated_code(sysm))
+
+
+def test_cutting_refuses_above_budget(tower16):
+    sysm = cutting_system_6_3(tower16)
+    total = (16 ** 3 - 1) // 15
+    with pytest.raises(BudgetExceeded,
+                       match=f"^{total} hyperplanes exceed budget {total - 1}$"):
+        is_linear_cutting_blocking_set(sysm, budget=total - 1)
+    assert is_linear_cutting_blocking_set(sysm, budget=total)
+
+
 def test_8_4_system_is_cutting_at_q2(tower16):
     assert is_linear_cutting_blocking_set(cutting_system_8_4(tower16))
+
+
+def test_8_4_system_is_not_cutting_at_q4():
+    # the construction cuts for q = 2^h with h odd; at q = 4 the
+    # hyperplane with normal (1, 0, 36, 2) (element codes) meets U in a
+    # 4-dimensional F_q-space that does not span it
+    tower = make_tower(4, 4)
+    assert not is_linear_cutting_blocking_set(cutting_system_8_4(tower))
 
 
 def test_8_4_code_distance_at_least_two(tower16):

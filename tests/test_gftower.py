@@ -215,3 +215,10 @@ def test_exotic_base_towers_consistent(q, m):
     assert all(int(t.mul_arr(arr, rolled)[i]) == t.mul(int(arr[i]),
                                                        int(rolled[i]))
                for i in range(t.order))
+
+
+@pytest.mark.parametrize("q,m", [(3, 3), (5, 2), (9, 2)])
+def test_odd_sub_arr_is_add_of_negation(q, m):
+    t = make_tower(q, m)
+    A, B = np.meshgrid(np.arange(t.order), np.arange(t.order))
+    assert np.array_equal(t.sub_arr(A, B), t.add_arr(A, t.neg_arr(B)))

@@ -1,6 +1,7 @@
 """Property tests of the span-marking kernels behind the coefficient,
-geometric, rank-covering and Hamming sweeps, on random small systems
-and codes.
+geometric, rank-covering and Hamming sweeps, and of the batched
+elimination behind the cutting-set test, on random small systems and
+codes.
 
 q = 2 and q = 4 (a non-prime base) combine multiples tables by XOR;
 q = 3 takes the base-p digit-array path.
@@ -11,14 +12,16 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ranksat import (associated_code, hamming_covering_radius, make_tower,
-                     rank_covering_radius, random_system, saturation_radius,
-                     saturation_radius_geometric)
-from ranksat.covering import _coverage_through_level, _geometric_layers
-from ranksat.linalg import ext_matmul, rank_weight
+from ranksat import (associated_code, fqlinalg, hamming_covering_radius,
+                     is_linear_cutting_blocking_set, is_minimal_rank_code,
+                     make_tower, rank_covering_radius, random_system,
+                     saturation_radius, saturation_radius_geometric)
+from ranksat.covering import (_coverage_through_level, _echelon,
+                              _geometric_layers)
+from ranksat.linalg import ext_matmul, ext_rank, ext_rref, rank_weight
 from ranksat.qsystem import PointIndexer, random_code
 
-from oracles import (brute_hamming_covering_radius,
+from oracles import (brute_cutting, brute_hamming_covering_radius,
                      brute_min_coefficient_rank, brute_rank_covering_radius)
 
 TOWERS = {qm: make_tower(*qm) for qm in [(2, 2), (2, 3), (3, 2), (4, 2)]}
@@ -31,6 +34,11 @@ SYSTEMS = [(qm, k, n) for qm in TOWERS for k in (1, 2, 3)
 # (q, m), k, N with at most 4096 (word, codeword) oracle pairs
 CODES = [(qm, k, N) for qm in TOWERS for N in range(1, 5)
          for k in range(1, N + 1) if TOWERS[qm].order ** (N + k) <= 4096]
+
+# (q, m), k, n with at most 2^17 (hyperplane, vector of U) oracle pairs
+CUTTING = [(qm, k, n) for qm in TOWERS for k in (1, 2, 3)
+           for n in range(k, qm[1] * k + 1)
+           if PointIndexer(TOWERS[qm], k).total * qm[0] ** n <= 1 << 17]
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
@@ -110,3 +118,34 @@ def test_hamming_covering_radius_matches_oracle(case, seed):
     gen = random_code(tower, k, N, random.Random(seed)).generator
     assert (hamming_covering_radius(gen, tower)
             == brute_hamming_covering_radius(gen, tower))
+
+
+@PROPERTY
+@given(st.sampled_from(CUTTING), SEEDS)
+def test_cutting_test_matches_oracles(case, seed):
+    # U is a cutting blocking set iff its associated code is minimal
+    qm, k, n = case
+    sysm = random_system(TOWERS[qm], k, n, random.Random(seed))
+    cutting = is_linear_cutting_blocking_set(sysm)
+    assert cutting == brute_cutting(sysm)
+    assert cutting == is_minimal_rank_code(associated_code(sysm))
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(TOWERS)), st.integers(1, 6), st.integers(1, 5),
+       st.integers(1, 5), SEEDS)
+def test_echelon_matches_rref_per_block(qm, b, r, c, seed):
+    tower = TOWERS[qm]
+    rng = np.random.default_rng(seed)
+    for field, order, rref, rank in ((tower.base, tower.base.q, fqlinalg.rref,
+                                      fqlinalg.rank),
+                                     (tower, tower.order, ext_rref, ext_rank)):
+        # sparse blocks, so that pivots often sit below the next free row
+        M = rng.integers(0, order, (b, r, c)) * (rng.random((b, r, c)) < 0.5)
+        R, pivot_col, ranks = _echelon(M, field)
+        for s in range(b):
+            ref, pivots = rref(M[s], field)
+            assert ranks[s] == len(pivots) == rank(M[s], field)
+            assert np.array_equal(R[s, :ranks[s]], ref)
+            assert not R[s, ranks[s]:].any()
+            assert pivot_col[s].tolist() == pivots + [c] * (r - ranks[s])
