@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fqlinalg
 from .gftower import ComplementBasis, FieldTower, expand, make_tower
-from .linalg import RankCode, ext_kernel, ext_matmul, rank_weight
+from .linalg import RankCode, ext_matmul, rank_weight
 from .qsystem import QSystem, SystemError_
 
 
@@ -37,7 +37,7 @@ def construct_rho1(tower: FieldTower, k: int, v, v_prime) -> QSystem:
         dot = tower.add(dot, tower.mul(int(a), int(b)))
     if dot == 0:
         raise SystemError_("v' lies in the hyperplane <v>^perp")
-    perp = ext_kernel(v.reshape(1, -1), tower)        # (k-1) x k basis
+    perp = fqlinalg.kernel(v.reshape(1, -1), tower)   # (k-1) x k basis
     cols = [v_prime]
     for w in perp:
         for l in range(tower.m):
@@ -225,12 +225,10 @@ class Decomposition:
         tower = sysm.tower
         if not np.array_equal(self.reconstruct(tower), self.target):
             return False
-        cols = expanded_columns(sysm.generator, tower)
-        for u in self.vectors:
-            if fqlinalg.solve(cols, expand(u, tower).reshape(-1),
-                              tower.base) is None:
-                return False
-        return True
+        cols = [expanded_columns(sysm.generator, tower)]
+        cols += [expand(u, tower).reshape(-1, 1) for u in self.vectors]
+        return fqlinalg.rank(np.concatenate(cols, axis=1),
+                             tower.base) == sysm.n
 
 
 def _module_matrix(tower: FieldTower, gens: list[int], sub_basis: list[int]):
@@ -250,14 +248,14 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     """Write v as a combination of at most s elements of a box system
     U = F_q^s x F_{q^t}^h.
 
-    Projection-and-elimination: scan the top coordinates in increasing
-    index, keeping each value that is F_q-independent of the previous
-    ones as a new coefficient (dependent values are expressed through
-    the existing ones and contribute no term); then extend the chosen
-    coefficients until the F_{q^t}-module they generate contains every
-    bottom coordinate, drawing candidates from the complement basis
-    first.  The bottom entries of the vectors solve one F_q-linear
-    system per coordinate, exactly.
+    Projection-and-elimination: one RREF of the top coordinates' digits
+    keeps, in increasing index, each value that is F_q-independent of
+    the previous ones as a new coefficient (dependent values are
+    expressed through the existing ones and contribute no term); then
+    extend the chosen coefficients until the F_{q^t}-module they
+    generate contains every bottom coordinate, drawing candidates from
+    the complement basis first.  The bottom entries of the vectors solve
+    one F_q-linear system per coordinate, exactly.
     """
     if "box" not in sysm.meta:
         raise SystemError_(
@@ -281,26 +279,13 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
             return Decomposition(v, [], [])
         return Decomposition(v, [1], [v.copy()])
 
-    # 1. greedy independent-projection scan over the top block
-    lams: list[int] = []
-    pivot_digits: list[np.ndarray] = []
-    coeffs = np.zeros((s, s), dtype=np.int16)   # top_c = sum_s coeffs[c,s] lam_s
-    for c, val in enumerate(top):
-        if val == 0:
-            continue
-        d = np.array(tower.digits(val), dtype=np.int16)
-        if pivot_digits:
-            A = np.stack(pivot_digits, axis=1)
-            x = fqlinalg.solve(A, d, tower.base)
-        else:
-            x = None
-        if x is not None:
-            coeffs[c, :len(lams)] = x
-        else:
-            coeffs[c, len(lams)] = 1
-            lams.append(val)
-            pivot_digits.append(d)
+    # 1. the pivot columns of the top block's digits are the lams, and
+    # the reduced rows express every top_c = sum_j coeffs[c, j] lam_j
+    R, pivots = fqlinalg.rref(tower.digit_table()[top].T, tower.base)
+    lams = [top[c] for c in pivots]
     nu = len(lams)
+    coeffs = np.zeros((s, s), dtype=np.int16)
+    coeffs[:, :nu] = R.T
 
     # 2. extend until the F_{q^t}-module of the lams holds every bottom value
     gens = list(lams)

@@ -27,7 +27,8 @@ import numpy as np
 from . import fqlinalg
 from .gftower import FieldTower, expand
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
-                     ext_matmul, min_rank_distance, rank_weight, rank_support)
+                     ext_matmul, min_rank_distance, rank_support,
+                     rank_weight_batch)
 from .qsystem import (PointIndexer, QSystem, SystemError_, linear_set,
                       is_scattered)
 
@@ -203,13 +204,18 @@ class SaturationCertificate:
             return False
         if self.rho > 0 and self.tightness is None:
             return False
-        for target, lam in self.witnesses.items():
-            lam = np.array(lam, dtype=np.int64)
-            if rank_weight(lam, tower) > self.rho:
-                return False
-            got = ext_matmul(G, lam.reshape(-1, 1), tower).ravel()
-            if tuple(int(x) for x in got) != tuple(target):
-                return False
+        targets, lams = list(self.witnesses), list(self.witnesses.values())
+        if (any(len(t) != self.k for t in targets)
+                or any(len(lam) != self.n for lam in lams)):
+            return False
+        lams = np.array(lams, dtype=np.int64).reshape(-1, self.n)
+        if lams.size and (lams.min() < 0 or lams.max() >= tower.order):
+            return False
+        if (rank_weight_batch(lams, tower) > self.rho).any():
+            return False
+        if not np.array_equal(ext_matmul(G, lams.T, tower).T,
+                              np.reshape(targets, (-1, self.k))):
+            return False
         t_idx = (None if self.tightness is None else
                  int(np.array(self.tightness, dtype=np.int64)
                      @ _packing(tower.order, self.k)))
@@ -536,36 +542,6 @@ def check_bound_consistency(code: RankCode, budget: int = DEFAULT_BUDGET,
 _CUT_CHUNK = 1 << 14     # entries b * k * n per chunk of b hyperplanes
 
 
-def _echelon(M, field):
-    """Batched RREF of the r x c blocks of M (b, r, c) over a SmallField or
-    FieldTower: (R, pivot_col, rank), where R[s] holds its rank[s] pivot
-    rows, then zero rows, and pivot_col[s, i] is c for a zero row i."""
-    R = np.array(M, dtype=np.int64)
-    b, r, c = R.shape
-    blocks, rows = np.arange(b), np.arange(r)
-    rank = np.zeros(b, dtype=np.int64)
-    pivot_col = np.full((b, r), c, dtype=np.int64)
-    for j in range(c):
-        if (rank == r).all():
-            break
-        live = (R[:, :, j] != 0) & (rows >= rank[:, None])
-        has = live.any(axis=1)
-        top = np.minimum(rank, r - 1)
-        piv = np.where(has, np.argmax(live, axis=1), top)
-        R[blocks, top], R[blocks, piv] = R[blocks, piv], R[blocks, top]
-        # rows from rank on are zero left of column j
-        row = field.mul_arr(field.inv_arr(R[blocks, top, j])[:, None],
-                            R[blocks, top, j:])
-        f = np.where(has[:, None], R[:, :, j], 0)
-        f[blocks, top] = 0
-        R[:, :, j:] = field.sub_arr(R[:, :, j:],
-                                    field.mul_arr(f[:, :, None], row[:, None]))
-        R[blocks[has], top[has], j:] = row[has]
-        pivot_col[blocks[has], top[has]] = j
-        rank += has
-    return R, pivot_col, rank
-
-
 def is_linear_cutting_blocking_set(sys: QSystem,
                                    budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the span of H intersect U is H for every hyperplane H.
@@ -586,11 +562,12 @@ def is_linear_cutting_blocking_set(sys: QSystem,
     for start in range(0, indexer.total, per):
         h = indexer.decode(np.arange(start, min(start + per, indexer.total)))
         C = tower.digit_table()[ext_matmul(h, G, tower)].transpose(0, 2, 1)
-        R, pivot_col, _ = _echelon(C, tower.base)
+        R, pivot_col, _ = fqlinalg.echelon(C, tower.base)
         S = np.zeros((len(h), n + 1, n), dtype=np.int64)
         S[np.arange(len(h))[:, None], pivot_col] = R
         I_S = tower.base.sub_arr(np.eye(n, dtype=np.int64), S[:, :n])
-        if (_echelon(ext_matmul(G, I_S, tower), tower)[2] != k - 1).any():
+        if (fqlinalg.echelon(ext_matmul(G, I_S, tower), tower)[2]
+                != k - 1).any():
             return False
     return True
 
@@ -667,7 +644,7 @@ def puncture_nonscattered(sys: QSystem, budget: int = DEFAULT_BUDGET,
     K = fqlinalg.kernel(c_a.reshape(1, -1), tower.base)
     phi = None
     for row in K:
-        if int(fqlinalg.matvec(row.reshape(1, -1), c_b, tower.base)[0]) != 0:
+        if ext_matmul(row[None], c_b[:, None], tower.base).any():
             phi = row
             break
     assert phi is not None, "c_b should be independent of c_a"

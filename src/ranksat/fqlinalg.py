@@ -1,10 +1,17 @@
-"""Dense linear algebra over the base field F_q.
+"""Dense linear algebra over a finite field: the base field F_q or the
+extension F_{q^m}.
 
-Matrices are numpy integer arrays of F_q element codes; row operations
-go through the SmallField tables, so everything here works for any
-prime power q, not just q = 2.  Reduced row echelon form is the
-canonical representative of a row space: equal subspaces produce equal
-arrays.
+Matrices are numpy integer arrays of element codes.  Row operations go
+through the field's array ops (`mul_arr`, `sub_arr`, `inv_arr`,
+`neg_arr`), which a SmallField and a FieldTower both provide, so every
+function that takes a `field` works over F_q and over F_{q^m} alike.
+Reduced row echelon form is the canonical representative of a row
+space: equal subspaces produce equal arrays.
+
+`rref` eliminates one matrix and `echelon` a stack of them.  Both are
+kept: on a single small matrix the stacked form costs several times the
+plain loop, and callers such as `decompose` make thousands of
+single-matrix calls.
 """
 
 from __future__ import annotations
@@ -16,108 +23,106 @@ import numpy as np
 from .gftower import SmallField
 
 
-def rref(M, field: SmallField):
-    """Reduced row echelon form over F_q.
+def rref(M, field):
+    """Reduced row echelon form.
 
     Returns (R, pivot_cols).  R has leading ones, zeros above and below
     each pivot, and zero rows removed, so it is canonical for the row
     space.
     """
-    R = np.array(M, dtype=np.int16, copy=True)
-    if R.ndim != 2:
-        R = np.atleast_2d(R)
+    R = np.atleast_2d(np.array(M, dtype=np.int64))
     rows, cols = R.shape
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.flatnonzero(R[r:, c])
         if nz.size == 0:
             continue
         p = r + int(nz[0])
         if p != r:
             R[[r, p]] = R[[p, r]]
-        pv = R[r, c]
-        if pv != 1:
-            R[r] = mul[R[r], inv[pv]]
-        # eliminate in all other rows
-        others = np.nonzero(R[:, c])[0]
-        for i in others:
-            if i == r:
-                continue
-            f = R[i, c]
-            R[i] = add[R[i], mul[neg[f], R[r]]]
+        if R[r, c] != 1:
+            R[r] = field.mul_arr(field.inv_arr(R[r, c]), R[r])
+        # clear column c in every other row with one array op
+        f = R[:, c].copy()
+        f[r] = 0
+        if f.any():
+            R[:] = field.sub_arr(R, field.mul_arr(f[:, None], R[r]))
         pivots.append(c)
         r += 1
     return R[:r], pivots
 
 
-def rank(M, field: SmallField) -> int:
+def echelon(M, field):
+    """Batched RREF of the r x c blocks of M (b, r, c): (R, pivot_col,
+    rank), where R[s] holds its rank[s] pivot rows, then zero rows, and
+    pivot_col[s, i] is c for a zero row i."""
+    R = np.array(M, dtype=np.int64)
+    b, r, c = R.shape
+    blocks, rows = np.arange(b), np.arange(r)
+    rank = np.zeros(b, dtype=np.int64)
+    pivot_col = np.full((b, r), c, dtype=np.int64)
+    for j in range(c):
+        if (rank == r).all():
+            break
+        live = (R[:, :, j] != 0) & (rows >= rank[:, None])
+        has = live.any(axis=1)
+        top = np.minimum(rank, r - 1)
+        piv = np.where(has, np.argmax(live, axis=1), top)
+        R[blocks, top], R[blocks, piv] = R[blocks, piv], R[blocks, top]
+        # rows from rank on are zero left of column j
+        row = field.mul_arr(field.inv_arr(R[blocks, top, j])[:, None],
+                            R[blocks, top, j:])
+        f = np.where(has[:, None], R[:, :, j], 0)
+        f[blocks, top] = 0
+        R[:, :, j:] = field.sub_arr(R[:, :, j:],
+                                    field.mul_arr(f[:, :, None], row[:, None]))
+        R[blocks[has], top[has], j:] = row[has]
+        pivot_col[blocks[has], top[has]] = j
+        rank += has
+    return R, pivot_col, rank
+
+
+def rank(M, field) -> int:
     return len(rref(M, field)[1])
 
 
-def kernel(M, field: SmallField) -> np.ndarray:
+def kernel(M, field) -> np.ndarray:
     """Canonical basis (RREF rows) of {x : M x = 0}, x a column vector."""
-    M = np.atleast_2d(np.asarray(M, dtype=np.int16))
-    rows, cols = M.shape
+    M = np.atleast_2d(M)
+    cols = M.shape[1]
     R, pivots = rref(M, field)
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return np.zeros((0, cols), dtype=np.int16)
-    neg = field._neg
-    basis = np.zeros((len(free), cols), dtype=np.int16)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = neg[R[r, fc]]
-    B, _ = rref(basis, field)
-    return B
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    if not free.size:
+        return basis
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = field.neg_arr(R[:, free].T)
+    return rref(basis, field)[0]
 
 
-def matvec(M, v, field: SmallField) -> np.ndarray:
-    M = np.asarray(M, dtype=np.int16)
-    v = np.asarray(v, dtype=np.int16)
-    prods = field._mul[M, v[None, :]]
-    acc = prods[:, 0].copy()
-    for j in range(1, M.shape[1]):
-        acc = field._add[acc, prods[:, j]]
-    return acc
-
-
-def matmul(A, B, field: SmallField) -> np.ndarray:
-    A = np.asarray(A, dtype=np.int16)
-    B = np.asarray(B, dtype=np.int16)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
-    for j in range(B.shape[1]):
-        out[:, j] = matvec(A, B[:, j], field)
-    return out
-
-
-def inv(M, field: SmallField):
+def inv(M, field):
     """Inverse of a square matrix, or None if singular."""
-    M = np.asarray(M, dtype=np.int16)
+    M = np.atleast_2d(M)
     n = M.shape[0]
-    aug = np.concatenate([M, np.eye(n, dtype=np.int16)], axis=1)
-    R, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
+    R, pivots = rref(np.concatenate([M, np.eye(n, dtype=np.int64)], axis=1),
+                     field)
+    if pivots != list(range(n)):
         return None
     return R[:, n:]
 
 
-def solve(M, b, field: SmallField):
+def solve(M, b, field):
     """One solution x of M x = b (column convention), or None."""
-    M = np.atleast_2d(np.asarray(M, dtype=np.int16))
-    b = np.asarray(b, dtype=np.int16)
-    rows, cols = M.shape
-    aug = np.concatenate([M, b.reshape(-1, 1)], axis=1)
-    R, pivots = rref(aug, field)
+    M = np.atleast_2d(M)
+    cols = M.shape[1]
+    R, pivots = rref(np.column_stack([M, b]), field)
     if cols in pivots:
         return None
-    x = np.zeros(cols, dtype=np.int16)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, cols]
+    x = np.zeros(cols, dtype=np.int64)
+    x[pivots] = R[:, cols]
     return x
 
 

@@ -290,9 +290,9 @@ class ComplementBasis:
 
     def coordinates(self, w: int) -> np.ndarray:
         """All m F_q-coordinates of w: betas first, subfield basis last."""
-        from . import fqlinalg
-        d = np.array(self.tower.digits(w), dtype=np.int16)
-        return fqlinalg.matvec(self.matrix_inv, d, self.tower.base)
+        from .linalg import ext_matmul
+        d = self.tower.digit_table()[w]
+        return ext_matmul(self.matrix_inv, d[:, None], self.tower.base)[:, 0]
 
     def decompose(self, w: int) -> tuple[np.ndarray, int]:
         """Return (beta coordinates in F_q, subfield part embedded)."""

@@ -30,20 +30,31 @@ def matrix_to_json(tower: FieldTower, entries) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass; floats would be truncated
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def matrix_from_json(data) -> tuple[FieldTower, np.ndarray]:
     if isinstance(data, str):
         data = json.loads(data)
-    tower = make_tower(int(data["q"]), int(data["m"]), data["modulus"])
-    rows, cols = int(data["rows"]), int(data["cols"])
+    q, m, rows, cols = data["q"], data["m"], data["rows"], data["cols"]
+    if not all(_is_int(x) for x in (q, m, rows, cols)):
+        raise ValueError("q, m, rows and cols must be integers")
+    modulus = data["modulus"]
+    if modulus is not None and (
+            not isinstance(modulus, list)
+            or not all(_is_int(c) and 0 <= c < q for c in modulus)):
+        raise ValueError(f"modulus must be a list of integers 0..{q - 1}")
+    tower = make_tower(q, m, modulus)
     A = np.zeros((rows, cols), dtype=np.int64)
     entries = data["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entry grid does not match rows x cols")
-    q, m = tower.base.q, tower.m
     for i, row in enumerate(entries):
         for j, digs in enumerate(row):
             if (not isinstance(digs, (list, tuple)) or len(digs) != m
-                    or any(d not in range(q) for d in digs)):
+                    or not all(_is_int(d) and 0 <= d < q for d in digs)):
                 raise ValueError(f"entry ({i}, {j}) = {digs} is not a "
                                  f"length-{m} vector of digits 0..{q - 1}")
             A[i, j] = tower.from_digits(digs)

@@ -54,57 +54,18 @@ def as_matrix(tower: FieldTower, entries) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Gaussian elimination over F_{q^m}
+# Matrix products over F_{q^m}
 # ----------------------------------------------------------------------
 
+# The benchmark's tracer (`perfbench/tracer.py` TARGETS) and
+# `workloads.gl_image` name these two; the package calls fqlinalg, which
+# row-reduces over either field.
 def ext_rref(A, tower: FieldTower):
-    """Reduced row echelon form over F_{q^m}; returns (R, pivot_cols)."""
-    R = np.array(A, dtype=np.int64, copy=True)
-    R = np.atleast_2d(R)
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        pv = int(R[r, c])
-        if pv != 1:
-            R[r] = tower.mul_scalar(tower.inv(pv), R[r])
-        for i in np.nonzero(R[:, c])[0]:
-            if i == r:
-                continue
-            f = int(R[i, c])
-            R[i] = tower.sub_arr(R[i], tower.mul_scalar(f, R[r]))
-        pivots.append(c)
-        r += 1
-    return R[:r], pivots
+    return fqlinalg.rref(A, tower)
 
 
 def ext_rank(A, tower: FieldTower) -> int:
-    return len(ext_rref(A, tower)[1])
-
-
-def ext_kernel(A, tower: FieldTower) -> np.ndarray:
-    """Canonical basis (RREF rows) of {x : A x = 0} over F_{q^m}."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    rows, cols = A.shape
-    R, pivots = ext_rref(A, tower)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = tower.neg(int(R[r, fc]))
-    if len(free) == 0:
-        return basis
-    B, _ = ext_rref(basis, tower)
-    return B
+    return fqlinalg.rank(A, tower)
 
 
 def ext_matmul(A, B, tower: FieldTower) -> np.ndarray:
@@ -133,28 +94,19 @@ def rank_weight(v, tower: FieldTower) -> int:
     return fqlinalg.rank(expand(v, tower), tower.base)
 
 
+# Entries N * n * m per batched elimination; bounds its intermediates.
+_RANK_CHUNK = 1 << 16
+
+
 def rank_weight_batch(V, tower: FieldTower) -> np.ndarray:
-    """Rank weights of each row of V (N x n), as an int array."""
+    """Rank weights of each row of V (N x n), as an int array: the ranks
+    of the rows' expansions, eliminated a chunk of rows at a time."""
     V = np.atleast_2d(np.asarray(V, dtype=np.int64))
-    N, n = V.shape
-    out = np.zeros(N, dtype=np.int16)
-    if tower.base.p == 2 and tower.base.e == 1:
-        # coordinates are already bit rows of the expansion
-        for i in range(N):
-            rows = sorted((int(x) for x in V[i] if x), reverse=True)
-            r = 0
-            while rows:
-                pivot = rows[0]
-                r += 1
-                mask = 1 << (pivot.bit_length() - 1)
-                rows = [x ^ pivot if x & mask else x for x in rows[1:]]
-                rows = sorted((x for x in rows if x), reverse=True)
-            out[i] = r
-        return out
     dig = tower.digit_table()
-    for i in range(N):
-        out[i] = fqlinalg.rank(dig[V[i]], tower.base)
-    return out
+    per = max(1, _RANK_CHUNK // max(1, V.shape[1] * tower.m))
+    # an empty V still makes one (empty) chunk
+    return np.concatenate([fqlinalg.echelon(dig[V[i:i + per]], tower.base)[2]
+                           for i in range(0, max(len(V), 1), per)])
 
 
 class SubspaceFq:
@@ -206,7 +158,7 @@ class RankCode:
 
     def __init__(self, tower: FieldTower, generator):
         G = as_matrix(tower, generator)
-        if G.shape[0] and ext_rank(G, tower) != G.shape[0]:
+        if G.shape[0] and fqlinalg.rank(G, tower) != G.shape[0]:
             raise ValueError("generator rows are not independent over F_{q^m}")
         self.tower = tower
         self.generator = G
@@ -216,7 +168,7 @@ class RankCode:
     @property
     def parity_check(self) -> np.ndarray:
         if self._parity is None:
-            H = ext_kernel(self.generator, self.tower) if self.k else \
+            H = fqlinalg.kernel(self.generator, self.tower) if self.k else \
                 np.eye(self.n, dtype=np.int64)
             self._parity = H
             if self.k and H.shape[0]:

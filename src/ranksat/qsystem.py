@@ -14,7 +14,7 @@ import numpy as np
 from . import fqlinalg
 from .gftower import FieldTower, expand
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, MatrixExt, RankCode,
-                     as_matrix, ext_rank, fq_span_vectors)
+                     as_matrix, fq_span_vectors)
 
 
 class SystemError_(ValueError):
@@ -40,7 +40,7 @@ class QSystem:
         if n > tower.m * k:
             raise SystemError_(f"n={n} exceeds mk={tower.m * k}")
         if k:
-            span_dim = ext_rank(G, tower)
+            span_dim = fqlinalg.rank(G, tower)
             if span_dim != k:
                 raise SystemError_(
                     f"columns span a {span_dim}-dimensional subspace of "

@@ -107,8 +107,7 @@ def _experiment_5_9_q4(budget):
     # rank-1 codewords are lambda * v with v over F_q; reduce all such v
     # against the row echelon form of the generator at once
     from . import fqlinalg
-    from .linalg import ext_rref
-    R, pivots = ext_rref(code.generator, tower)
+    R, pivots = fqlinalg.rref(code.generator, tower)
     V = fqlinalg.all_vectors(sysm.n, tower.base)[1:].astype(np.int64)
     for r, c in enumerate(pivots):
         coef = V[:, c]

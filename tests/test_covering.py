@@ -124,6 +124,20 @@ def test_tampered_certificate_fails(tower4):
     assert not bad.verify(sysm)
 
 
+@pytest.mark.parametrize("reshape", [lambda lam: lam + (1,),
+                                     lambda lam: lam[:-1]],
+                         ids=["padded", "short"])
+def test_wrong_length_witnesses_fail(tower4, reshape):
+    # a trailing entry beyond n must not be ignored, and a short lambda
+    # must not raise
+    sysm = construct_identity_block(tower4, 3, 2)
+    _, cert = saturation_radius(sysm)
+    assert cert.witnesses and cert.verify(sysm)
+    cert.witnesses = {t: reshape(tuple(lam))
+                      for t, lam in cert.witnesses.items()}
+    assert not cert.verify(sysm)
+
+
 def test_forged_certificate_fails(tower16, tower256):
     # no witnesses and a tightness target missed at level 0 do not make
     # radius 1: the lifted [6,3] set has radius 2, so level 1 leaves

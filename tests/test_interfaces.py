@@ -35,14 +35,21 @@ def test_matrix_json_shape_mismatch(tower16):
         io.matrix_from_json(doc)
 
 
-# a digit outside F_2, a coordinate vector shorter than m = 4, and a
-# bare number in place of a vector
-BAD_DIGITS = [[3, 0, 0, 0], [1, 0], 1]
+# a digit outside F_2, a coordinate vector shorter than m = 4, a bare
+# number in place of a vector, bool and float digits; a dict replaces
+# header fields instead: a float q, and modulus coefficients that are a
+# float or lie outside F_2
+BAD_DIGITS = [[3, 0, 0, 0], [1, 0], 1, [True, False, False, False],
+              [1.0, 0, 0, 0], {"modulus": [1, 1.5, 0, 0, 1]}, {"q": 2.7},
+              {"modulus": [1, 3, 0, 0, 1]}, {"modulus": [1, -1, 0, 0, 1]}]
 
 
 def _one_entry_doc(digits):
-    return {"q": 2, "m": 4, "modulus": [1, 1, 0, 0, 1], "rows": 1,
-            "cols": 1, "entries": [[digits]]}
+    doc = {"q": 2, "m": 4, "modulus": [1, 1, 0, 0, 1], "rows": 1,
+           "cols": 1, "entries": [[[1, 0, 0, 0]]]}
+    if isinstance(digits, dict):
+        return doc | digits
+    return doc | {"entries": [[digits]]}
 
 
 @pytest.mark.parametrize("digits", BAD_DIGITS)

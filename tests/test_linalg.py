@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ranksat import (BudgetExceeded, RankCode, dual, gabidulin,
+from ranksat import (BudgetExceeded, RankCode, dual, gabidulin, make_tower,
                      min_rank_distance, rank_support, rank_weight,
                      weight_spectrum)
 from ranksat.linalg import ext_matmul, ext_rref, rank_weight_batch
@@ -37,7 +37,7 @@ def test_rank_weight_proportional_coordinates(tower16):
 
 
 def test_rank_weight_batch_matches_scalar(tower16, tower9, rng):
-    for t in (tower16, tower9):
+    for t in (tower16, tower9, make_tower(4, 3)):
         V = np.array([[t.random_element(rng) for _ in range(5)]
                       for _ in range(100)])
         batch = rank_weight_batch(V, t)

@@ -1,7 +1,7 @@
 """Property tests of the span-marking kernels behind the coefficient,
-geometric, rank-covering and Hamming sweeps, and of the batched
-elimination behind the cutting-set test, on random small systems and
-codes.
+geometric, rank-covering and Hamming sweeps, of the batched elimination
+behind the cutting-set test, and of RREF canonicity over F_q and
+F_{q^m}, on random small systems, codes and matrices.
 
 q = 2 and q = 4 (a non-prime base) combine multiples tables by XOR;
 q = 3 takes the base-p digit-array path.
@@ -16,9 +16,8 @@ from ranksat import (associated_code, fqlinalg, hamming_covering_radius,
                      is_linear_cutting_blocking_set, is_minimal_rank_code,
                      make_tower, rank_covering_radius, random_system,
                      saturation_radius, saturation_radius_geometric)
-from ranksat.covering import (_coverage_through_level, _echelon,
-                              _geometric_layers)
-from ranksat.linalg import ext_matmul, ext_rank, ext_rref, rank_weight
+from ranksat.covering import _coverage_through_level, _geometric_layers
+from ranksat.linalg import ext_matmul, rank_weight
 from ranksat.qsystem import PointIndexer, random_code
 
 from oracles import (brute_cutting, brute_hamming_covering_radius,
@@ -39,6 +38,10 @@ CODES = [(qm, k, N) for qm in TOWERS for N in range(1, 5)
 CUTTING = [(qm, k, n) for qm in TOWERS for k in (1, 2, 3)
            for n in range(k, qm[1] * k + 1)
            if PointIndexer(TOWERS[qm], k).total * qm[0] ** n <= 1 << 17]
+
+# (field, order): the base fields F_2, F_3, F_4 and the towers over them
+FIELDS = ([(TOWERS[qm].base, qm[0]) for qm in [(2, 2), (3, 2), (4, 2)]]
+          + [(TOWERS[qm], TOWERS[qm].order) for qm in [(2, 2), (3, 2), (4, 2)]])
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
@@ -137,15 +140,37 @@ def test_cutting_test_matches_oracles(case, seed):
 def test_echelon_matches_rref_per_block(qm, b, r, c, seed):
     tower = TOWERS[qm]
     rng = np.random.default_rng(seed)
-    for field, order, rref, rank in ((tower.base, tower.base.q, fqlinalg.rref,
-                                      fqlinalg.rank),
-                                     (tower, tower.order, ext_rref, ext_rank)):
+    for field, order in ((tower.base, tower.base.q), (tower, tower.order)):
         # sparse blocks, so that pivots often sit below the next free row
         M = rng.integers(0, order, (b, r, c)) * (rng.random((b, r, c)) < 0.5)
-        R, pivot_col, ranks = _echelon(M, field)
+        R, pivot_col, ranks = fqlinalg.echelon(M, field)
         for s in range(b):
-            ref, pivots = rref(M[s], field)
-            assert ranks[s] == len(pivots) == rank(M[s], field)
+            ref, pivots = fqlinalg.rref(M[s], field)
+            assert ranks[s] == len(pivots) == fqlinalg.rank(M[s], field)
             assert np.array_equal(R[s, :ranks[s]], ref)
             assert not R[s, ranks[s]:].any()
             assert pivot_col[s].tolist() == pivots + [c] * (r - ranks[s])
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS), st.integers(1, 3), st.integers(1, 5), SEEDS)
+def test_rref_is_canonical(fq, r, c, seed):
+    field, Q = fq
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, Q, (r, c)) * (rng.random((r, c)) < 0.6)
+    R, pivots = fqlinalg.rref(M, field)
+    # A = P L U is invertible: L unit lower, U upper with a nonzero diagonal
+    L = np.tril(rng.integers(0, Q, (r, r)), -1) + np.eye(r, dtype=np.int64)
+    U = np.triu(rng.integers(0, Q, (r, r)), 1) + np.diag(rng.integers(1, Q, r))
+    A = ext_matmul(L, U, field)[rng.permutation(r)]
+    R2, pivots2 = fqlinalg.rref(ext_matmul(A, M, field), field)
+    assert pivots2 == pivots
+    assert np.array_equal(R2, R)
+    # the row space, enumerated, has Q^rank elements
+    coeffs = np.indices((Q,) * r).reshape(r, -1).T
+    span = ext_matmul(coeffs, M, field)
+    assert len(np.unique(span, axis=0)) == Q ** len(pivots)
+    K = fqlinalg.kernel(M, field)
+    assert K.shape == (c - len(pivots), c)
+    assert not ext_matmul(M, K.T, field).any()
+    assert np.array_equal(fqlinalg.rref(K, field)[0], K)
