@@ -15,7 +15,7 @@ from math import gcd, ceil
 
 import numpy as np
 
-from .gftower import _factor
+from .gftower import _factor, _prime_power
 
 
 def gaussian_binomial(a: int, b: int, q: int) -> int:
@@ -41,6 +41,8 @@ class BoundValue:
 
 
 def _validate_params(q: int, m: int, k: int, rho: int):
+    """A q that is not a prime power raises FieldError, a ValueError."""
+    _prime_power(q)
     if k < 1 or m < 1:
         raise ValueError(f"need k, m >= 1, got k={k}, m={m}")
     if not 1 <= rho <= min(k, m):
@@ -84,9 +86,8 @@ def _row_3_2_conditions(q: int, r: int) -> str | None:
                for s in range(1, r + 1) if gcd(r, s) == 1):
             return "factorial-gcd clause"
     if r == 5:
-        fac = _factor(q)        # q = p^j, or (p, j) = (0, 0)
-        p, j = next(iter(fac.items())) if len(fac) == 1 else (0, 0)
-        if p in (2, 3) and j >= 1 and gcd(j, 15) == 1:
+        p, j = _prime_power(q)
+        if p in (2, 3) and gcd(j, 15) == 1:
             return "q = p^(15h+s), p in {2,3}"
         if p == 5 and j % 15 == 1:
             return "q = 5^(15h+1)"
@@ -135,8 +136,8 @@ def _closed_upper_candidates(q: int, m: int, k: int, rho: int):
     if k == 4 and rho == 3 and m == 9:
         out.append((8, "published 8-dim cutting set (any q)"))
     if k == 4 and rho == 3 and m == 12:
-        fac = _factor(q)
-        if fac.keys() == {2} and fac[2] % 2 == 1:
+        p, e = _prime_power(q)
+        if p == 2 and e % 2 == 1:
             out.append((8, "published 8-dim cutting set (q = 2^odd)"))
     ex = exact_values(q, m, k, rho)
     if ex is not None:
@@ -235,8 +236,12 @@ class BoundsEntry:
 
 def bounds_table(q: int, m: int, kmax: int, rhomax: int | None = None
                  ) -> list[BoundsEntry]:
+    # validate q, m, kmax and rhomax even when the grid has no cells
+    _validate_params(q, m, kmax, 1)
     if rhomax is None:
         rhomax = min(kmax, m)
+    if rhomax < 1:
+        raise ValueError(f"need rhomax >= 1, got {rhomax}")
     uppers = upper_bound_table(q, m, kmax, rhomax)
     out = []
     for k in range(1, kmax + 1):

@@ -2,7 +2,10 @@
 
 Exit codes for `verify`: 0 the claimed radius matches, 1 it does not,
 2 the input could not be parsed, 3 the budget refused the sweep (the
-refusal message includes the coverage reached).
+refusal message includes the coverage reached).  `bounds` and `search`
+exit 2, with a one-line message, when the parameters name no field or
+no valid cell: q not a prime power, m, k, kmax or rhomax below 1, or
+rho out of range.
 """
 
 from __future__ import annotations
@@ -135,7 +138,11 @@ def cmd_bounds(args) -> int:
         print(f"published-row verification: "
               f"{'PASS' if not diffs else 'FAIL'} ({len(diffs)} diffs)")
         return 0 if not diffs else 1
-    entries = bnd.bounds_table(args.q, args.m, args.kmax, args.rhomax)
+    try:
+        entries = bnd.bounds_table(args.q, args.m, args.kmax, args.rhomax)
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 2
     if args.format == "csv":
         print(io.bounds_to_csv(entries), end="")
     elif args.format == "markdown":
@@ -147,7 +154,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_search(args) -> int:
     result: dict = {"q": args.q, "m": args.m, "k": args.k, "rho": args.rho}
-    tower = make_tower(args.q, args.m, _parse_modulus(args.modulus))
+    try:
+        bnd._validate_params(args.q, args.m, args.k, args.rho)
+        tower = make_tower(args.q, args.m, _parse_modulus(args.modulus))
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 2
     exhausted = False
     if args.mode in ("exhaustive", "auto"):
         try:

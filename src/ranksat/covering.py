@@ -26,11 +26,11 @@ import numpy as np
 
 from . import fqlinalg
 from .gftower import FieldTower, expand
+from .interchange import _is_int
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
-                     ext_matmul, min_rank_distance, rank_support,
-                     rank_weight_batch)
-from .qsystem import (PointIndexer, QSystem, SystemError_, linear_set,
-                      is_scattered)
+                     ext_matmul, min_rank_distance, rank_weight_batch)
+from .qsystem import (PointIndexer, QSystem, SystemError_, expanded_columns,
+                      linear_set, is_scattered)
 
 WITNESS_CAP = 1 << 12
 
@@ -242,11 +242,20 @@ class SaturationCertificate:
 
     @classmethod
     def from_json(cls, data: dict, tower: FieldTower) -> "SaturationCertificate":
-        wit = {tuple(w["target"]): tuple(w["lambda"])
+        """Read `to_json` output.  Every number must be an int: a float or
+        a bool would be truncated into a different certificate, so any
+        other value raises ValueError."""
+        def ints(xs, what):
+            if not isinstance(xs, (list, tuple)) or not all(map(_is_int, xs)):
+                raise ValueError(f"certificate {what} must be integers")
+            return tuple(xs)
+
+        rho, k, n = ints([data["rho"], data["k"], data["n"]], "rho, k, n")
+        wit = {ints(w["target"], "targets"): ints(w["lambda"], "lambdas")
                for w in data.get("witnesses", [])}
         tight = data.get("tightness")
-        return cls(int(data["rho"]), int(data["k"]), int(data["n"]), tower,
-                   wit, tuple(tight) if tight is not None else None,
+        return cls(rho, k, n, tower, wit,
+                   None if tight is None else ints(tight, "tightness"),
                    data.get("system_hash", ""))
 
 
@@ -573,34 +582,17 @@ def is_linear_cutting_blocking_set(sys: QSystem,
 
 
 def is_minimal_rank_code(code: RankCode, budget: int = DEFAULT_BUDGET) -> bool:
-    """Support-containment test over projectively inequivalent codewords."""
-    tower = code.tower
-    Q = tower.order
-    if Q ** code.k > budget:
-        raise BudgetExceeded(
-            f"codeword sweep needs {Q ** code.k} > budget {budget}")
-    words = code.codewords(budget)
-    indexer = PointIndexer(tower, code.n)
-    reps, idx, _ = indexer.canonicalize(words)
-    _, first = np.unique(idx, return_index=True)
-    reps = reps[first]
-    supports = [rank_support(r, tower) for r in reps]
-    by_dim: dict[int, list] = {}
-    seen: dict = {}
-    for s in supports:
-        if s in seen:
-            return False            # two inequivalent words, equal support
-        seen[s] = True
-        by_dim.setdefault(s.dim, []).append(s)
-    dims = sorted(by_dim)
-    field = tower.base
-    for i, d1 in enumerate(dims):
-        for d2 in dims[i + 1:]:
-            for small in by_dim[d1]:
-                for big in by_dim[d2]:
-                    if big.contains(small, field):
-                        return False
-    return True
+    """True iff no codeword's rank support contains that of a codeword
+    outside its F_{q^m}-multiples, by the cutting test (minimal codes are
+    the codes of cutting systems) on the columns at the pivots of G over
+    F_q.  G is those columns times an F_q-matrix of full row rank, which
+    keeps rank supports and their containments, so a degenerate code is
+    minimal iff its nondegenerate part is.  The hyperplane count is
+    charged against `budget`."""
+    G = code.generator
+    _, pivots = fqlinalg.rref(expanded_columns(G, code.tower), code.tower.base)
+    return is_linear_cutting_blocking_set(QSystem(code.tower, G[:, pivots]),
+                                          budget)
 
 
 # ----------------------------------------------------------------------
@@ -636,7 +628,6 @@ def puncture_nonscattered(sys: QSystem, budget: int = DEFAULT_BUDGET,
             u_b = cand
             break
     assert u_b is not None, "weight >= 2 point must carry independent vectors"
-    from .qsystem import expanded_columns
     cols = expanded_columns(sys.generator, tower)
     c_a = fqlinalg.solve(cols, expand(u_a, tower).reshape(-1), tower.base)
     c_b = fqlinalg.solve(cols, expand(u_b, tower).reshape(-1), tower.base)

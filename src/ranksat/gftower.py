@@ -3,10 +3,17 @@
 Elements of F_{q^m} are represented as integers in [0, q^m) packing the
 coordinate vector with respect to the polynomial basis 1, alpha, ...,
 alpha^(m-1) in base q (digit i = coefficient of alpha^i, itself an
-integer code of an F_q element).  Multiplication uses precomputed
-log/antilog tables; addition is XOR in characteristic 2 and digit-wise
-otherwise.  All hot-path operations have numpy-vectorized variants that
-operate on integer arrays of element codes.
+integer code of an F_q element).  Addition is XOR in characteristic 2
+and digit-wise otherwise.  All hot-path operations have numpy-vectorized
+variants that operate on integer arrays of element codes.
+
+Multiplication uses log/exp tables, and one builder makes them for every
+field (`FieldTower._build_tables`): it forms the map v -> x v on all
+codes at once, derives v -> g v from it, and steps that map from 1 for
+the first code g whose orbit has length q^m - 1.  A non-prime base field
+SmallField(p^e) takes its dense tables from FieldTower(p, e).  log(0) is
+a sentinel that indexes the zero padding of exp, so the array kernels
+multiply with one gather and no zero test.
 """
 
 from __future__ import annotations
@@ -133,13 +140,25 @@ def _irreducible_factor_degree(F, f) -> int | None:
     return None
 
 
+def _first_irreducible(F, m: int) -> list[int]:
+    """First monic irreducible of degree m over SmallField F, in ascending
+    order of the packed coefficient code (constant term least
+    significant).  For F_2 and m = 4 this selects x^4 + x + 1."""
+    q = F.q
+    for code in range(q ** m):
+        f = [code // q ** i % q for i in range(m)] + [1]
+        if (m == 1 or f[0]) and _irreducible_factor_degree(F, f) is None:
+            return f
+    raise FieldError("no irreducible polynomial found (unreachable)")
+
+
 class SmallField:
     """The base field F_q, q = p^e <= 1024, with dense op tables.
 
     Elements are integer codes 0 .. q-1.  For e > 1 the code packs the
-    F_p-coordinates of the element in base p; the modulus is the
-    lexicographically first irreducible monic polynomial of degree e
-    over F_p.
+    F_p-coordinates of the element in base p, and the tables are those of
+    FieldTower(p, e): the modulus is the lexicographically first
+    irreducible monic polynomial of degree e over F_p.
     """
 
     def __init__(self, q: int):
@@ -149,62 +168,17 @@ class SmallField:
         self.q = q
         self.p = p
         self.e = e
+        a, b = np.arange(q)[:, None], np.arange(q)[None, :]
         if e == 1:
-            self.modulus_p = (0, 1)  # formal x; unused for prime fields
-            add = (np.arange(q)[:, None] + np.arange(q)[None, :]) % q
-            mul = (np.arange(q)[:, None] * np.arange(q)[None, :]) % q
+            add, mul = (a + b) % q, (a * b) % q
         else:
-            self.modulus_p = self._first_irreducible_prime(p, e)
-            add, mul = self._build_ext_tables(p, e, self.modulus_p)
+            t = FieldTower(p, e)
+            add, mul = t.add_arr(a, b), t.mul_arr(a, b)
         self._add = add.astype(np.int16)
         self._mul = mul.astype(np.int16)
-        neg = np.zeros(q, dtype=np.int16)
-        for a in range(q):
-            neg[a] = int(np.where(self._add[a] == 0)[0][0])
-        self._neg = neg
-        inv = np.zeros(q, dtype=np.int16)
-        for a in range(1, q):
-            inv[a] = int(np.where(self._mul[a] == 1)[0][0])
-        self._inv = inv
-
-    @staticmethod
-    def _first_irreducible_prime(p: int, e: int) -> tuple[int, ...]:
-        Fp = SmallField(p)
-        for code in range(p ** e):
-            coeffs = []
-            c = code
-            for _ in range(e):
-                coeffs.append(c % p)
-                c //= p
-            f = coeffs + [1]
-            if e >= 2 and f[0] == 0:
-                continue
-            if _irreducible_factor_degree(Fp, f) is None:
-                return tuple(f)
-        raise FieldError("no irreducible polynomial found (unreachable)")
-
-    @staticmethod
-    def _build_ext_tables(p: int, e: int, modulus):
-        Fp = SmallField(p)
-        q = p ** e
-        pp = [p ** i for i in range(e)]
-
-        def unpack(a):
-            return [(a // pp[i]) % p for i in range(e)]
-
-        def pack(co):
-            return sum(int(c) * pp[i] for i, c in enumerate(co[:e]))
-
-        add = np.zeros((q, q), dtype=np.int32)
-        mul = np.zeros((q, q), dtype=np.int32)
-        for a in range(q):
-            ua = unpack(a)
-            for b in range(q):
-                ub = unpack(b)
-                add[a, b] = pack([(x + y) % p for x, y in zip(ua, ub)])
-                prod = _poly_mulmod(Fp, _poly_trim(ua), _poly_trim(ub), list(modulus))
-                mul[a, b] = pack(prod + [0] * e)
-        return add, mul
+        self._neg = np.argmax(self._add == 0, axis=1).astype(np.int16)
+        # row 0 holds no 1, so its argmax leaves inv(0) = 0
+        self._inv = np.argmax(self._mul == 1, axis=1).astype(np.int16)
 
     # scalar ops ---------------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -372,7 +346,7 @@ class FieldTower:
             raise FieldError(
                 f"q^m = {self.order} exceeds table limit {MAX_TABLE_ORDER}")
         if modulus is None:
-            modulus = self._first_irreducible(self.base, m)
+            modulus = _first_irreducible(self.base, m)
         modulus = [int(c) for c in modulus]
         if len(_poly_trim(modulus)) - 1 != m:
             raise FieldError(f"modulus must have degree {m}")
@@ -385,129 +359,58 @@ class FieldTower:
         self.modulus = tuple(modulus)
         self.alpha = q if m > 1 else self.base.sub(0, modulus[0])
         self._qpow = np.array([q ** i for i in range(m)], dtype=np.int64)
-        self._build_tables()
         self._digit_table = None
+        self._build_tables()
         self._subfields: dict[int, SubfieldEmbedding] = {}
 
-    # -- construction helpers --------------------------------------------
-    @staticmethod
-    def _first_irreducible(F: SmallField, m: int):
-        """First monic irreducible of degree m over F_q, in ascending order
-        of the packed coefficient code (constant term least significant).
-        For q=2, m=4 this selects x^4 + x + 1."""
-        q = F.q
-        for code in range(q ** m):
-            coeffs = []
-            c = code
-            for _ in range(m):
-                coeffs.append(c % q)
-                c //= q
-            f = coeffs + [1]
-            if m >= 2 and f[0] == 0:
-                continue
-            if _irreducible_factor_degree(F, f) is None:
-                return f
-        raise FieldError("no irreducible polynomial found (unreachable)")
+    # -- table construction ----------------------------------------------
+    def _linear_map(self, images):
+        """Codes of the F_q-linear map x^j -> images[j] on all Q codes.
 
-    def _poly_mul_scalar(self, a_digits, b_digits):
-        """Schoolbook product of two digit lists, reduced mod modulus."""
-        return _poly_mulmod(self.base, _poly_trim(list(a_digits)),
-                            _poly_trim(list(b_digits)), list(self.modulus))
-
-    def _mul_schoolbook(self, a: int, b: int) -> int:
-        res = self._poly_mul_scalar(self.digits(a), self.digits(b))
-        return self.from_digits(res + [0] * self.m)
-
-    def _element_order(self, a: int, order_factors) -> bool:
-        """True iff a generates the multiplicative group."""
-        n = self.order - 1
-        for ell in order_factors:
-            if self._pow_schoolbook(a, n // ell) == 1:
-                return False
-        return True
-
-    def _pow_schoolbook(self, a: int, n: int) -> int:
-        result, base = 1, a
-        while n > 0:
-            if n & 1:
-                result = self._mul_schoolbook(result, base)
-            base = self._mul_schoolbook(base, base)
-            n >>= 1
-        return result
+        The map on codes below q^(j+1) is its map on codes below q^j plus
+        c images[j], one block per digit c in code order."""
+        c = np.arange(self.base.q)[:, None]
+        out = np.zeros(1, dtype=np.int64)
+        for im in images:
+            scaled = self.base._mul[c, self.digits(im)] @ self._qpow
+            out = self.add_arr(out[None, :], scaled[:, None]).ravel()
+        return out
 
     def _build_tables(self):
-        Q = self.order
-        q = self.base.q
-        if Q == 2:
-            self.generator = 1
-            self._exp = np.array([1, 1], dtype=np.int32)
-            self._log = np.array([0, 0], dtype=np.int32)
-            self._inv_table = np.array([0, 1], dtype=np.int32)
-            return
-        order_factors = list(_factor(Q - 1))
-        gen = None
-        for cand in range(2, Q):
-            if self._element_order(cand, order_factors):
-                gen = cand
+        """Log/exp tables from the orbit of 1 under v -> g v, for the first
+        code g >= 1 whose orbit has length Q - 1.
+
+        v -> x v shifts every code's digits up one place and sends the top
+        digit to x^m = -(modulus minus its leading term); v -> g v is the
+        linear map with images g x^j, read off the orbit of g under x.
+        log(0) is the sentinel S = 2(Q-1), and exp is zero from index
+        2(Q-1) through 2S, so exp[log a + log b] is a b with no zero test.
+        """
+        Q, q, m = self.order, self.base.q, self.m
+        xm = self.from_digits([self.base.neg(c) for c in self.modulus[:-1]])
+        times_x = self._linear_map([q ** j for j in range(1, m)] + [xm])
+        for g in range(1, Q):
+            images = [g]
+            for _ in range(m - 1):
+                images.append(int(times_x[images[-1]]))
+            step = self._linear_map(images).tolist()
+            orbit, v = [1], step[1]
+            while v != 1 and len(orbit) < Q:
+                orbit.append(v)
+                v = step[v]
+            if len(orbit) == Q - 1:
                 break
-        if gen is None:
-            raise FieldError("no primitive element found (unreachable)")
-        self.generator = gen
-        exp = np.zeros(2 * (Q - 1), dtype=np.int32)
-        log = np.zeros(Q, dtype=np.int32)
-        if self.base.p == 2 and self.base.e == 1:
-            # carry-free packed stepping: multiply by gen = xor of shifts
-            modbits = 0
-            for i, c in enumerate(self.modulus):
-                modbits |= (c & 1) << i
-            top = 1 << self.m
-            v = 1
-            for i in range(Q - 1):
-                exp[i] = v
-                log[v] = i
-                acc = 0
-                w = v
-                for j in range(self.m):
-                    if (gen >> j) & 1:
-                        acc ^= w
-                    w <<= 1
-                    if w & top:
-                        w ^= modbits
-                v = acc
-            if v != 1:
-                raise FieldError("table build failed (unreachable)")
         else:
-            # generic stepping: digit vector times the m x m matrix of
-            # multiplication by gen over F_q
-            gen_digits = self.digits(gen)
-            cols = []
-            for j in range(self.m):
-                xj = [0] * j + [1]
-                prod = self._poly_mul_scalar(gen_digits, xj)
-                cols.append(prod + [0] * (self.m - len(prod)))
-            M = np.array(cols, dtype=np.int16).T  # m x m, col j = gen * x^j
-            mul_t = self.base._mul
-            add_t = self.base._add
-            v = np.zeros(self.m, dtype=np.int16)
-            v[0] = 1
-            for i in range(Q - 1):
-                code = int(v @ self._qpow[: self.m])
-                exp[i] = code
-                log[code] = i
-                prods = mul_t[M, v[None, :]]
-                acc = prods[:, 0]
-                for j in range(1, self.m):
-                    acc = add_t[acc, prods[:, j]]
-                v = acc.astype(np.int16)
-            if int(v @ self._qpow[: self.m]) != 1:
-                raise FieldError("table build failed (unreachable)")
-        exp[Q - 1:] = exp[: Q - 1]
-        self._exp = exp
-        self._log = log
-        inv_t = np.zeros(Q, dtype=np.int32)
-        nz = np.arange(1, Q)
-        inv_t[nz] = exp[(Q - 1) - log[nz]]
-        self._inv_table = inv_t
+            raise FieldError("no primitive element found (unreachable)")
+        self.generator = g
+        S = 2 * (Q - 1)
+        self._exp = np.zeros(2 * S + 1, dtype=np.int64)
+        self._exp[:Q - 1] = orbit
+        self._exp[Q - 1:S] = self._exp[:Q - 1]
+        self._log = np.full(Q, S, dtype=np.int64)
+        self._log[orbit] = np.arange(Q - 1)
+        self._inv_table = np.concatenate(
+            ([0], self._exp[(Q - 1) - self._log[1:]]))
 
     # -- scalar operations -------------------------------------------------
     def digits(self, a: int) -> list[int]:
@@ -555,10 +458,6 @@ class FieldTower:
         """a^(q^j)."""
         return self.pow(a, pow(self.base.q, j, self.order - 1) if self.order > 2 else 1)
 
-    def embed_base(self, c: int) -> int:
-        """F_q element code -> constant polynomial in F_{q^m} (same code)."""
-        return int(c)
-
     def elements(self):
         return range(self.order)
 
@@ -587,29 +486,20 @@ class FieldTower:
         return self.base._add[dig[A], self.base._neg[dig[B]]] @ self._qpow
 
     def mul_arr(self, A, B):
-        A = np.asarray(A)
-        B = np.asarray(B)
-        out = self._exp[self._log[A] + self._log[B]]
-        zero = (A == 0) | (B == 0)
-        return np.where(zero, 0, out).astype(np.int64)
+        return self._exp[self._log[A] + self._log[B]]
 
     def mul_scalar(self, lam: int, A):
-        A = np.asarray(A)
-        if lam == 0:
-            return np.zeros_like(A, dtype=np.int64)
-        out = self._exp[self._log[A] + int(self._log[lam])]
-        return np.where(A == 0, 0, out).astype(np.int64)
+        return self._exp[self._log[A] + self._log[lam]]
 
     def inv_arr(self, A):
-        return self._inv_table[A].astype(np.int64)
+        return self._inv_table[A]
 
     def frobenius_arr(self, A, j: int = 1):
-        if self.order == 2:
-            return np.asarray(A).copy()
+        # the reduction mod Q - 1 wraps the zero sentinel, so mask zeros
         e = pow(self.base.q, j, self.order - 1)
         A = np.asarray(A)
         out = self._exp[(self._log[A] * e) % (self.order - 1)]
-        return np.where(A == 0, 0, out).astype(np.int64)
+        return np.where(A == 0, 0, out)
 
     def digit_table(self):
         """(order, m) array: row a = Gamma-coordinates of element a."""
@@ -645,12 +535,9 @@ class FieldTower:
         # subfield element set: fixed points of x -> x^{q^t}
         Q = self.order
         qt = self.base.q ** t
-        if Q == 2:
-            candidates = [0, 1]
-        else:
-            idx = np.arange(1, Q, dtype=np.int64)
-            fro = self.frobenius_arr(idx, t)
-            candidates = [0] + sorted(int(x) for x in idx[fro == idx])
+        idx = np.arange(1, Q, dtype=np.int64)
+        fro = self.frobenius_arr(idx, t)
+        candidates = [0] + sorted(int(x) for x in idx[fro == idx])
         if len(candidates) != qt:
             raise FieldError("subfield extraction failed (unreachable)")
         # smallest root of the subfield modulus among candidates
@@ -659,8 +546,7 @@ class FieldTower:
             acc = 0
             for i, co in enumerate(sub.modulus):
                 if co:
-                    acc = self.add(acc, self.mul(self.embed_base(co),
-                                                 self.pow(c, i)))
+                    acc = self.add(acc, self.mul(co, self.pow(c, i)))
             if acc == 0:
                 root = c
                 break
@@ -672,8 +558,7 @@ class FieldTower:
             acc = 0
             for i, d in enumerate(digs):
                 if d:
-                    acc = self.add(acc, self.mul(self.embed_base(d),
-                                                 self.pow(root, i)))
+                    acc = self.add(acc, self.mul(d, self.pow(root, i)))
             table[a] = acc
         emb = SubfieldEmbedding(self, sub, table)
         if modulus is None:

@@ -97,10 +97,8 @@ class PointIndexer:
                     np.zeros(0, dtype=np.int64), keep)
         j = np.argmax(V != 0, axis=1)
         piv = V[np.arange(V.shape[0]), j]
-        inv = self.tower._inv_table[piv]
-        logs = self.tower._log
-        W = self.tower._exp[logs[V] + logs[inv][:, None]].astype(np.int64)
-        W[V == 0] = 0
+        t = self.tower
+        W = t._exp[t._log[V] + t._log[t._inv_table[piv]][:, None]]
         idx = W @ self.qpow + (self.base[j] - self.qpow[j])
         return W, idx, keep
 

@@ -10,7 +10,27 @@ from itertools import combinations, product
 
 import numpy as np
 
+from ranksat.gftower import _poly_mulmod, _poly_trim
 from ranksat.linalg import ext_rank, rank_weight
+
+
+def schoolbook_mul(tower, a, b):
+    """a b in F_{q^m} as the product of the two digit polynomials over
+    F_q, reduced mod the tower's modulus (no log/exp tables)."""
+    res = _poly_mulmod(tower.base, _poly_trim(tower.digits(a)),
+                       _poly_trim(tower.digits(b)), list(tower.modulus))
+    return tower.from_digits(res + [0] * tower.m)
+
+
+def schoolbook_pow(tower, a, n):
+    """a^n by square-and-multiply over `schoolbook_mul`."""
+    result = 1
+    while n:
+        if n & 1:
+            result = schoolbook_mul(tower, result, a)
+        a = schoolbook_mul(tower, a, a)
+        n >>= 1
+    return result
 
 
 def brute_rank_covering_radius(code):
@@ -151,3 +171,34 @@ def brute_cutting(sysm):
         if ext_rank(M, tower) != sysm.k - 1:
             return False
     return True
+
+
+def brute_is_minimal(code, budget=1 << 26):
+    """No two projectively distinct codewords have nested rank supports:
+    every pair of supports compared, from the codeword list."""
+    from ranksat.linalg import rank_support
+    from ranksat.qsystem import PointIndexer
+    tower = code.tower
+    words = code.codewords(budget)
+    reps, idx, _ = PointIndexer(tower, code.n).canonicalize(words)
+    _, first = np.unique(idx, return_index=True)
+    supports = [rank_support(r, tower) for r in reps[first]]
+    if len(set(supports)) < len(supports):
+        return False
+    return not any(big.contains(small, tower.base) for small in supports
+                   for big in supports if small.dim < big.dim)
+
+
+def degenerate_code(sysm, extra, rng):
+    """The code generated by G A for a random F_q-matrix A with n rows,
+    n + extra columns and full row rank: its columns span the same U as
+    G's, and for extra > 0 they are F_q-dependent."""
+    from ranksat.linalg import RankCode, ext_matmul
+    tower, n = sysm.tower, sysm.n
+    R = [[rng.randrange(tower.base.q) for _ in range(extra)]
+         for _ in range(n)]
+    A = np.hstack([np.eye(n, dtype=np.int64),
+                   np.array(R, dtype=np.int64).reshape(n, extra)])
+    cols = list(range(n + extra))
+    rng.shuffle(cols)
+    return RankCode(tower, ext_matmul(sysm.generator, A[:, cols], tower))

@@ -111,6 +111,17 @@ def test_bounds_table_entries_validate():
     assert any(e.exact is not None for e in entries)
 
 
+@pytest.mark.parametrize("q, m, match", [(6, 4, "not a prime power"),
+                                          (1, 4, "must be >= 2"),
+                                          (2, 0, "m >= 1")])
+def test_bounds_table_rejects_invalid_field(q, m, match):
+    # m = 0 builds no cell, so the table itself must validate
+    with pytest.raises(ValueError, match=match):
+        bounds_table(q, m, 3)
+    with pytest.raises(ValueError, match=match):
+        lower_bound(q, m, 2, 1)
+
+
 def test_verify_published_rows_clean_grid():
     assert verify_published_rows(5, 12, 12) == []
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from ranksat.covering import SaturationCertificate
 from ranksat.qsystem import SystemError_, random_code
 
 from oracles import (brute_cutting, brute_hamming_covering_radius,
-                     brute_is_maximal, brute_rank_covering_radius,
-                     brute_saturation_radius)
+                     brute_is_maximal, brute_is_minimal,
+                     brute_rank_covering_radius, brute_saturation_radius,
+                     degenerate_code)
 
 
 # ----------------------------------------------------------------- radii
@@ -122,6 +125,29 @@ def test_tampered_certificate_fails(tower4):
     data["witnesses"][0]["lambda"][0] ^= 1
     bad = SaturationCertificate.from_json(data, tower4)
     assert not bad.verify(sysm)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["witnesses"][0].update(
+        {"lambda": [x + 0.5 for x in d["witnesses"][0]["lambda"]]}),
+    lambda d: d["witnesses"][0].update(
+        target=[float(x) for x in d["witnesses"][0]["target"]]),
+    lambda d: d.update(tightness=[float(x) for x in d["tightness"]]),
+    lambda d: d.update(rho=1.0),
+    lambda d: d.update(k=True),
+    lambda d: d.update(n="3")],
+    ids=["lambda-half", "target-float", "tightness-float", "rho-float",
+         "k-bool", "n-str"])
+def test_certificate_json_accepts_only_integers(tower4, edit):
+    # int() would truncate a witness lambda + 0.5 back to one that
+    # verifies, so non-integers must be refused when read
+    sysm = construct_identity_block(tower4, 2, 1)
+    _, cert = saturation_radius(sysm)
+    data = json.loads(json.dumps(cert.to_json()))
+    assert SaturationCertificate.from_json(data, tower4).verify(sysm)
+    edit(data)
+    with pytest.raises(ValueError, match="must be integers"):
+        SaturationCertificate.from_json(data, tower4)
 
 
 @pytest.mark.parametrize("reshape", [lambda lam: lam + (1,),
@@ -369,10 +395,12 @@ def test_equal_support_pair_not_minimal(tower4):
 
 
 def test_minimality_matches_cutting(tower4, rng):
-    for _ in range(8):
+    # codes with F_q-dependent columns included (extra > 0)
+    for extra in (0, 0, 1, 1, 1, 2, 2, 2):
         sysm = random_system(tower4, 2, rng.choice([3, 4]), rng)
-        assert (is_minimal_rank_code(associated_code(sysm))
-                == is_linear_cutting_blocking_set(sysm))
+        code = degenerate_code(sysm, extra, rng)
+        assert (is_minimal_rank_code(code) == brute_is_minimal(code)
+                == brute_cutting(sysm))
 
 
 # -------------------------------------------------------------- puncture

@@ -1,0 +1,118 @@
+"""Property tests of the field tables: the log/exp tables of every tower
+and the op tables of every base field agree with schoolbook polynomial
+arithmetic, and the table kernels satisfy the field axioms and the
+Frobenius identities, for default and random irreducible moduli.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ranksat import FieldError, make_tower
+from ranksat.gftower import SmallField
+
+from oracles import schoolbook_mul, schoolbook_pow
+
+# (q, m) with q^m <= 4096, over prime and non-prime bases
+CASES = [(q, m) for q in (2, 3, 4, 5, 8, 9) for m in range(1, 13)
+         if q ** m <= 4096]
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _tower(q, m, random_modulus, seed):
+    if not random_modulus:
+        return make_tower(q, m)
+    rng = random.Random(seed)
+    while True:
+        try:
+            return make_tower(q, m, [rng.randrange(q) for _ in range(m)]
+                              + [1])
+        except FieldError:         # reducible; draw again
+            continue
+
+
+def _primes(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def _is_primitive(t, a):
+    n = t.order - 1
+    return all(schoolbook_pow(t, a, n // ell) != 1 for ell in _primes(n))
+
+
+@PROPERTY
+@given(st.sampled_from(CASES), st.booleans(), SEEDS)
+def test_log_tables_match_schoolbook(case, random_modulus, seed):
+    t = _tower(*case, random_modulus, seed)
+    Q, g = t.order, t.generator
+    power = 1
+    for i in range(Q - 1):
+        assert t._exp[i] == power
+        assert t._log[power] == i
+        power = schoolbook_mul(t, power, g)
+    assert power == 1
+    # the generator is the least code of multiplicative order Q - 1
+    assert all(not _is_primitive(t, c) for c in range(1, g))
+    assert Q == 2 or _is_primitive(t, g)
+
+
+@PROPERTY
+@given(st.sampled_from(CASES), st.booleans(), SEEDS)
+def test_field_axioms_and_frobenius(case, random_modulus, seed):
+    t = _tower(*case, random_modulus, seed)
+    Q, q, m = t.order, t.base.q, t.m
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.integers(0, Q, (3, 64))
+    a[:2], b[1:3] = 0, 0          # zero operands meet the log sentinel
+    ab = t.mul_arr(a, b)
+    assert ab.tolist() == [schoolbook_mul(t, int(x), int(y))
+                           for x, y in zip(a, b)]
+    assert np.array_equal(ab, t.mul_arr(b, a))
+    assert np.array_equal(t.mul_arr(ab, c), t.mul_arr(a, t.mul_arr(b, c)))
+    assert np.array_equal(t.mul_arr(a, t.add_arr(b, c)),
+                          t.add_arr(ab, t.mul_arr(a, c)))
+    assert np.array_equal(t.add_arr(a, b), t.add_arr(b, a))
+    assert np.array_equal(t.add_arr(t.sub_arr(a, b), b), a)
+    assert not t.add_arr(a, t.neg_arr(a)).any()
+    assert np.array_equal(t.mul_arr(a, 1), a)
+    assert not t.mul_arr(a, 0).any()
+    assert np.array_equal(t.mul_scalar(int(c[0]), a), t.mul_arr(a, c[0]))
+    nz = a[a != 0]
+    assert (t.mul_arr(nz, t.inv_arr(nz)) == 1).all()
+    # Frobenius a -> a^q: a ring map of order m fixing exactly F_q
+    fa, fb = t.frobenius_arr(a), t.frobenius_arr(b)
+    assert fa.tolist() == [schoolbook_pow(t, int(x), q) for x in a]
+    assert np.array_equal(t.frobenius_arr(ab), t.mul_arr(fa, fb))
+    assert np.array_equal(t.frobenius_arr(t.add_arr(a, b)),
+                          t.add_arr(fa, fb))
+    assert np.array_equal(t.frobenius_arr(a, m), a)
+    assert np.array_equal(fa == a, a < q)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
+def test_small_field_tables_match_schoolbook(q):
+    # SmallField(p^e) takes its tables from FieldTower(p, e); the
+    # reference multiplies F_p-polynomials mod the same default modulus
+    F = SmallField(q)
+    t = make_tower(F.p, F.e)
+    for x in range(q):
+        dx = t.digits(x)
+        for y in range(q):
+            assert F.mul(x, y) == schoolbook_mul(t, x, y)
+            dy = t.digits(y)
+            assert F.add(x, y) == t.from_digits(
+                [(u + v) % F.p for u, v in zip(dx, dy)])
+    assert (F._add[np.arange(q), F._neg] == 0).all()
+    assert (F._mul[np.arange(1, q), F._inv[1:]] == 1).all()

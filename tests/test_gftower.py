@@ -4,6 +4,8 @@ import pytest
 from ranksat import FieldError, collapse, expand, make_tower, project
 from ranksat.gftower import SmallField
 
+from oracles import schoolbook_mul
+
 
 def test_default_modulus_is_golden(tower16):
     # first irreducible quartic over F_2 in code order is x^4 + x + 1,
@@ -203,7 +205,7 @@ def test_exotic_base_towers_consistent(q, m):
     for a in t.elements():
         da = t.digits(a)
         for b in t.elements():
-            assert t.mul(a, b) == t._mul_schoolbook(a, b)
+            assert t.mul(a, b) == schoolbook_mul(t, a, b)
             db = t.digits(b)
             s = t.from_digits([base.add(x, y) for x, y in zip(da, db)])
             assert t.add(a, b) == s

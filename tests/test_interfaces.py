@@ -189,6 +189,19 @@ def test_cli_bounds_verify_paper(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--q", "6"], ["bounds", "--q", "1"], ["bounds", "--m", "0"],
+    ["bounds", "--rhomax", "0"],
+    ["search", "--q", "6", "--k", "2", "--rho", "1"]],
+    ids=["bounds-q6", "bounds-q1", "bounds-m0", "bounds-rhomax0",
+         "search-q6"])
+def test_cli_rejects_invalid_parameters(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid parameters: ") and err.count("\n") == 1
+
+
 def test_cli_search_exhaustive(capsys):
     assert main(["search", "--q", "2", "--m", "2", "--k", "2", "--rho", "1",
                  "--mode", "exhaustive"]) == 0

@@ -21,7 +21,8 @@ from ranksat.linalg import ext_matmul, rank_weight
 from ranksat.qsystem import PointIndexer, random_code
 
 from oracles import (brute_cutting, brute_hamming_covering_radius,
-                     brute_min_coefficient_rank, brute_rank_covering_radius)
+                     brute_is_minimal, brute_min_coefficient_rank,
+                     brute_rank_covering_radius, degenerate_code)
 
 TOWERS = {qm: make_tower(*qm) for qm in [(2, 2), (2, 3), (3, 2), (4, 2)]}
 
@@ -124,14 +125,18 @@ def test_hamming_covering_radius_matches_oracle(case, seed):
 
 
 @PROPERTY
-@given(st.sampled_from(CUTTING), SEEDS)
-def test_cutting_test_matches_oracles(case, seed):
-    # U is a cutting blocking set iff its associated code is minimal
+@given(st.sampled_from(CUTTING), st.integers(0, 2), SEEDS)
+def test_cutting_test_matches_oracles(case, extra, seed):
+    # U is a cutting blocking set iff its associated code is minimal, and
+    # a code whose columns span U over F_q with extra F_q-dependent
+    # columns is minimal iff U is cutting
     qm, k, n = case
-    sysm = random_system(TOWERS[qm], k, n, random.Random(seed))
+    rng = random.Random(seed)
+    sysm = random_system(TOWERS[qm], k, n, rng)
+    code = degenerate_code(sysm, extra, rng)
     cutting = is_linear_cutting_blocking_set(sysm)
     assert cutting == brute_cutting(sysm)
-    assert cutting == is_minimal_rank_code(associated_code(sysm))
+    assert cutting == is_minimal_rank_code(code) == brute_is_minimal(code)
 
 
 @PROPERTY
