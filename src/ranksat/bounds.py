@@ -99,12 +99,16 @@ def _row_3_2_conditions(q: int, r: int) -> str | None:
 
 
 def exact_values(q: int, m: int, k: int, rho: int) -> BoundValue | None:
-    """Published exact value of s_{q^m/q}(k, rho), when one applies."""
+    """Exact value of s_{q^m/q}(k, rho), when a published row or the
+    trivial rho = m row applies."""
     _validate_params(q, m, k, rho)
     if rho == 1:
         return BoundValue(m * (k - 1) + 1, "exact: s(k,1) = m(k-1)+1")
     if rho == k:
         return BoundValue(k, "exact: s(k,k) = k")
+    if rho == m:
+        # every rank weight is <= m, so every spanning system saturates
+        return BoundValue(k, "exact: s(k,m) = k")
     if k == 3 and rho == 2 and m % 2 == 0:
         r = m // 2
         clause = _row_3_2_conditions(q, r)
@@ -277,6 +281,8 @@ def verify_published_rows(qmax: int = 5, mmax: int = 12, kmax: int = 12
                     diffs.append(f"s(k,1) row mismatch at {e}")
                 if e.rho == e.k and e.exact != e.k:
                     diffs.append(f"s(k,k) row mismatch at {e}")
+                if e.rho == e.m and e.exact != e.k:
+                    diffs.append(f"s(k,m) row mismatch at {e}")
                 if e.rho == 1 or e.rho == e.k:
                     if e.exact is not None and not (
                             e.lower <= e.exact <= e.upper):

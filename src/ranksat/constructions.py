@@ -10,14 +10,15 @@ towers with a different modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gcd
 
 import numpy as np
 
 from . import fqlinalg
-from .gftower import ComplementBasis, FieldTower, expand, make_tower
+from .gftower import ComplementBasis, FieldTower, make_tower
 from .linalg import RankCode, ext_matmul, rank_weight
-from .qsystem import QSystem, SystemError_
+from .qsystem import QSystem, SystemError_, expanded_columns
 
 
 # ----------------------------------------------------------------------
@@ -213,34 +214,30 @@ class Decomposition:
         return len(self.lams)
 
     def reconstruct(self, tower: FieldTower) -> np.ndarray:
-        acc = np.zeros_like(self.target)
-        for lam, u in zip(self.lams, self.vectors):
-            acc = tower.add_arr(acc, tower.mul_scalar(int(lam), u))
-        return acc
+        V = np.array(self.vectors, dtype=np.int64).reshape(-1, len(self.target))
+        scaled = tower.mul_arr(np.array(self.lams, dtype=np.int64)[:, None], V)
+        return reduce(tower.add_arr, scaled, np.zeros_like(self.target))
 
     def verify(self, sysm: QSystem) -> bool:
         """Exact reconstruction plus membership of every u in U (checked
-        against the expanded generator, not the box shape)."""
-        from .qsystem import expanded_columns
-        tower = sysm.tower
+        against the expanded generator, not the box shape).  False when a
+        lambda lacks its vector or is not a field element, or when the
+        target or a vector is not in F_{q^m}^k."""
+        tower, k, Q = sysm.tower, sysm.k, sysm.tower.order
+        vectors = [np.asarray(u) for u in self.vectors]
+        if (np.shape(self.target) != (k,)
+                or len(self.lams) != len(vectors)
+                or not all(isinstance(lam, (int, np.integer))
+                           and 0 <= lam < Q for lam in self.lams)
+                or not all(u.shape == (k,) and u.dtype.kind in "iu"
+                           and (u >= 0).all() and (u < Q).all()
+                           for u in vectors)):
+            return False
         if not np.array_equal(self.reconstruct(tower), self.target):
             return False
-        cols = [expanded_columns(sysm.generator, tower)]
-        cols += [expand(u, tower).reshape(-1, 1) for u in self.vectors]
-        return fqlinalg.rank(np.concatenate(cols, axis=1),
-                             tower.base) == sysm.n
-
-
-def _module_matrix(tower: FieldTower, gens: list[int], sub_basis: list[int]):
-    """F_q-matrix of (b_1..b_s) in F_{q^t}^s -> sum g_j emb(b_j)."""
-    cols = []
-    for g in gens:
-        for d in sub_basis:
-            cols.append(np.array(tower.digits(tower.mul(g, d)),
-                                 dtype=np.int16))
-    if not cols:
-        return np.zeros((tower.m, 0), dtype=np.int16)
-    return np.stack(cols, axis=1)
+        cols = expanded_columns(np.column_stack([sysm.generator] + vectors),
+                                tower)
+        return fqlinalg.rank(cols, tower.base) == sysm.n
 
 
 def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
@@ -253,9 +250,10 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     the previous ones as a new coefficient (dependent values are
     expressed through the existing ones and contribute no term); then
     extend the chosen coefficients until the F_{q^t}-module they
-    generate contains every bottom coordinate, drawing candidates from
-    the complement basis first.  The bottom entries of the vectors solve
-    one F_q-linear system per coordinate, exactly.
+    generate contains every bottom coordinate, adding each time the
+    first candidate outside it, drawn from the complement basis first.
+    The RREF of [module | bottom digits] that finds every bottom
+    coordinate inside the module also holds their F_{q^t}-coordinates.
     """
     if "box" not in sysm.meta:
         raise SystemError_(
@@ -268,57 +266,53 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     if v.shape != (sysm.k,):
         raise SystemError_(f"target must have length {sysm.k}")
     emb = tower.subfield(t)
-    sub_basis = [int(emb.embed_table[emb.sub_tower.from_digits(
-        [0] * i + [1] + [0] * (t - 1 - i))]) for i in range(t)]
-    top = [int(x) for x in v[:s]]
-    bottom = [int(x) for x in v[s:]]
+    D = tower.digit_table()
+    sub_basis = emb.embed_table[emb.sub_tower._qpow]
+    top, bottom = v[:s], v[s:]
 
     # direct membership: one term suffices
-    if all(x < q for x in top) and all(emb.contains(w) for w in bottom):
+    if (top < q).all() and emb.member_mask[bottom].all():
         if not v.any():
             return Decomposition(v, [], [])
         return Decomposition(v, [1], [v.copy()])
 
     # 1. the pivot columns of the top block's digits are the lams, and
     # the reduced rows express every top_c = sum_j coeffs[c, j] lam_j
-    R, pivots = fqlinalg.rref(tower.digit_table()[top].T, tower.base)
-    lams = [top[c] for c in pivots]
+    R, pivots = fqlinalg.rref(D[top].T, tower.base)
+    lams = [int(top[c]) for c in pivots]
     nu = len(lams)
     coeffs = np.zeros((s, s), dtype=np.int16)
     coeffs[:, :nu] = R.T
 
-    # 2. extend until the F_{q^t}-module of the lams holds every bottom value
+    # 2. extend until the F_{q^t}-module of the gens holds every bottom
+    # value.  Column j*t + i of A is the digits of gens[j] * sub_basis[i];
+    # the first pivot right of A in [A | candidates] is the first
+    # candidate outside the module.
     gens = list(lams)
     candidates = []
     if basis is not None and basis.t == t:
         candidates.extend(basis.betas)
     candidates.extend(tower.pow(tower.alpha, j) for j in range(tower.m))
-
-    def solvable(A, w):
-        return fqlinalg.solve(A, np.array(tower.digits(w), dtype=np.int16),
-                              tower.base)
-
-    A = _module_matrix(tower, gens, sub_basis)
-    for w in bottom:
-        while solvable(A, w) is None:
-            added = False
-            for cand in candidates:
-                if cand and solvable(A, cand) is None:
-                    gens.append(cand)
-                    A = _module_matrix(tower, gens, sub_basis)
-                    added = True
-                    break
-            assert added, "module extension stalled (unreachable)"
+    bottom_digits, candidate_digits = D[bottom].T, D[candidates].T
+    while True:
+        A = D[tower.mul_arr(np.array(gens, dtype=np.int64)[:, None],
+                            sub_basis)].reshape(-1, tower.m).T
+        c = A.shape[1]
+        R, pivots = fqlinalg.rref(np.hstack([A, bottom_digits]), tower.base)
+        if not pivots or pivots[-1] < c:
+            break
+        _, found = fqlinalg.rref(np.hstack([A, candidate_digits]), tower.base)
+        outside = [p - c for p in found if p >= c]
+        assert outside, "module extension stalled (unreachable)"
+        gens.append(candidates[outside[0]])
     assert len(gens) <= s, f"needed {len(gens)} > {s} coefficients"
 
-    # 3. bottom entries per generator, one exact solve per coordinate
-    bottoms = np.zeros((len(gens), h), dtype=np.int64)
-    for i, w in enumerate(bottom):
-        x = solvable(A, w)
-        assert x is not None
-        for j in range(len(gens)):
-            digs = x[j * t:(j + 1) * t]
-            bottoms[j, i] = emb.embed_table[emb.sub_tower.from_digits(digs)]
+    # 3. RREF is unique, so the pivot rows give the particular solution
+    # with free variables 0; each t-digit block is one subfield code
+    X = np.zeros((c, h), dtype=np.int64)
+    X[pivots] = R[:, c:]
+    bottoms = emb.embed_table[emb.sub_tower._qpow
+                              @ X.reshape(len(gens), t, h)]
 
     # 4. assemble terms and drop the vacuous ones
     lams_out: list[int] = []

@@ -10,8 +10,8 @@ space: equal subspaces produce equal arrays.
 
 `rref` eliminates one matrix and `echelon` a stack of them.  Both are
 kept: on a single small matrix the stacked form costs several times the
-plain loop, and callers such as `decompose` make thousands of
-single-matrix calls.
+plain loop, and callers such as `decompose` (two calls per target outside
+U, plus two per module extension) reduce one small matrix at a time.
 """
 
 from __future__ import annotations

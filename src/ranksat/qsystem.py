@@ -25,10 +25,8 @@ def expanded_columns(G, tower: FieldTower) -> np.ndarray:
     """(km x n) F_q-matrix whose column j expands column j of G."""
     G = np.atleast_2d(np.asarray(G, dtype=np.int64))
     k, n = G.shape
-    if n == 0:
-        return np.zeros((k * tower.m, 0), dtype=np.int16)
-    return np.concatenate([expand(G[:, j], tower).reshape(-1)[:, None]
-                           for j in range(n)], axis=1)
+    digits = expand(G, tower).reshape(k, n, tower.m)
+    return digits.transpose(0, 2, 1).reshape(k * tower.m, n)
 
 
 class QSystem:

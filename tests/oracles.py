@@ -202,3 +202,73 @@ def degenerate_code(sysm, extra, rng):
     cols = list(range(n + extra))
     rng.shuffle(cols)
     return RankCode(tower, ext_matmul(sysm.generator, A[:, cols], tower))
+
+
+def decompose_by_solves(sysm, v, basis=None):
+    """`decompose` with one `fqlinalg.solve` per bottom coordinate and per
+    extension candidate: the module grows by the first candidate outside
+    it while some bottom coordinate is outside it, and every bottom
+    coordinate is read from its own particular solution."""
+    from ranksat import fqlinalg
+    from ranksat.constructions import Decomposition
+    s, t, h = sysm.meta["box"]
+    tower = sysm.tower
+    q = tower.base.q
+    v = np.asarray(v, dtype=np.int64).ravel()
+    emb = tower.subfield(t)
+    sub_basis = [int(emb.embed_table[emb.sub_tower.from_digits(
+        [0] * i + [1] + [0] * (t - 1 - i))]) for i in range(t)]
+    top = [int(x) for x in v[:s]]
+    bottom = [int(x) for x in v[s:]]
+    if all(x < q for x in top) and all(emb.contains(w) for w in bottom):
+        if not v.any():
+            return Decomposition(v, [], [])
+        return Decomposition(v, [1], [v.copy()])
+
+    R, pivots = fqlinalg.rref(tower.digit_table()[top].T, tower.base)
+    lams = [top[c] for c in pivots]
+    nu = len(lams)
+    coeffs = np.zeros((s, s), dtype=np.int16)
+    coeffs[:, :nu] = R.T
+
+    def module_matrix(gens):
+        cols = [np.array(tower.digits(tower.mul(g, d)), dtype=np.int16)
+                for g in gens for d in sub_basis]
+        if not cols:
+            return np.zeros((tower.m, 0), dtype=np.int16)
+        return np.stack(cols, axis=1)
+
+    def solvable(A, w):
+        return fqlinalg.solve(A, np.array(tower.digits(w), dtype=np.int16),
+                              tower.base)
+
+    gens = list(lams)
+    candidates = []
+    if basis is not None and basis.t == t:
+        candidates.extend(basis.betas)
+    candidates.extend(tower.pow(tower.alpha, j) for j in range(tower.m))
+    A = module_matrix(gens)
+    for w in bottom:
+        while solvable(A, w) is None:
+            cand = next(c for c in candidates
+                        if c and solvable(A, c) is None)
+            gens.append(cand)
+            A = module_matrix(gens)
+
+    bottoms = np.zeros((len(gens), h), dtype=np.int64)
+    for i, w in enumerate(bottom):
+        x = solvable(A, w)
+        for j in range(len(gens)):
+            digs = x[j * t:(j + 1) * t]
+            bottoms[j, i] = emb.embed_table[emb.sub_tower.from_digits(digs)]
+
+    lams_out, vecs_out = [], []
+    for j, g in enumerate(gens):
+        u = np.zeros(sysm.k, dtype=np.int64)
+        if j < nu:
+            u[:s] = coeffs[:, j]
+        u[s:] = bottoms[j]
+        if g and u.any():
+            lams_out.append(g)
+            vecs_out.append(u)
+    return Decomposition(v.copy(), lams_out, vecs_out)

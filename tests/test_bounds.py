@@ -78,6 +78,14 @@ def test_exact_values_rows():
     assert exact_values(2, 4, 3, 2) is None        # r = 2 matches nothing
 
 
+def test_exact_values_rho_equals_m_row():
+    """Every rank weight is at most m, so every spanning system is
+    m-saturating and s(k, m) = k; the exhaustive search agrees."""
+    assert exact_values(2, 2, 3, 2).value == brute_force_s(2, 2, 3, 2) == 3
+    assert exact_values(2, 3, 4, 3).value == 4
+    assert upper_bound(2, 2, 3, 2).value == 3
+
+
 def test_closure_is_idempotent():
     t1 = upper_bound_table(2, 4, 8)
     t2 = upper_bound_table(2, 4, 8)

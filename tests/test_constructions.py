@@ -1,8 +1,12 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ranksat import (QSystem, associated_code, construct_identity_block,
-                     construct_rho1, construct_subgeometry,
+from ranksat import (Decomposition, QSystem, associated_code,
+                     construct_identity_block, construct_rho1,
+                     construct_subgeometry,
                      cutting_system_6_3, cutting_system_8_4, decompose,
                      direct_sum, f_sum, gabidulin, is_nondegenerate,
                      lift_system, linear_set, make_tower, min_rank_distance,
@@ -12,7 +16,8 @@ from ranksat import fqlinalg
 from ranksat.gftower import expand
 from ranksat.qsystem import SystemError_
 
-from oracles import brute_min_terms, brute_saturation_radius
+from oracles import (brute_min_terms, brute_saturation_radius,
+                     decompose_by_solves)
 
 
 # ------------------------------------------------------------------ rho1
@@ -174,6 +179,89 @@ def test_decompose_rejects_unstructured_system(tower4):
     sysm = QSystem(tower4, np.eye(2, dtype=np.int64))
     with pytest.raises(SystemError_, match="box"):
         decompose(sysm, np.array([1, 0], dtype=np.int64))
+
+
+def _shift_first_nonzero(u, by):
+    u = np.array(u, dtype=np.int64)
+    u[np.flatnonzero(u)[0]] += by
+    return u
+
+
+def _replace_vector(dec, u):
+    return Decomposition(dec.target, dec.lams, [u] + dec.vectors[1:])
+
+
+# each takes a well-formed decomposition and the field order Q
+MALFORMED = {
+    "lambda-without-vector":
+        lambda d, Q: Decomposition(d.target, d.lams + [9], d.vectors),
+    "lambda-outside-field":
+        lambda d, Q: Decomposition(d.target, [Q + 1] + d.lams[1:], d.vectors),
+    "negative-lambda":
+        lambda d, Q: Decomposition(d.target, [d.lams[0] - Q] + d.lams[1:],
+                                   d.vectors),
+    "non-integer-lambda":
+        lambda d, Q: Decomposition(d.target, [float(d.lams[0])] + d.lams[1:],
+                                   d.vectors),
+    "short-vector": lambda d, Q: _replace_vector(d, d.vectors[0][:3]),
+    "negative-entry":
+        lambda d, Q: _replace_vector(d, _shift_first_nonzero(d.vectors[0],
+                                                             -Q)),
+    "entry-outside-field":
+        lambda d, Q: _replace_vector(d, np.full_like(d.vectors[0], Q)),
+    "short-target":
+        lambda d, Q: Decomposition(d.target[:3], d.lams, d.vectors),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED.values(), ids=MALFORMED.keys())
+def test_decomposition_verify_rejects_malformed(tower16, malform):
+    t = tower16
+    sysm = construct_subgeometry(t, 2, 2, 2)
+    v = np.array([1, t.alpha, t.pow(t.alpha, 3), t.alpha, 0], dtype=np.int64)
+    dec = decompose(sysm, v)
+    assert dec.terms == 3 and dec.verify(sysm)
+    assert malform(dec, t.order).verify(sysm) is False
+
+
+# (construction, q, m, parameters): subgeometry (r, t, h) and identity
+# block (k, rho) systems over base fields F_2, F_3 and F_4
+BOX_SYSTEMS = ([("subgeometry", q, m, rth)
+                for q, m, rth in [(2, 4, (2, 2, 1)), (2, 4, (2, 2, 2)),
+                                  (3, 4, (2, 2, 1)), (4, 4, (2, 2, 1)),
+                                  (2, 6, (3, 2, 1)), (2, 6, (2, 3, 1))]]
+               + [("identity", q, m, krho)
+                  for q, m, krho in [(2, 3, (3, 2)), (3, 2, (3, 2)),
+                                     (4, 2, (3, 2)), (2, 4, (4, 3))]])
+BOX_TOWERS = {(q, m): make_tower(q, m) for _, q, m, _ in BOX_SYSTEMS}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(BOX_SYSTEMS), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_decompose_matches_oracle(box, seed, with_basis):
+    """The eliminations of `decompose` give the same terms as one solve
+    per coordinate.  Zeroed top prefixes leave fewer independent top
+    values than s, so the module extension runs."""
+    kind, q, m, params = box
+    tower = BOX_TOWERS[(q, m)]
+    construct = (construct_subgeometry if kind == "subgeometry"
+                 else construct_identity_block)
+    sysm = construct(tower, *params)
+    s, t, _ = sysm.meta["box"]
+    rng = random.Random(seed)
+    basis = tower.random_complement_basis(t, rng) if with_basis else None
+    for _ in range(10):
+        v = np.array([tower.random_element(rng) for _ in range(sysm.k)],
+                     dtype=np.int64)
+        v[:rng.randrange(s + 1)] = 0
+        dec = decompose(sysm, v, basis)
+        ref = decompose_by_solves(sysm, v, basis)
+        assert dec.lams == ref.lams and dec.terms == ref.terms
+        assert len(dec.vectors) == len(ref.vectors)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(dec.vectors, ref.vectors))
+        assert dec.verify(sysm) == ref.verify(sysm)
 
 
 # ------------------------------------------------------------------ sums

@@ -250,13 +250,19 @@ def test_cli_examples_full_suite(capsys):
 
 def test_console_script_entry_point():
     # the installed console script, or the same entry point run as a
-    # module when the package is used from a source checkout
+    # module when the package is used from a source checkout; the child
+    # imports the package these tests import
+    import os
     import shutil
     import subprocess
     import sys
+    import ranksat
     exe = shutil.which("ranksat")
     cmd = [exe] if exe else [sys.executable, "-m", "ranksat.cli"]
+    src = os.path.dirname(os.path.dirname(ranksat.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(cmd + ["examples", "gabidulin-4-2"],
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0
     assert "PASS gabidulin-4-2" in out.stdout

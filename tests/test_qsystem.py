@@ -1,13 +1,28 @@
 import numpy as np
 import pytest
 
-from ranksat import (BudgetExceeded, QSystem, RankCode, associated_code,
-                     associated_system, gabidulin, is_nondegenerate,
-                     is_scattered, linear_set, projective_hamming_code,
-                     random_system, weight_spectrum)
+from ranksat import (BudgetExceeded, FieldError, QSystem, RankCode,
+                     associated_code, associated_system, gabidulin,
+                     is_nondegenerate, is_scattered, linear_set,
+                     projective_hamming_code, random_system,
+                     weight_spectrum)
 from ranksat.constructions import construct_identity_block, cutting_system_6_3
+from ranksat.gftower import expand
 from ranksat.linalg import ext_matmul
-from ranksat.qsystem import PointIndexer, SystemError_
+from ranksat.qsystem import PointIndexer, SystemError_, expanded_columns
+
+
+def test_expanded_columns_expands_each_column(tower9, rng):
+    G = np.array([[tower9.random_element(rng) for _ in range(5)]
+                  for _ in range(3)], dtype=np.int64)
+    E = expanded_columns(G, tower9)
+    assert E.shape == (6, 5)
+    for j in range(5):
+        assert np.array_equal(E[:, j], expand(G[:, j], tower9).reshape(-1))
+    assert expanded_columns(G[:, :0], tower9).shape == (6, 0)
+    for bad in (9, -1):
+        with pytest.raises(FieldError, match="outside"):
+            expanded_columns(np.array([[0, bad]]), tower9)
 
 
 def test_single_column_system(tower16):
