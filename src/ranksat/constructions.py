@@ -265,6 +265,8 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     v = np.asarray(v, dtype=np.int64).ravel()
     if v.shape != (sysm.k,):
         raise SystemError_(f"target must have length {sysm.k}")
+    if (v < 0).any() or (v >= tower.order).any():
+        raise SystemError_(f"target codes must lie in 0..{tower.order - 1}")
     emb = tower.subfield(t)
     D = tower.digit_table()
     sub_basis = emb.embed_table[emb.sub_tower._qpow]

@@ -4,7 +4,8 @@ Three independent routes to the same number:
 
 * `saturation_radius` sweeps coefficient vectors lambda = gamma * M by
   rank layer and marks the ambient targets G lambda^T (the coefficient
-  characterization of saturation).
+  characterization of saturation) as points of PG(k-1, q^m), since
+  they form a cone; a level ends once every point is covered.
 * `saturation_radius_geometric` marks projective points covered by
   F_{q^m}-spans of subsets of the linear set, level by level.
 * `rank_covering_radius` runs the same rank-layered sweep against a
@@ -84,26 +85,27 @@ def _span_marks(B, tower: FieldTower, first: int = 0) -> np.ndarray:
     return acc @ ppow
 
 
-def _empty_cover(total: int, budget: int) -> np.ndarray:
+def _check_space(total: int, budget: int) -> None:
     if total > budget:
         raise BudgetExceeded(
             f"syndrome space q^(m r) = {total} exceeds budget {budget}",
             completed_level=-1, coverage=0.0)
-    covered = np.zeros(total, dtype=bool)
-    covered[0] = True
-    return covered
 
 
 def _charge(work: int, level_work: int, budget: int, what: str, w: int,
-            covered: np.ndarray) -> int:
+            coverage: float) -> int:
     """Add the enumeration of level w to the running work, or refuse."""
     work += level_work
     if work > budget:
         raise BudgetExceeded(
             f"enumeration through {what} {w} needs {work} > budget {budget}",
-            completed_level=w - 1,
-            coverage=float(covered.sum()) / covered.size)
+            completed_level=w - 1, coverage=coverage)
     return work
+
+
+def _cone(tower: FieldTower, V) -> np.ndarray:
+    """The multiples c v, c = 1..Q-1 (axis 1), of the rows v of V."""
+    return tower.mul_arr(np.arange(1, tower.order)[:, None], V[:, None, :])
 
 
 # ----------------------------------------------------------------------
@@ -115,56 +117,74 @@ def _rank_layers(H, tower: FieldTower, budget: int,
     """Yield (w, covered) after marking {H x^T : wt_rk(x) <= w} for
     w = 0, 1, ... until every syndrome is covered.
 
-    x runs over gamma * M with M one RREF representative per F_q-row
-    space of dimension w and gamma over all of F_{q^m}^w; duplicate
-    syndromes are harmless because marking is idempotent.  `covered` is
-    one bitmap updated in place.  When `first_touch` is a dict it
-    collects, for each syndrome index, the first x = gamma * M that
-    reaches it, in enumeration order (subspaces, then gamma).
+    wt_rk(c x) = wt_rk(x), so `covered` is one bitmap over the points of
+    PG(r-1, Q), updated in place.  Level w marks B gamma, B = H M^T, for
+    M one RREF basis per F_q-row space of dimension w and gamma over the
+    (Q^w - 1)/(Q - 1) points of PG(w-1, Q) (B gamma = 0 marks nothing),
+    and stops once the bitmap is full; it is charged Q^w per M.  When
+    `first_touch` is a dict it collects, for each syndrome (a tuple), the
+    first x = gamma * M (M, then gamma over F_{q^m}^w) that reaches it:
+    the first M of a chunk to reach a point reaches all its multiples, so
+    only those M are replayed over all gamma.
     """
     H = np.atleast_2d(np.asarray(H, dtype=np.int64))
     r, n = H.shape
     Q = tower.order
-    covered = _empty_cover(Q ** r, budget)
+    _check_space(Q ** r, budget)
+    points = PointIndexer(tower, r)
+    covered = np.zeros(points.total, dtype=bool)
+    left = points.total
     work = 1
     w = 0
     yield w, covered
-    while not covered.all():
+    while left:
         w += 1
         if w > min(n, tower.m):
             raise RuntimeError("sweep failed to terminate (unreachable)")
-        work = _charge(work, fqlinalg.count_subspaces(n, w, tower.base.q)
-                       * Q ** w, budget, "rank", w, covered)
-        per = max(1, _MARK_CHUNK // Q ** w)
-        for _, batch in fqlinalg.rref_subspaces(n, w, tower.base):
-            for lo in range(0, batch.shape[0], per):
-                Ms = batch[lo:lo + per]
-                B = ext_matmul(H, Ms.reshape(-1, n).T.astype(np.int64), tower)
-                idx = _span_marks(B.reshape(r, -1, w), tower).ravel()
-                if first_touch is not None:
-                    fresh = np.nonzero(~covered[idx])[0]
-                    uniq, upos = np.unique(idx[fresh], return_index=True)
-                    pos = fresh[upos]
-                    # pos = subspace * Q^w + gamma index; digits of the
-                    # latter are gamma's coordinates
-                    gammas = pos[:, None] // _packing(Q, w) % Q
-                    terms = tower.mul_arr(gammas[:, :, None],
-                                          Ms[pos // Q ** w])
-                    x = terms[:, 0]
-                    for j in range(1, w):
-                        x = tower.add_arr(x, terms[:, j])
-                    first_touch.update(zip(uniq.tolist(),
-                                           map(tuple, x.tolist())))
-                covered[idx] = True
+        count = fqlinalg.count_subspaces(n, w, tower.base.q)
+        work = _charge(work, count * Q ** w, budget, "rank", w,
+                       (1 + (Q - 1) * (points.total - left)) / Q ** r)
+        gammas = PointIndexer(tower, w)
+        gammas = gammas.decode(np.arange(gammas.total)).T
+        per = max(1, _MARK_CHUNK // gammas.shape[1])
+        batches = (b for _, b in fqlinalg.rref_subspaces(n, w, tower.base))
+        if count <= per:    # a small level is one chunk, not one per batch
+            batches = [np.concatenate(list(batches))]
+        chunks = (b[lo:lo + per] for b in batches
+                  for lo in range(0, b.shape[0], per))
+        fresh = 0      # bounds the points newly covered since `left`
+        for Ms in chunks:
+            B = ext_matmul(H, Ms.transpose(0, 2, 1), tower)
+            V = ext_matmul(B, gammas, tower).transpose(0, 2, 1)
+            W, pidx, keep = points.canonicalize(V.reshape(-1, r))
+            new = ~covered[pidx]
+            if first_touch is not None and new.any():
+                _, first = np.unique(pidx[new], return_index=True)
+                subs = np.unique(np.flatnonzero(keep)[new][first]
+                                 // gammas.shape[1])
+                idx = _span_marks(B[subs].transpose(1, 0, 2), tower).ravel()
+                uniq, pos = np.unique(idx, return_index=True)
+                targets = _cone(tower, W[new][first]).reshape(-1, r)
+                # pos = subs index * Q^w + gamma index; digits of the
+                # latter are gamma's coordinates
+                pos = pos[np.searchsorted(uniq, targets @ points.qpow)]
+                x = ext_matmul(pos[:, None, None] // _packing(Q, w) % Q,
+                               Ms[subs[pos // Q ** w]], tower)[:, 0]
+                first_touch.update(zip(map(tuple, targets.tolist()),
+                                       map(tuple, x.tolist())))
+            covered[pidx] = True
+            fresh += np.count_nonzero(new)
+            if fresh >= left:
+                left, fresh = points.total - int(np.count_nonzero(covered)), 0
+                if not left:
+                    break
+        left = points.total - int(np.count_nonzero(covered))
         yield w, covered
 
 
 def rank_covering_radius(code: RankCode, budget: int = DEFAULT_BUDGET) -> int:
     """Exact rank-metric covering radius by syndrome sweep."""
-    H = code.parity_check
-    if H.shape[0] == 0:
-        return 0
-    for w, _ in _rank_layers(H, code.tower, budget):
+    for w, _ in _rank_layers(code.parity_check, code.tower, budget):
         pass
     return w
 
@@ -205,24 +225,26 @@ class SaturationCertificate:
         if self.rho > 0 and self.tightness is None:
             return False
         targets, lams = list(self.witnesses), list(self.witnesses.values())
-        if (any(len(t) != self.k for t in targets)
+        tight = [] if self.tightness is None else [self.tightness]
+        if (any(len(t) != self.k for t in targets + tight)
                 or any(len(lam) != self.n for lam in lams)):
             return False
         lams = np.array(lams, dtype=np.int64).reshape(-1, self.n)
-        if lams.size and (lams.min() < 0 or lams.max() >= tower.order):
+        tight = np.array(tight, dtype=np.int64).reshape(-1, self.k)
+        if any(a.size and (a.min() < 0 or a.max() >= tower.order)
+               for a in (lams, tight)):
             return False
         if (rank_weight_batch(lams, tower) > self.rho).any():
             return False
         if not np.array_equal(ext_matmul(G, lams.T, tower).T,
                               np.reshape(targets, (-1, self.k))):
             return False
-        t_idx = (None if self.tightness is None else
-                 int(np.array(self.tightness, dtype=np.int64)
-                     @ _packing(tower.order, self.k)))
+        # a zero tightness has no point: `all` of none is True (reached)
+        _, t_idx, _ = PointIndexer(tower, self.k).canonicalize(tight)
         reached = False
         for w, covered in _rank_layers(G, tower, budget):
-            if w < self.rho and t_idx is not None:
-                reached = bool(covered[t_idx])
+            if w < self.rho:
+                reached = bool(covered[t_idx].all())
             if w == self.rho:
                 break
         return covered.all() and not reached
@@ -261,11 +283,16 @@ class SaturationCertificate:
 
 def _coverage_through_level(G, tower: FieldTower, w_max: int, budget: int
                             ) -> np.ndarray:
-    """Bitmap of targets reachable with coefficient rank <= w_max."""
+    """Bitmap of packed targets reachable with coefficient rank <= w_max."""
     for w, covered in _rank_layers(G, tower, budget):
         if w == w_max:
             break
-    return covered
+    points = PointIndexer(tower, np.atleast_2d(G).shape[0])
+    affine = np.zeros(tower.order ** points.k, dtype=bool)
+    affine[0] = True
+    reps = points.decode(np.flatnonzero(covered))
+    affine[_cone(tower, reps) @ points.qpow] = True
+    return affine
 
 
 def system_hash(sys: QSystem) -> str:
@@ -282,24 +309,17 @@ def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET,
     """Smallest rho such that every ambient vector is G lambda^T for some
     lambda of rank <= rho, plus a replayable certificate."""
     tower = sys.tower
-    Q = tower.order
-    first_touch = {} if Q ** sys.k <= witness_cap else None
+    points = PointIndexer(tower, sys.k)
+    first_touch = {} if tower.order ** sys.k <= witness_cap else None
     tight = None
     for rho, covered in _rank_layers(sys.generator, tower, budget,
                                      first_touch):
         if not covered.all():
-            # the first target still missed when level rho + 1 starts
-            tight = int(np.argmin(covered))
-
-    def decode(idx) -> list:
-        return (np.asarray(idx)[..., None] // _packing(Q, sys.k) % Q).tolist()
-
-    keys = sorted(first_touch or {})
-    witnesses = {tuple(t): first_touch[i] for i, t in zip(keys, decode(keys))}
-    if tight is not None:
-        tight = tuple(decode(tight))
-    cert = SaturationCertificate(rho, sys.k, sys.n, tower, witnesses, tight,
-                                 system_hash(sys))
+            # the least packed target missed (a point's least multiple)
+            reps = points.decode(np.flatnonzero(~covered))
+            tight = tuple(reps[np.argmin(reps @ points.qpow)].tolist())
+    cert = SaturationCertificate(rho, sys.k, sys.n, tower, first_touch or {},
+                                 tight, system_hash(sys))
     return rho, cert
 
 
@@ -467,7 +487,9 @@ def hamming_covering_radius(generator, tower: FieldTower,
     if r == 0:
         return 0
     Q = tower.order
-    covered = _empty_cover(Q ** r, budget)
+    _check_space(Q ** r, budget)
+    covered = np.zeros(Q ** r, dtype=bool)
+    covered[0] = True
     work = 1
     w = 0
     while not covered.all():
@@ -475,7 +497,8 @@ def hamming_covering_radius(generator, tower: FieldTower,
         if w > N:
             raise RuntimeError("Hamming sweep failed to terminate")
         work = _charge(work, comb(N, w) * (Q - 1) ** w, budget,
-                       "Hamming weight", w, covered)
+                       "Hamming weight", w,
+                       float(covered.sum()) / covered.size)
         supports = combinations(range(N), w)
         per = max(1, _MARK_CHUNK // (Q - 1) ** w)
         while chunk := list(islice(supports, per)):

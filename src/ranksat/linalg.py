@@ -78,7 +78,7 @@ def ext_matmul(A, B, tower: FieldTower) -> np.ndarray:
     for i in range(A.shape[-1]):
         # outer contribution A[..., :, i] * B[..., i, :]
         contrib = tower.mul_arr(A[..., :, i, None], B[..., i, None, :])
-        out = tower.add_arr(out, contrib)
+        out = tower.add_arr(out, contrib) if i else contrib
     return out
 
 

@@ -272,3 +272,72 @@ def decompose_by_solves(sysm, v, basis=None):
             lams_out.append(g)
             vecs_out.append(u)
     return Decomposition(v.copy(), lams_out, vecs_out)
+
+
+def affine_rank_layers(H, tower, budget, first_touch=None):
+    """The coefficient sweep over an affine bitmap: yield (w, covered)
+    after marking the packed indices of all Q^w multiples gamma * M of
+    every RREF basis M of dimension w, finishing every level.  When
+    `first_touch` is a dict it collects, for each syndrome index, the
+    first x = gamma * M that reaches it (subspaces, then gamma).  It
+    shares the package's `_span_marks` kernel, which the brute-force
+    oracles above check, so it is the reference for the projective
+    marking, the early stop and the witness replay."""
+    from ranksat import fqlinalg
+    from ranksat.covering import _charge, _check_space, _packing, _span_marks
+    from ranksat.linalg import ext_matmul
+    H = np.atleast_2d(np.asarray(H, dtype=np.int64))
+    r, n = H.shape
+    Q = tower.order
+    _check_space(Q ** r, budget)
+    covered = np.zeros(Q ** r, dtype=bool)
+    covered[0] = True
+    work = 1
+    w = 0
+    yield w, covered
+    while not covered.all():
+        w += 1
+        assert w <= min(n, tower.m), "sweep failed to terminate"
+        work = _charge(work, fqlinalg.count_subspaces(n, w, tower.base.q)
+                       * Q ** w, budget, "rank", w,
+                       float(covered.sum()) / covered.size)
+        for _, batch in fqlinalg.rref_subspaces(n, w, tower.base):
+            B = ext_matmul(H, batch.reshape(-1, n).T.astype(np.int64), tower)
+            idx = _span_marks(B.reshape(r, -1, w), tower).ravel()
+            if first_touch is not None:
+                fresh = np.nonzero(~covered[idx])[0]
+                uniq, upos = np.unique(idx[fresh], return_index=True)
+                pos = fresh[upos]
+                gammas = pos[:, None] // _packing(Q, w) % Q
+                terms = tower.mul_arr(gammas[:, :, None], batch[pos // Q ** w])
+                x = terms[:, 0]
+                for j in range(1, w):
+                    x = tower.add_arr(x, terms[:, j])
+                first_touch.update(zip(uniq.tolist(), map(tuple, x.tolist())))
+            covered[idx] = True
+        yield w, covered
+
+
+def affine_saturation_radius(sysm, budget=1 << 26, witness_cap=1 << 12):
+    """`saturation_radius` over `affine_rank_layers`: the tightness target
+    is the least packed target still missed when the last level starts."""
+    from ranksat.covering import SaturationCertificate, system_hash
+    tower = sysm.tower
+    Q = tower.order
+    first_touch = {} if Q ** sysm.k <= witness_cap else None
+    tight = None
+    for rho, covered in affine_rank_layers(sysm.generator, tower, budget,
+                                           first_touch):
+        if not covered.all():
+            tight = int(np.argmin(covered))
+
+    def decode(idx):
+        return (np.asarray(idx)[..., None]
+                // Q ** np.arange(sysm.k - 1, -1, -1) % Q).tolist()
+
+    keys = sorted(first_touch or {})
+    witnesses = {tuple(t): first_touch[i] for i, t in zip(keys, decode(keys))}
+    if tight is not None:
+        tight = tuple(decode(tight))
+    return rho, SaturationCertificate(rho, sysm.k, sysm.n, tower, witnesses,
+                                      tight, system_hash(sysm))

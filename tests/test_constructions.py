@@ -181,6 +181,16 @@ def test_decompose_rejects_unstructured_system(tower4):
         decompose(sysm, np.array([1, 0], dtype=np.int64))
 
 
+@pytest.mark.parametrize("v", [[-1, 0, 0, 0, 0], [0, 0, 0, 0, -3],
+                               [16, 0, 0, 0, 0], [0, 0, 0, 0, 16]],
+                         ids=["negative-top", "negative-bottom",
+                              "top-outside-field", "bottom-outside-field"])
+def test_decompose_rejects_codes_outside_field(tower16, v):
+    sysm = construct_subgeometry(tower16, 2, 2, 2)
+    with pytest.raises(SystemError_, match=r"codes must lie in 0\.\.15"):
+        decompose(sysm, np.array(v, dtype=np.int64))
+
+
 def _shift_first_nonzero(u, by):
     u = np.array(u, dtype=np.int64)
     u[np.flatnonzero(u)[0]] += by

@@ -186,6 +186,28 @@ def test_certificate_for_another_system_fails(tower4, field, value):
     assert not cert.verify(sysm)
 
 
+@pytest.mark.parametrize("tightness", [(0, 6, 0), (0, -2, 0), (64, 0, 0),
+                                       (1, 2), (1, 2, 0, 0)],
+                         ids=["aliased-code", "negative-code", "code-past-Q^k",
+                              "short", "long"])
+def test_forged_tightness_fails(tower4, tightness):
+    # (0, 6, 0) and (0, -2, 0) pack to the index of a missed target, so a
+    # check that reads them as digits would accept them
+    sysm = construct_identity_block(tower4, 3, 2)
+    _, cert = saturation_radius(sysm)
+    assert cert.tightness == (1, 2, 0) and cert.verify(sysm)
+    cert.tightness = tightness
+    assert cert.verify(sysm) is False
+
+
+def test_zero_tightness_fails(tower4):
+    # the zero target is reached at level 0, so it proves no lower bound
+    sysm = construct_identity_block(tower4, 3, 2)
+    _, cert = saturation_radius(sysm)
+    cert.tightness = (0, 0, 0)
+    assert cert.verify(sysm) is False
+
+
 def test_certificate_without_tightness_fails(tower4):
     # rho = 3 with full coverage but no tightness target claims a lower
     # bound it does not prove: the [4,3] identity block has radius 2

@@ -8,19 +8,24 @@ q = 3 takes the base-p digit-array path.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ranksat import (associated_code, fqlinalg, hamming_covering_radius,
+from ranksat import (BudgetExceeded, QSystem, associated_code, covering,
+                     fqlinalg, hamming_covering_radius,
                      is_linear_cutting_blocking_set, is_minimal_rank_code,
-                     make_tower, rank_covering_radius, random_system,
-                     saturation_radius, saturation_radius_geometric)
-from ranksat.covering import _coverage_through_level, _geometric_layers
+                     linear_set, make_tower, rank_covering_radius,
+                     random_system, saturation_radius,
+                     saturation_radius_geometric)
+from ranksat.covering import (_coverage_through_level, _geometric_layers,
+                              _rank_layers)
 from ranksat.linalg import ext_matmul, rank_weight
-from ranksat.qsystem import PointIndexer, random_code
+from ranksat.qsystem import PointIndexer, SystemError_, random_code
 
-from oracles import (brute_cutting, brute_hamming_covering_radius,
+from oracles import (affine_rank_layers, affine_saturation_radius,
+                     brute_cutting, brute_hamming_covering_radius,
                      brute_is_minimal, brute_min_coefficient_rank,
                      brute_rank_covering_radius, degenerate_code)
 
@@ -80,6 +85,101 @@ def test_coefficient_sweep_matches_oracle(case, seed):
     if rho > 0:
         assert least[_index(cert.tightness, Q)] == rho
     assert cert.verify(sysm)
+
+
+def _system(tower, k, n, nonscattered, rng):
+    """A random [n, k] system; when `nonscattered` (and n > k) its last
+    column is c times its first for a c outside F_q, so their point has
+    weight >= 2 and some B = G M^T has F_{q^m}-rank below dim M."""
+    while True:
+        sysm = random_system(tower, k, n, rng)
+        if not nonscattered or n == k:
+            return sysm
+        G = sysm.generator.copy()
+        G[:, -1] = tower.mul_arr(rng.randrange(tower.base.q, tower.order),
+                                 G[:, 0])
+        try:
+            return QSystem(tower, G)
+        except SystemError_:
+            continue
+
+
+def _outcome(call):
+    """repr of the result, or of the refusal's message, completed level
+    and coverage, so that a float and a numpy float differ."""
+    try:
+        return repr(call())
+    except BudgetExceeded as exc:
+        return repr((str(exc), exc.completed_level, exc.coverage))
+
+
+@PROPERTY
+@given(st.sampled_from(SYSTEMS), st.booleans(), st.sampled_from([5, 1 << 16]),
+       SEEDS)
+def test_projective_sweep_matches_affine_oracle(case, nonscattered, chunk,
+                                                seed):
+    # a chunk of 5 marks splits levels and batches into many chunks, so
+    # witnesses and the early stop cross chunk boundaries
+    qm, k, n = case
+    tower = TOWERS[qm]
+    rng = random.Random(seed)
+    sysm = _system(tower, k, n, nonscattered, rng)
+    G = sysm.generator
+    with mock.patch.object(covering, "_MARK_CHUNK", chunk):
+        rho, cert = saturation_radius(sysm)
+    expected_rho, expected = affine_saturation_radius(sysm)
+    assert rho == expected_rho
+    assert cert.to_json() == expected.to_json()
+    levels = [c.copy() for _, c in affine_rank_layers(G, tower, 1 << 26)]
+    assert len(levels) == rho + 1
+    for w, covered in enumerate(levels):
+        assert np.array_equal(_coverage_through_level(G, tower, w, 1 << 26),
+                              covered)
+    dual = associated_code(sysm).dual()
+    for w, _ in affine_rank_layers(dual.parity_check, tower, 1 << 26):
+        pass
+    assert rank_covering_radius(dual) == w
+    # a budget anywhere from below Q^k to past the whole sweep refuses at
+    # the same level with the same coverage, or passes in both
+    work = 1 + sum(fqlinalg.count_subspaces(n, j, tower.base.q)
+                   * tower.order ** j for j in range(1, rho + 1))
+    budget = rng.randint(1, work + 1)
+    assert (_outcome(lambda: saturation_radius(sysm, budget)[0])
+            == _outcome(lambda: affine_saturation_radius(sysm, budget)[0]))
+
+
+def _invertible(size, field, order, rng):
+    while True:
+        M = np.array([[rng.randrange(order) for _ in range(size)]
+                      for _ in range(size)], dtype=np.int64)
+        if fqlinalg.rank(M, field) == size:
+            return M
+
+
+@PROPERTY
+@given(st.sampled_from(SYSTEMS), st.booleans(), SEEDS)
+def test_equivalent_systems_keep_radius_and_coverage(case, nonscattered,
+                                                     seed):
+    # A G B for A in GL(k, q^m) and B in GL(n, q) (whose F_q entries are
+    # their own codes in F_{q^m}) spans the image of U under an
+    # automorphism of F_{q^m}^k, which permutes the points
+    qm, k, n = case
+    tower = TOWERS[qm]
+    rng = random.Random(seed)
+    sysm = _system(tower, k, n, nonscattered, rng)
+    A = _invertible(k, tower, tower.order, rng)
+    B = _invertible(n, tower.base, tower.base.q, rng)
+    image = QSystem(tower, ext_matmul(ext_matmul(A, sysm.generator, tower),
+                                      B, tower))
+
+    def counts(s):
+        return [int(c.sum()) for _, c in _rank_layers(s.generator, tower,
+                                                      1 << 26)]
+
+    assert counts(image) == counts(sysm)
+    assert saturation_radius(image)[0] == saturation_radius(sysm)[0]
+    assert (linear_set(image).weight_multiset()
+            == linear_set(sysm).weight_multiset())
 
 
 @PROPERTY
