@@ -317,7 +317,7 @@ def brute_force_witness(q: int, m: int, k: int, rho: int,
     subspaces of F_q^{mk} in enumeration order; its `.n` is
     `brute_force_s`."""
     from . import fqlinalg
-    from .covering import saturation_radius
+    from .covering import _rank_layers
     from .gftower import make_tower
     from .linalg import BudgetExceeded
     from .qsystem import QSystem, SystemError_
@@ -338,7 +338,12 @@ def brute_force_witness(q: int, m: int, k: int, rho: int,
                     sysm = QSystem(tower, gen)
                 except SystemError_:
                     continue
-                r, _ = saturation_radius(sysm, budget)
-                if r <= rho:
+                # the sweep through level rho only: radius <= rho iff
+                # that level covers every target
+                for w, covered in _rank_layers(sysm.generator, tower,
+                                               budget):
+                    if w == rho:
+                        break
+                if covered.all():
                     return sysm
     raise RuntimeError("no saturating system found (unreachable)")

@@ -2,10 +2,11 @@
 
 Exit codes for `verify`: 0 the claimed radius matches, 1 it does not,
 2 the input could not be parsed, 3 the budget refused the sweep (the
-refusal message includes the coverage reached).  `bounds` and `search`
-exit 2, with a one-line message, when the parameters name no field or
-no valid cell: q not a prime power, m, k, kmax or rhomax below 1, or
-rho out of range.
+refusal message includes the coverage reached).  `construct`, `bounds`
+and `search` exit 2, with a one-line message, when the parameters name
+no field, no valid cell or no valid construction: q not a prime power,
+m, k, kmax or rhomax below 1, rho out of range, a malformed --v, or an
+unreadable or malformed --left/--right matrix.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def cmd_verify(args) -> int:
     return 0 if rho == args.rho else 1
 
 
-def cmd_construct(args) -> int:
+def _construct(args) -> QSystem:
     modulus = _parse_modulus(args.modulus)
     fam = args.family
     if fam == "rho1":
@@ -104,21 +105,26 @@ def cmd_construct(args) -> int:
     elif fam == "example-5.9":
         tower = make_tower(args.q, 4, modulus)
         sysm = cutting_system_8_4(tower)
-    elif fam == "f-sum":
+    else:   # f-sum, the last of the parser's choices
         with open(args.left) as fh:
             tower, A = io.matrix_from_json(json.load(fh))
         with open(args.right) as fh:
             tower2, B = io.matrix_from_json(json.load(fh))
         if tower2 != tower:
-            print("summands live over different fields", file=sys.stderr)
-            return 2
+            raise ValueError("summands live over different fields")
         f = "identity" if args.f == "identity" else None
         sysm = f_sum(QSystem(tower, A), QSystem(tower, B), f)
-    else:
-        print(f"unknown family {fam}", file=sys.stderr)
-        return 2
     if args.lift_m:
         sysm = lift_system(sysm, make_tower(sysm.tower.base.q, args.lift_m))
+    return sysm
+
+
+def cmd_construct(args) -> int:
+    try:
+        sysm = _construct(args)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 2
     doc = io.matrix_to_json(sysm.tower, sysm.generator)
     text = json.dumps(doc, indent=1)
     if args.out:

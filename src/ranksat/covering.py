@@ -11,6 +11,9 @@ Three independent routes to the same number:
 * `rank_covering_radius` runs the same rank-layered sweep against a
   parity-check matrix, so the radius of the dual code of an associated
   code can be compared with both of the above.
+* `hamming_covering_radius` runs that sweep in Hamming-weight layers,
+  M the selection matrices of the supports, for the projective
+  Hamming-metric code bridge.
 
 All sweeps are exact and refuse (raising BudgetExceeded) instead of
 sampling when the declared budget does not cover them.
@@ -26,6 +29,7 @@ from math import comb
 import numpy as np
 
 from . import fqlinalg
+from .bounds import gaussian_binomial
 from .gftower import FieldTower, expand
 from .interchange import _is_int
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
@@ -42,47 +46,11 @@ class ConsistencyError(AssertionError):
 
 
 # ----------------------------------------------------------------------
-# Span marking: one kernel for the rank-layer and Hamming sweeps
+# Syndrome sweep: one marking loop for the rank and Hamming layers
 # ----------------------------------------------------------------------
 
-# Marks per kernel call; bounds the size of the kernel's intermediates.
+# Marks per chunk; bounds the size of the sweep's intermediates.
 _MARK_CHUNK = 1 << 16
-
-
-def _packing(Q: int, k: int) -> np.ndarray:
-    """Place values of a length-k vector's packed index, first entry most
-    significant."""
-    return Q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-
-
-def _span_marks(B, tower: FieldTower, first: int = 0) -> np.ndarray:
-    """Packed indices of sum_j gamma_j B[:, s, j] for each stacked r x w
-    block s of B (shape (r, c, w)) and every gamma in {first..Q-1}^w.
-
-    Returns shape (c, (Q - first)^w); gamma runs in base-(Q - first)
-    order, first coordinate most significant.  Each column gets a
-    multiples table (the packed index of gamma * B[:, s, j] for every
-    gamma); the tables are then combined by broadcasting.  A packed index
-    is a base-p number whose digits add mod p under vector addition: XOR
-    when p = 2, explicit digit arrays otherwise.
-    """
-    r, c, w = B.shape
-    Q, p = tower.order, tower.base.p
-    gammas = np.arange(first, Q, dtype=np.int64)
-    table = np.tensordot(_packing(Q, r), tower.mul_arr(B[..., None], gammas),
-                         axes=1)
-    if p == 2 or w == 1:
-        acc = table[:, 0]
-        for j in range(1, w):
-            acc = (acc[:, :, None] ^ table[:, j, None, :]).reshape(c, -1)
-        return acc
-    ppow = p ** np.arange(r * tower.m * tower.base.e, dtype=np.int64)
-    digits = (table[..., None] // ppow % p).astype(np.min_scalar_type(2 * p))
-    acc = digits[:, 0]
-    for j in range(1, w):
-        acc = ((acc[:, :, None] + digits[:, j, None]) % p).reshape(
-            c, -1, ppow.size)
-    return acc @ ppow
 
 
 def _check_space(total: int, budget: int) -> None:
@@ -108,27 +76,66 @@ def _cone(tower: FieldTower, V) -> np.ndarray:
     return tower.mul_arr(np.arange(1, tower.order)[:, None], V[:, None, :])
 
 
-# ----------------------------------------------------------------------
-# Rank-layered syndrome sweep (shared by covering radius / saturation)
-# ----------------------------------------------------------------------
+def _subspace_level(H, tower: FieldTower, w: int, per: int):
+    """Level w of the rank sweep, or None past min(n, m): ("rank", its
+    charge [n w]_q Q^w, chunks (M, H M^T) of at most `per` RREF bases M
+    of the w-dimensional F_q-row spaces)."""
+    n = H.shape[1]
+    if w > min(n, tower.m):
+        return None
+    count = gaussian_binomial(n, w, tower.base.q)
+
+    def chunks():
+        batches = (b for _, b in fqlinalg.rref_subspaces(n, w, tower.base))
+        if count <= per:    # a small level is one chunk, not one per batch
+            batches = [np.concatenate(list(batches))]
+        for b in batches:
+            for lo in range(0, b.shape[0], per):
+                Ms = b[lo:lo + per]
+                yield Ms, ext_matmul(H, Ms.transpose(0, 2, 1), tower)
+    return "rank", count * tower.order ** w, chunks()
+
+
+def _support_level(H, tower: FieldTower, w: int, per: int):
+    """Level w of the Hamming sweep, or None past n: ("Hamming weight",
+    its charge C(n, w) (Q-1)^w, chunks (M, H M^T) of at most `per`
+    selection matrices M of the w-subsets S of the coordinates, for
+    which H M^T is the column gather H[:, S])."""
+    n = H.shape[1]
+    if w > n:
+        return None
+
+    def chunks():
+        supports = combinations(range(n), w)
+        while chunk := list(islice(supports, per)):
+            S = np.array(chunk)
+            yield np.eye(n, dtype=np.int64)[S], H[:, S].transpose(1, 0, 2)
+    return "Hamming weight", comb(n, w) * (tower.order - 1) ** w, chunks()
+
 
 def _rank_layers(H, tower: FieldTower, budget: int,
-                 first_touch: dict | None = None):
-    """Yield (w, covered) after marking {H x^T : wt_rk(x) <= w} for
-    w = 0, 1, ... until every syndrome is covered.
+                 first_touch: dict | None = None, level=_subspace_level):
+    """Yield (w, covered) after marking {H x^T : x = gamma M, M of a
+    level <= w} for w = 0, 1, ... until every syndrome is covered.  Level
+    w is `level(H, tower, w, per)`: its label, its charge and chunks
+    (M, H M^T) of at most `per` w x n matrices M.  `_subspace_level`
+    takes M over the RREF bases of the F_q-row spaces of dimension w (x
+    over rank weight <= w), `_support_level` over the w-subsets of the
+    coordinates (x over Hamming weight <= w).
 
-    wt_rk(c x) = wt_rk(x), so `covered` is one bitmap over the points of
+    H (c x)^T = c H x^T, so `covered` is one bitmap over the points of
     PG(r-1, Q), updated in place.  Level w marks B gamma, B = H M^T, for
-    M one RREF basis per F_q-row space of dimension w and gamma over the
-    (Q^w - 1)/(Q - 1) points of PG(w-1, Q) (B gamma = 0 marks nothing),
-    and stops once the bitmap is full; it is charged Q^w per M.  When
-    `first_touch` is a dict it collects, for each syndrome (a tuple), the
-    first x = gamma * M (M, then gamma over F_{q^m}^w) that reaches it:
-    the first M of a chunk to reach a point reaches all its multiples, so
+    gamma over the (Q-1)^(w-1) points of PG(w-1, Q) with no zero
+    coordinate (a zero drops a row of M, so that x was reached at a
+    lower level; B gamma = 0 marks nothing), and stops once the bitmap
+    is full; its charge does not depend on the stop.  When `first_touch`
+    is a dict it collects, for each syndrome (a tuple), the first
+    x = gamma * M (M, then gamma over F_{q^m}^w) that reaches it: the
+    first M of a chunk to reach a point reaches all its multiples, so
     only those M are replayed over all gamma.
     """
     H = np.atleast_2d(np.asarray(H, dtype=np.int64))
-    r, n = H.shape
+    r = H.shape[0]
     Q = tower.order
     _check_space(Q ** r, budget)
     points = PointIndexer(tower, r)
@@ -139,22 +146,18 @@ def _rank_layers(H, tower: FieldTower, budget: int,
     yield w, covered
     while left:
         w += 1
-        if w > min(n, tower.m):
+        pg = PointIndexer(tower, w)
+        per = max(1, _MARK_CHUNK // (Q - 1) ** (w - 1))
+        lvl = level(H, tower, w, per)
+        if lvl is None:
             raise RuntimeError("sweep failed to terminate (unreachable)")
-        count = fqlinalg.count_subspaces(n, w, tower.base.q)
-        work = _charge(work, count * Q ** w, budget, "rank", w,
+        what, charge, chunks = lvl
+        work = _charge(work, charge, budget, what, w,
                        (1 + (Q - 1) * (points.total - left)) / Q ** r)
-        gammas = PointIndexer(tower, w)
-        gammas = gammas.decode(np.arange(gammas.total)).T
-        per = max(1, _MARK_CHUNK // gammas.shape[1])
-        batches = (b for _, b in fqlinalg.rref_subspaces(n, w, tower.base))
-        if count <= per:    # a small level is one chunk, not one per batch
-            batches = [np.concatenate(list(batches))]
-        chunks = (b[lo:lo + per] for b in batches
-                  for lo in range(0, b.shape[0], per))
+        gammas = pg.decode(np.arange(pg.total))
+        gammas = gammas[(gammas != 0).all(axis=1)].T
         fresh = 0      # bounds the points newly covered since `left`
-        for Ms in chunks:
-            B = ext_matmul(H, Ms.transpose(0, 2, 1), tower)
+        for Ms, B in chunks:
             V = ext_matmul(B, gammas, tower).transpose(0, 2, 1)
             W, pidx, keep = points.canonicalize(V.reshape(-1, r))
             new = ~covered[pidx]
@@ -162,13 +165,15 @@ def _rank_layers(H, tower: FieldTower, budget: int,
                 _, first = np.unique(pidx[new], return_index=True)
                 subs = np.unique(np.flatnonzero(keep)[new][first]
                                  // gammas.shape[1])
-                idx = _span_marks(B[subs].transpose(1, 0, 2), tower).ravel()
+                # the affine gamma grid, first coordinate most significant
+                grid = np.arange(Q ** w) // pg.qpow[:, None] % Q
+                idx = (ext_matmul(B[subs], grid, tower).transpose(0, 2, 1)
+                       @ points.qpow).ravel()
                 uniq, pos = np.unique(idx, return_index=True)
                 targets = _cone(tower, W[new][first]).reshape(-1, r)
-                # pos = subs index * Q^w + gamma index; digits of the
-                # latter are gamma's coordinates
+                # pos = subs index * Q^w + gamma's column of the grid
                 pos = pos[np.searchsorted(uniq, targets @ points.qpow)]
-                x = ext_matmul(pos[:, None, None] // _packing(Q, w) % Q,
+                x = ext_matmul(grid.T[pos % Q ** w, None],
                                Ms[subs[pos // Q ** w]], tower)[:, 0]
                 first_touch.update(zip(map(tuple, targets.tolist()),
                                        map(tuple, x.tolist())))
@@ -342,7 +347,7 @@ def _mark_lines(a, u, indexer: PointIndexer, covered: np.ndarray,
     an int64); when `seen` (the sorted keys of lines marked earlier) is
     given, lines in it are skipped and the updated keys are returned.
     """
-    tower, k, total = indexer.tower, indexer.k, indexer.total
+    tower, k, total, Q = indexer.tower, indexer.k, indexer.total, indexer.Q
     rows = np.arange(a.shape[0])
     ja, ju = np.argmax(a != 0, axis=1), np.argmax(u != 0, axis=1)
     swap = (ju < ja)[:, None]
@@ -365,9 +370,11 @@ def _mark_lines(a, u, indexer: PointIndexer, covered: np.ndarray,
         r1, i2, j1, R2 = r1[first], i2[first], j1[first], R2[first]
     covered[i2] = True
     p = tower.base.p
-    per = max(1, _MARK_CHUNK // indexer.Q)
+    per = max(1, _MARK_CHUNK // Q)
     for s in range(0, r1.size, per):
-        table = _span_marks(R2[s:s + per].T[:, :, None], tower)  # mu R2
+        # packed mu R2 for every mu
+        table = tower.mul_arr(R2[s:s + per, None], np.arange(Q)[:, None]) \
+            @ indexer.qpow
         a1 = r1[s:s + per, None]
         if p == 2:
             marks = a1 ^ table
@@ -481,28 +488,9 @@ def hamming_covering_radius(generator, tower: FieldTower,
                             budget: int = DEFAULT_BUDGET) -> int:
     """Exact Hamming covering radius of the code generated by `generator`,
     by coset-leader syndrome sweep in Hamming-weight layers."""
-    Gm = as_matrix(tower, generator)
-    H = RankCode(tower, Gm).parity_check
-    r, N = H.shape[0], Gm.shape[1]
-    if r == 0:
-        return 0
-    Q = tower.order
-    _check_space(Q ** r, budget)
-    covered = np.zeros(Q ** r, dtype=bool)
-    covered[0] = True
-    work = 1
-    w = 0
-    while not covered.all():
-        w += 1
-        if w > N:
-            raise RuntimeError("Hamming sweep failed to terminate")
-        work = _charge(work, comb(N, w) * (Q - 1) ** w, budget,
-                       "Hamming weight", w,
-                       float(covered.sum()) / covered.size)
-        supports = combinations(range(N), w)
-        per = max(1, _MARK_CHUNK // (Q - 1) ** w)
-        while chunk := list(islice(supports, per)):
-            covered[_span_marks(H[:, chunk], tower, first=1).ravel()] = True
+    H = RankCode(tower, as_matrix(tower, generator)).parity_check
+    for w, _ in _rank_layers(H, tower, budget, level=_support_level):
+        pass
     return w
 
 

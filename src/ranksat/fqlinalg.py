@@ -165,8 +165,3 @@ def rref_subspaces(n: int, w: int, field: SmallField):
         for s, (r, c) in enumerate(free_slots):
             batch[:, r, c] = (vals // (q ** s)) % q
         yield pivots, batch
-
-
-def count_subspaces(n: int, w: int, q: int) -> int:
-    from .bounds import gaussian_binomial
-    return gaussian_binomial(n, w, q)

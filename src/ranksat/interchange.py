@@ -38,6 +38,8 @@ def _is_int(x) -> bool:
 def matrix_from_json(data) -> tuple[FieldTower, np.ndarray]:
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError("matrix JSON must be an object")
     q, m, rows, cols = data["q"], data["m"], data["rows"], data["cols"]
     if not all(_is_int(x) for x in (q, m, rows, cols)):
         raise ValueError("q, m, rows and cols must be integers")
@@ -49,7 +51,9 @@ def matrix_from_json(data) -> tuple[FieldTower, np.ndarray]:
     tower = make_tower(q, m, modulus)
     A = np.zeros((rows, cols), dtype=np.int64)
     entries = data["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    if (not isinstance(entries, list) or len(entries) != rows
+            or any(not isinstance(r, list) or len(r) != cols
+                   for r in entries)):
         raise ValueError("entry grid does not match rows x cols")
     for i, row in enumerate(entries):
         for j, digs in enumerate(row):

@@ -6,7 +6,7 @@ package's sweep machinery, so a test asserting `fast == oracle` is a
 genuine two-route check.
 """
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -274,17 +274,55 @@ def decompose_by_solves(sysm, v, basis=None):
     return Decomposition(v.copy(), lams_out, vecs_out)
 
 
+def _packing(Q, k):
+    """Place values of a length-k vector's packed index, first entry most
+    significant."""
+    return Q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
+def _span_marks(B, tower, first=0):
+    """Packed indices of sum_j gamma_j B[:, s, j] for each stacked r x w
+    block s of B (shape (r, c, w)) and every gamma in {first..Q-1}^w.
+
+    Returns shape (c, (Q - first)^w); gamma runs in base-(Q - first)
+    order, first coordinate most significant.  Each column gets a
+    multiples table (the packed index of gamma * B[:, s, j] for every
+    gamma); the tables are then combined by broadcasting.  A packed index
+    is a base-p number whose digits add mod p under vector addition: XOR
+    when p = 2, explicit digit arrays otherwise.
+    """
+    r, c, w = B.shape
+    Q, p = tower.order, tower.base.p
+    gammas = np.arange(first, Q, dtype=np.int64)
+    table = np.tensordot(_packing(Q, r), tower.mul_arr(B[..., None], gammas),
+                         axes=1)
+    if p == 2 or w == 1:
+        acc = table[:, 0]
+        for j in range(1, w):
+            acc = (acc[:, :, None] ^ table[:, j, None, :]).reshape(c, -1)
+        return acc
+    ppow = p ** np.arange(r * tower.m * tower.base.e, dtype=np.int64)
+    digits = (table[..., None] // ppow % p).astype(np.min_scalar_type(2 * p))
+    acc = digits[:, 0]
+    for j in range(1, w):
+        acc = ((acc[:, :, None] + digits[:, j, None]) % p).reshape(
+            c, -1, ppow.size)
+    return acc @ ppow
+
+
 def affine_rank_layers(H, tower, budget, first_touch=None):
     """The coefficient sweep over an affine bitmap: yield (w, covered)
     after marking the packed indices of all Q^w multiples gamma * M of
     every RREF basis M of dimension w, finishing every level.  When
     `first_touch` is a dict it collects, for each syndrome index, the
-    first x = gamma * M that reaches it (subspaces, then gamma).  It
-    shares the package's `_span_marks` kernel, which the brute-force
-    oracles above check, so it is the reference for the projective
-    marking, the early stop and the witness replay."""
+    first x = gamma * M that reaches it (subspaces, then gamma).  Its
+    multiples-table kernel `_span_marks` shares no marking code with the
+    package's sweep, and the brute-force oracles above check it, so it is
+    the reference for the projective marking, the early stop and the
+    witness replay."""
     from ranksat import fqlinalg
-    from ranksat.covering import _charge, _check_space, _packing, _span_marks
+    from ranksat.bounds import gaussian_binomial
+    from ranksat.covering import _charge, _check_space
     from ranksat.linalg import ext_matmul
     H = np.atleast_2d(np.asarray(H, dtype=np.int64))
     r, n = H.shape
@@ -298,7 +336,7 @@ def affine_rank_layers(H, tower, budget, first_touch=None):
     while not covered.all():
         w += 1
         assert w <= min(n, tower.m), "sweep failed to terminate"
-        work = _charge(work, fqlinalg.count_subspaces(n, w, tower.base.q)
+        work = _charge(work, gaussian_binomial(n, w, tower.base.q)
                        * Q ** w, budget, "rank", w,
                        float(covered.sum()) / covered.size)
         for _, batch in fqlinalg.rref_subspaces(n, w, tower.base):
@@ -316,6 +354,37 @@ def affine_rank_layers(H, tower, budget, first_touch=None):
                 first_touch.update(zip(uniq.tolist(), map(tuple, x.tolist())))
             covered[idx] = True
         yield w, covered
+
+
+def affine_hamming_covering_radius(generator, tower, budget=1 << 26):
+    """The Hamming sweep over an affine bitmap: every level marks the
+    syndromes of all (Q-1)^w full-support vectors on each w-subset of the
+    coordinates, and finishes."""
+    from math import comb
+    from ranksat.covering import _MARK_CHUNK, _charge, _check_space
+    from ranksat.linalg import RankCode, as_matrix
+    Gm = as_matrix(tower, generator)
+    H = RankCode(tower, Gm).parity_check
+    r, N = H.shape[0], Gm.shape[1]
+    if r == 0:
+        return 0
+    Q = tower.order
+    _check_space(Q ** r, budget)
+    covered = np.zeros(Q ** r, dtype=bool)
+    covered[0] = True
+    work = 1
+    w = 0
+    while not covered.all():
+        w += 1
+        assert w <= N, "Hamming sweep failed to terminate"
+        work = _charge(work, comb(N, w) * (Q - 1) ** w, budget,
+                       "Hamming weight", w,
+                       float(covered.sum()) / covered.size)
+        supports = combinations(range(N), w)
+        per = max(1, _MARK_CHUNK // (Q - 1) ** w)
+        while chunk := list(islice(supports, per)):
+            covered[_span_marks(H[:, chunk], tower, first=1).ravel()] = True
+    return w
 
 
 def affine_saturation_radius(sysm, budget=1 << 26, witness_cap=1 << 12):

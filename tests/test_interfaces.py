@@ -37,16 +37,20 @@ def test_matrix_json_shape_mismatch(tower16):
 
 # a digit outside F_2, a coordinate vector shorter than m = 4, a bare
 # number in place of a vector, bool and float digits; a dict replaces
-# header fields instead: a float q, and modulus coefficients that are a
-# float or lie outside F_2
+# header fields instead: a float q, modulus coefficients that are a
+# float or lie outside F_2, entries that are a number or hold a row that
+# is not a list; a tuple holds a whole document: a top-level array
 BAD_DIGITS = [[3, 0, 0, 0], [1, 0], 1, [True, False, False, False],
               [1.0, 0, 0, 0], {"modulus": [1, 1.5, 0, 0, 1]}, {"q": 2.7},
-              {"modulus": [1, 3, 0, 0, 1]}, {"modulus": [1, -1, 0, 0, 1]}]
+              {"modulus": [1, 3, 0, 0, 1]}, {"modulus": [1, -1, 0, 0, 1]},
+              {"entries": 5}, {"entries": [7]}, ([1, 2],)]
 
 
 def _one_entry_doc(digits):
     doc = {"q": 2, "m": 4, "modulus": [1, 1, 0, 0, 1], "rows": 1,
            "cols": 1, "entries": [[[1, 0, 0, 0]]]}
+    if isinstance(digits, tuple):
+        return digits[0]
     if isinstance(digits, dict):
         return doc | digits
     return doc | {"entries": [[digits]]}
@@ -192,9 +196,14 @@ def test_cli_bounds_verify_paper(capsys):
 @pytest.mark.parametrize("argv", [
     ["bounds", "--q", "6"], ["bounds", "--q", "1"], ["bounds", "--m", "0"],
     ["bounds", "--rhomax", "0"],
-    ["search", "--q", "6", "--k", "2", "--rho", "1"]],
+    ["search", "--q", "6", "--k", "2", "--rho", "1"],
+    ["construct", "--family", "identity-block", "--q", "6"],
+    ["construct", "--family", "identity-block", "--k", "2", "--rho", "5"],
+    ["construct", "--family", "rho1", "--v", "1,x"],
+    ["construct", "--family", "f-sum", "--left", "/nonexistent"]],
     ids=["bounds-q6", "bounds-q1", "bounds-m0", "bounds-rhomax0",
-         "search-q6"])
+         "search-q6", "construct-q6", "construct-rho5", "construct-bad-v",
+         "construct-missing-left"])
 def test_cli_rejects_invalid_parameters(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()

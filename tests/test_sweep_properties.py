@@ -3,18 +3,21 @@ geometric, rank-covering and Hamming sweeps, of the batched elimination
 behind the cutting-set test, and of RREF canonicity over F_q and
 F_{q^m}, on random small systems, codes and matrices.
 
-q = 2 and q = 4 (a non-prime base) combine multiples tables by XOR;
-q = 3 takes the base-p digit-array path.
+q = 2 and q = 4 (a non-prime base) add packed vectors by XOR in the
+geometric sweep's line marking and in the affine oracles' multiples
+tables; q = 3 (and q = 5 for the Hamming sweep) takes their base-p
+digit path.
 """
 
 import random
+from math import comb
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ranksat import (BudgetExceeded, QSystem, associated_code, covering,
-                     fqlinalg, hamming_covering_radius,
+                     fqlinalg, gaussian_binomial, hamming_covering_radius,
                      is_linear_cutting_blocking_set, is_minimal_rank_code,
                      linear_set, make_tower, rank_covering_radius,
                      random_system, saturation_radius,
@@ -24,10 +27,11 @@ from ranksat.covering import (_coverage_through_level, _geometric_layers,
 from ranksat.linalg import ext_matmul, rank_weight
 from ranksat.qsystem import PointIndexer, SystemError_, random_code
 
-from oracles import (affine_rank_layers, affine_saturation_radius,
-                     brute_cutting, brute_hamming_covering_radius,
-                     brute_is_minimal, brute_min_coefficient_rank,
-                     brute_rank_covering_radius, degenerate_code)
+from oracles import (affine_hamming_covering_radius, affine_rank_layers,
+                     affine_saturation_radius, brute_cutting,
+                     brute_hamming_covering_radius, brute_is_minimal,
+                     brute_min_coefficient_rank, brute_rank_covering_radius,
+                     degenerate_code)
 
 TOWERS = {qm: make_tower(*qm) for qm in [(2, 2), (2, 3), (3, 2), (4, 2)]}
 
@@ -39,6 +43,11 @@ SYSTEMS = [(qm, k, n) for qm in TOWERS for k in (1, 2, 3)
 # (q, m), k, N with at most 4096 (word, codeword) oracle pairs
 CODES = [(qm, k, N) for qm in TOWERS for N in range(1, 5)
          for k in range(1, N + 1) if TOWERS[qm].order ** (N + k) <= 4096]
+
+# (q, m), k, N with at most 2^12 syndromes, over the towers and F_3, F_5
+HAMMING = [(qm, k, N) for qm in [*TOWERS, (3, 1), (5, 1)]
+           for N in range(1, 7) for k in range(1, N + 1)
+           if qm[0] ** (qm[1] * (N - k)) <= 1 << 12]
 
 # (q, m), k, n with at most 2^17 (hyperplane, vector of U) oracle pairs
 CUTTING = [(qm, k, n) for qm in TOWERS for k in (1, 2, 3)
@@ -141,7 +150,7 @@ def test_projective_sweep_matches_affine_oracle(case, nonscattered, chunk,
     assert rank_covering_radius(dual) == w
     # a budget anywhere from below Q^k to past the whole sweep refuses at
     # the same level with the same coverage, or passes in both
-    work = 1 + sum(fqlinalg.count_subspaces(n, j, tower.base.q)
+    work = 1 + sum(gaussian_binomial(n, j, tower.base.q)
                    * tower.order ** j for j in range(1, rho + 1))
     budget = rng.randint(1, work + 1)
     assert (_outcome(lambda: saturation_radius(sysm, budget)[0])
@@ -222,6 +231,26 @@ def test_hamming_covering_radius_matches_oracle(case, seed):
     gen = random_code(tower, k, N, random.Random(seed)).generator
     assert (hamming_covering_radius(gen, tower)
             == brute_hamming_covering_radius(gen, tower))
+
+
+@PROPERTY
+@given(st.sampled_from(HAMMING), st.sampled_from([5, 1 << 16]), SEEDS)
+def test_hamming_sweep_matches_affine_oracle(case, chunk, seed):
+    # the projective sweep over supports gives the affine sweep's radius,
+    # and a budget from 1 to past the sweep refuses alike in both
+    qm, k, N = case
+    tower = make_tower(*qm)
+    rng = random.Random(seed)
+    gen = random_code(tower, k, N, rng).generator
+    Q = tower.order
+    rho = affine_hamming_covering_radius(gen, tower)
+    work = 1 + sum(comb(N, w) * (Q - 1) ** w for w in range(1, rho + 1))
+    budget = rng.randint(1, 2 * work)
+    with mock.patch.object(covering, "_MARK_CHUNK", chunk):
+        assert hamming_covering_radius(gen, tower) == rho
+        got = _outcome(lambda: hamming_covering_radius(gen, tower, budget))
+    assert got == _outcome(
+        lambda: affine_hamming_covering_radius(gen, tower, budget))
 
 
 @PROPERTY
