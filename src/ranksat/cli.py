@@ -84,6 +84,8 @@ def _construct(args) -> QSystem:
     modulus = _parse_modulus(args.modulus)
     fam = args.family
     if fam == "rho1":
+        if args.k < 1:
+            raise ValueError(f"need k >= 1, got k={args.k}")
         tower = make_tower(args.q, args.m, modulus)
         v = (_parse_vector(args.v, args.k) if args.v else
              np.eye(args.k, dtype=np.int64)[args.k - 1])
@@ -122,14 +124,15 @@ def _construct(args) -> QSystem:
 def cmd_construct(args) -> int:
     try:
         sysm = _construct(args)
+        text = json.dumps(io.matrix_to_json(sysm.tower, sysm.generator),
+                          indent=1)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
     except (OSError, ValueError, KeyError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    doc = io.matrix_to_json(sysm.tower, sysm.generator)
-    text = json.dumps(doc, indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         print(f"wrote {sysm.n}-dim system -> {args.out}")
     else:
         print(text)

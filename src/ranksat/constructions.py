@@ -33,10 +33,7 @@ def construct_rho1(tower: FieldTower, k: int, v, v_prime) -> QSystem:
         raise SystemError_("v and v' must be ambient vectors of length k")
     if not v.any():
         raise SystemError_("v must be nonzero")
-    dot = 0
-    for a, b in zip(v, v_prime):
-        dot = tower.add(dot, tower.mul(int(a), int(b)))
-    if dot == 0:
+    if not reduce(tower.add_arr, tower.mul_arr(v, v_prime), 0):
         raise SystemError_("v' lies in the hyperplane <v>^perp")
     perp = fqlinalg.kernel(v.reshape(1, -1), tower)   # (k-1) x k basis
     cols = [v_prime]

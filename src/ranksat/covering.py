@@ -30,10 +30,11 @@ import numpy as np
 
 from . import fqlinalg
 from .bounds import gaussian_binomial
-from .gftower import FieldTower, expand
+from .gftower import FieldTower, add_digits, expand
 from .interchange import _is_int
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
-                     ext_matmul, min_rank_distance, rank_weight_batch)
+                     ext_matmul, fq_span_vectors, min_rank_distance,
+                     rank_weight_batch)
 from .qsystem import (PointIndexer, QSystem, SystemError_, expanded_columns,
                       linear_set, is_scattered)
 
@@ -76,10 +77,21 @@ def _cone(tower: FieldTower, V) -> np.ndarray:
     return tower.mul_arr(np.arange(1, tower.order)[:, None], V[:, None, :])
 
 
+def _independent(tower: FieldTower, gammas: np.ndarray) -> np.ndarray:
+    """The rows of `gammas` (first coordinate 1) with F_q-independent
+    coordinates: gamma_j is outside F_q + <gamma_1..gamma_{j-1}>_{F_q},
+    where F_q holds the codes below q."""
+    for j in range(1, gammas.shape[1]):
+        S = fq_span_vectors(gammas[:, 1:j], tower)
+        outside = tower.add_arr(gammas[:, j], S) >= tower.base.q
+        gammas = gammas[outside.all(axis=0)]
+    return gammas
+
+
 def _subspace_level(H, tower: FieldTower, w: int, per: int):
     """Level w of the rank sweep, or None past min(n, m): ("rank", its
-    charge [n w]_q Q^w, chunks (M, H M^T) of at most `per` RREF bases M
-    of the w-dimensional F_q-row spaces)."""
+    charge [n w]_q Q^w, `_independent`, chunks (M, H M^T) of at most
+    `per` RREF bases M of the w-dimensional F_q-row spaces)."""
     n = H.shape[1]
     if w > min(n, tower.m):
         return None
@@ -93,14 +105,14 @@ def _subspace_level(H, tower: FieldTower, w: int, per: int):
             for lo in range(0, b.shape[0], per):
                 Ms = b[lo:lo + per]
                 yield Ms, ext_matmul(H, Ms.transpose(0, 2, 1), tower)
-    return "rank", count * tower.order ** w, chunks()
+    return "rank", count * tower.order ** w, _independent, chunks()
 
 
 def _support_level(H, tower: FieldTower, w: int, per: int):
     """Level w of the Hamming sweep, or None past n: ("Hamming weight",
-    its charge C(n, w) (Q-1)^w, chunks (M, H M^T) of at most `per`
-    selection matrices M of the w-subsets S of the coordinates, for
-    which H M^T is the column gather H[:, S])."""
+    its charge C(n, w) (Q-1)^w, every gamma, chunks (M, H M^T) of at
+    most `per` selection matrices M of the w-subsets S of the
+    coordinates, for which H M^T is the column gather H[:, S])."""
     n = H.shape[1]
     if w > n:
         return None
@@ -110,29 +122,32 @@ def _support_level(H, tower: FieldTower, w: int, per: int):
         while chunk := list(islice(supports, per)):
             S = np.array(chunk)
             yield np.eye(n, dtype=np.int64)[S], H[:, S].transpose(1, 0, 2)
-    return "Hamming weight", comb(n, w) * (tower.order - 1) ** w, chunks()
+    return ("Hamming weight", comb(n, w) * (tower.order - 1) ** w,
+            lambda tower, gammas: gammas, chunks())
 
 
 def _rank_layers(H, tower: FieldTower, budget: int,
                  first_touch: dict | None = None, level=_subspace_level):
     """Yield (w, covered) after marking {H x^T : x = gamma M, M of a
     level <= w} for w = 0, 1, ... until every syndrome is covered.  Level
-    w is `level(H, tower, w, per)`: its label, its charge and chunks
-    (M, H M^T) of at most `per` w x n matrices M.  `_subspace_level`
-    takes M over the RREF bases of the F_q-row spaces of dimension w (x
-    over rank weight <= w), `_support_level` over the w-subsets of the
-    coordinates (x over Hamming weight <= w).
+    w is `level(H, tower, w, per)`: its label, its charge, a selection
+    `select(tower, gammas)` of the gammas it marks and chunks (M, H M^T)
+    of at most `per` w x n matrices M.  `_subspace_level` takes M over
+    the RREF bases of the F_q-row spaces of dimension w (x over rank
+    weight <= w), `_support_level` over the w-subsets of the coordinates
+    (x over Hamming weight <= w).
 
     H (c x)^T = c H x^T, so `covered` is one bitmap over the points of
     PG(r-1, Q), updated in place.  Level w marks B gamma, B = H M^T, for
-    gamma over the (Q-1)^(w-1) points of PG(w-1, Q) with no zero
-    coordinate (a zero drops a row of M, so that x was reached at a
-    lower level; B gamma = 0 marks nothing), and stops once the bitmap
-    is full; its charge does not depend on the stop.  When `first_touch`
-    is a dict it collects, for each syndrome (a tuple), the first
-    x = gamma * M (M, then gamma over F_{q^m}^w) that reaches it: the
-    first M of a chunk to reach a point reaches all its multiples, so
-    only those M are replayed over all gamma.
+    the selected gammas among the (Q-1)^(w-1) points of PG(w-1, Q) with
+    no zero coordinate (a zero drops a row of M, so that x was reached at
+    a lower level; B gamma = 0 marks nothing), and stops once the bitmap
+    is full; its charge does not depend on the stop.  The rank level
+    keeps only F_q-independent gammas (else gamma M has rank below w).
+    When `first_touch` is a dict it collects, for each syndrome (a
+    tuple), the first x = gamma * M (M, then gamma over F_{q^m}^w) that
+    reaches it: the first M of a chunk to reach a point reaches all its
+    multiples, so only those M are replayed over all gamma.
     """
     H = np.atleast_2d(np.asarray(H, dtype=np.int64))
     r = H.shape[0]
@@ -151,11 +166,11 @@ def _rank_layers(H, tower: FieldTower, budget: int,
         lvl = level(H, tower, w, per)
         if lvl is None:
             raise RuntimeError("sweep failed to terminate (unreachable)")
-        what, charge, chunks = lvl
+        what, charge, select, chunks = lvl
         work = _charge(work, charge, budget, what, w,
                        (1 + (Q - 1) * (points.total - left)) / Q ** r)
         gammas = pg.decode(np.arange(pg.total))
-        gammas = gammas[(gammas != 0).all(axis=1)].T
+        gammas = select(tower, gammas[(gammas != 0).all(axis=1)]).T
         fresh = 0      # bounds the points newly covered since `left`
         for Ms, B in chunks:
             V = ext_matmul(B, gammas, tower).transpose(0, 2, 1)
@@ -342,7 +357,8 @@ def _mark_lines(a, u, indexer: PointIndexer, covered: np.ndarray,
 
     The RREF basis (R1, R2) of a line puts R1's pivot at 1 and R2's
     entry there at 0, so R2 and every R1 + mu R2 are already canonical:
-    their indices follow from packed vectors, with no canonicalize.
+    their indices follow from packed vectors (summed by `add_digits`),
+    with no canonicalize.
     Each distinct line of the call is marked once (when its key fits in
     an int64); when `seen` (the sorted keys of lines marked earlier) is
     given, lines in it are skipped and the updated keys are returned.
@@ -369,23 +385,13 @@ def _mark_lines(a, u, indexer: PointIndexer, covered: np.ndarray,
             seen = np.sort(np.concatenate([seen, key]), kind="stable")
         r1, i2, j1, R2 = r1[first], i2[first], j1[first], R2[first]
     covered[i2] = True
-    p = tower.base.p
     per = max(1, _MARK_CHUNK // Q)
     for s in range(0, r1.size, per):
-        # packed mu R2 for every mu
+        # packed mu R2 for every mu, added to packed R1 digit by digit
         table = tower.mul_arr(R2[s:s + per, None], np.arange(Q)[:, None]) \
             @ indexer.qpow
-        a1 = r1[s:s + per, None]
-        if p == 2:
-            marks = a1 ^ table
-        else:
-            # R1 is 0 at R2's pivot j2 >= 1 and mu R2 is 0 left of it, so
-            # only the digits of the last k - 2 coordinates add mod p
-            # (a // p^i is digit i plus p times the higher digits)
-            low = (k - 2) * tower.m * tower.base.e
-            marks = (a1 // p ** low + table // p ** low) * p ** low
-            for pw in (p ** i for i in range(low)):
-                marks += (a1 // pw + table // pw) % p * pw
+        marks = add_digits(r1[s:s + per, None], table, tower.base.p,
+                           k * tower.m * tower.base.e)
         covered[off[j1[s:s + per], None] + marks] = True
     return seen
 

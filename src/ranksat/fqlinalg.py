@@ -37,7 +37,7 @@ def rref(M, field):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(R[r:, c])
+        nz = R[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         p = r + int(nz[0])

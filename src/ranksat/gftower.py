@@ -3,15 +3,16 @@
 Elements of F_{q^m} are represented as integers in [0, q^m) packing the
 coordinate vector with respect to the polynomial basis 1, alpha, ...,
 alpha^(m-1) in base q (digit i = coefficient of alpha^i, itself an
-integer code of an F_q element).  Addition is XOR in characteristic 2
-and digit-wise otherwise.  All hot-path operations have numpy-vectorized
-variants that operate on integer arrays of element codes.
+integer code of an F_q element, q = p^e), so a code is also a base-p
+number of m e digits, added digit-wise mod p by `add_digits`.  All
+hot-path operations have numpy-vectorized variants that operate on
+integer arrays of element codes.
 
 Multiplication uses log/exp tables, and one builder makes them for every
 field (`FieldTower._build_tables`): it forms the map v -> x v on all
 codes at once, derives v -> g v from it, and steps that map from 1 for
 the first code g whose orbit has length q^m - 1.  A non-prime base field
-SmallField(p^e) takes its dense tables from FieldTower(p, e).  log(0) is
+SmallField(p^e) takes its product table from FieldTower(p, e).  log(0) is
 a sentinel that indexes the zero padding of exp, so the array kernels
 multiply with one gather and no zero test.
 """
@@ -19,6 +20,7 @@ multiply with one gather and no zero test.
 from __future__ import annotations
 
 import json
+from functools import cache, reduce
 
 import numpy as np
 
@@ -53,6 +55,51 @@ def _prime_power(q: int) -> tuple[int, int]:
         raise FieldError(f"q={q} is not a prime power")
     (p, e), = fac.items()
     return p, e
+
+
+@cache
+def _block_tables(p: int):
+    """(P, T, N) for blocks of base-p digits, P the largest power of p up
+    to 256 (p itself when p > 16): T[a P + b] = a + b and N[a] = -a,
+    digit by digit mod p, for a, b < P.  Built once per p."""
+    x = np.arange(p)
+    T = N = np.zeros(1, dtype=np.int64)
+    while len(N) == 1 or len(N) * p <= 256:     # append a low digit
+        T = (T.reshape(len(N), 1, len(N), 1) * p
+             + ((x[:, None] + x) % p)[:, None]).ravel()
+        N = (N[:, None] * p + (-x % p)).ravel()
+    T.flags.writeable = N.flags.writeable = False   # shared by all callers
+    return len(N), T, N
+
+
+def _by_blocks(f, p: int, n: int, *X):
+    """f applied to each block of base-p digits of the n-digit integer
+    arrays X (broadcast), the results packed back into int64."""
+    P = _block_tables(p)[0]
+    X = [np.asarray(x, dtype=np.int64) for x in X]
+    out, pw = 0, 1
+    while pw * P < p ** n:      # every block but the top one
+        H = [x // P for x in X]
+        out = out + f(*(x - h * P for x, h in zip(X, H))) * pw
+        X, pw = H, pw * P
+    top = f(*X)
+    return top if pw == 1 else out + top * pw
+
+
+def add_digits(A, B, p: int, n: int):
+    """Digit-wise sum mod p of integer arrays packing n base-p digits: XOR
+    when p = 2, else one gather per block (one in all when p^n <= 256)."""
+    if p == 2:
+        return np.bitwise_xor(A, B)
+    P, T, _ = _block_tables(p)
+    return _by_blocks(lambda a, b: T[a * P + b], p, n, A, B)
+
+
+def neg_digits(A, p: int, n: int):
+    """Digit-wise negation mod p of an integer array packing n base-p
+    digits (a copy of A when p = 2)."""
+    return np.array(A) if p == 2 else \
+        _by_blocks(_block_tables(p)[2].__getitem__, p, n, A)
 
 
 # ----------------------------------------------------------------------
@@ -169,14 +216,10 @@ class SmallField:
         self.p = p
         self.e = e
         a, b = np.arange(q)[:, None], np.arange(q)[None, :]
-        if e == 1:
-            add, mul = (a + b) % q, (a * b) % q
-        else:
-            t = FieldTower(p, e)
-            add, mul = t.add_arr(a, b), t.mul_arr(a, b)
-        self._add = add.astype(np.int16)
+        mul = a * b % q if e == 1 else FieldTower(p, e).mul_arr(a, b)
+        self._add = add_digits(a, b, p, e).astype(np.int16)
         self._mul = mul.astype(np.int16)
-        self._neg = np.argmax(self._add == 0, axis=1).astype(np.int16)
+        self._neg = neg_digits(np.arange(q), p, e).astype(np.int16)
         # row 0 holds no 1, so its argmax leaves inv(0) = 0
         self._inv = np.argmax(self._mul == 1, axis=1).astype(np.int16)
 
@@ -248,11 +291,8 @@ class ComplementBasis:
         sub = tower.subfield(t)
         self.subfield = sub
         # columns: digits of beta_1..beta_s, then embedded subfield basis
-        sub_basis = [int(sub.embed_table[sub.sub_tower.from_digits(
-            [0] * i + [1] + [0] * (t - 1 - i))]) for i in range(t)]
-        self.sub_basis_embedded = sub_basis
-        cols = [tower.digits(b) for b in self.betas] + \
-               [tower.digits(s) for s in sub_basis]
+        self.sub_basis_embedded = sub.embed_table[q ** np.arange(t)].tolist()
+        cols = [tower.digits(b) for b in self.betas + self.sub_basis_embedded]
         B = np.array(cols, dtype=np.int16).T  # m x m over F_q
         from . import fqlinalg
         Binv = fqlinalg.inv(B, tower.base)
@@ -270,15 +310,10 @@ class ComplementBasis:
 
     def decompose(self, w: int) -> tuple[np.ndarray, int]:
         """Return (beta coordinates in F_q, subfield part embedded)."""
-        co = self.coordinates(w)
+        co, tw = self.coordinates(w), self.tower
         s = (self.r - 1) * self.t
-        sub_part = 0
-        for i in range(self.t):
-            c = int(co[s + i])
-            if c:
-                sub_part = self.tower.add(
-                    sub_part, self.tower.mul(c, self.sub_basis_embedded[i]))
-        return co[:s], sub_part
+        return co[:s], int(reduce(tw.add_arr, tw.mul_arr(
+            co[s:], self.sub_basis_embedded), 0))
 
     def project_beta(self, w: int, j: int) -> int:
         """F_q-coefficient of beta_j (1-based) in the decomposition of w."""
@@ -289,11 +324,8 @@ class ComplementBasis:
 
     def reconstruct(self, beta_coords, sub_part: int) -> int:
         tw = self.tower
-        acc = sub_part
-        for j, c in enumerate(beta_coords):
-            if c:
-                acc = tw.add(acc, tw.mul(int(c), self.betas[j]))
-        return acc
+        return int(reduce(tw.add_arr, tw.mul_arr(
+            np.asarray(beta_coords, dtype=np.int64), self.betas), sub_part))
 
 
 def project(w: int, target, basis: ComplementBasis):
@@ -422,15 +454,10 @@ class FieldTower:
         return int(sum(int(d) * q ** i for i, d in enumerate(digs[: self.m])))
 
     def add(self, a: int, b: int) -> int:
-        if self.base.p == 2:
-            return a ^ b
-        da, db = self.digits(a), self.digits(b)
-        return self.from_digits([self.base.add(x, y) for x, y in zip(da, db)])
+        return a ^ b if self.base.p == 2 else int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:
-        if self.base.p == 2:
-            return a
-        return self.from_digits([self.base.neg(x) for x in self.digits(a)])
+        return a if self.base.p == 2 else int(self.neg_arr(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -467,23 +494,13 @@ class FieldTower:
 
     # -- vector operations (arrays of packed codes) -------------------------
     def add_arr(self, A, B):
-        if self.base.p == 2:
-            return np.bitwise_xor(A, B)
-        dig = self.digit_table()
-        s = self.base._add[dig[A], dig[B]].astype(np.int64)
-        return s @ self._qpow
+        return add_digits(A, B, self.base.p, self.m * self.base.e)
 
     def neg_arr(self, A):
-        if self.base.p == 2:
-            return np.asarray(A).copy()
-        d = self.base._neg[self.digit_table()[A]].astype(np.int64)
-        return d @ self._qpow
+        return neg_digits(A, self.base.p, self.m * self.base.e)
 
-    def sub_arr(self, A, B):
-        if self.base.p == 2:
-            return np.bitwise_xor(A, B)
-        dig = self.digit_table()
-        return self.base._add[dig[A], self.base._neg[dig[B]]] @ self._qpow
+    def sub_arr(self, A, B):     # -B is B in characteristic 2
+        return self.add_arr(A, B if self.base.p == 2 else self.neg_arr(B))
 
     def mul_arr(self, A, B):
         return self._exp[self._log[A] + self._log[B]]
@@ -528,38 +545,23 @@ class FieldTower:
         sub = FieldTower(self.base.q, t, modulus)
         if t == self.m and tuple(sub.modulus) == self.modulus:
             table = np.arange(self.order, dtype=np.int64)
-            emb = SubfieldEmbedding(self, sub, table)
-            if modulus is None:
-                self._subfields[t] = emb
-            return emb
-        # subfield element set: fixed points of x -> x^{q^t}
-        Q = self.order
-        qt = self.base.q ** t
-        idx = np.arange(1, Q, dtype=np.int64)
-        fro = self.frobenius_arr(idx, t)
-        candidates = [0] + sorted(int(x) for x in idx[fro == idx])
-        if len(candidates) != qt:
-            raise FieldError("subfield extraction failed (unreachable)")
-        # smallest root of the subfield modulus among candidates
-        root = None
-        for c in sorted(candidates):
-            acc = 0
-            for i, co in enumerate(sub.modulus):
-                if co:
-                    acc = self.add(acc, self.mul(co, self.pow(c, i)))
-            if acc == 0:
-                root = c
-                break
-        if root is None:
-            raise FieldError("no root of subfield modulus (unreachable)")
-        table = np.zeros(qt, dtype=np.int64)
-        for a in range(qt):
-            digs = sub.digits(a)
-            acc = 0
-            for i, d in enumerate(digs):
-                if d:
-                    acc = self.add(acc, self.mul(d, self.pow(root, i)))
-            table[a] = acc
+        else:
+            # subfield elements: fixed points of x -> x^{q^t}, ascending
+            idx = np.arange(self.order, dtype=np.int64)
+            candidates = idx[self.frobenius_arr(idx, t) == idx]
+            if len(candidates) != self.base.q ** t:
+                raise FieldError("subfield extraction failed (unreachable)")
+            # the smallest root of the subfield modulus among them, and
+            # a -> sum_i a_i root^i over the digits a_i of a, by Horner
+            value = np.zeros_like(candidates)
+            for c in reversed(sub.modulus):
+                value = self.add_arr(self.mul_arr(value, candidates), c)
+            roots = candidates[value == 0]
+            if not roots.size:
+                raise FieldError("no root of subfield modulus (unreachable)")
+            table = np.zeros_like(candidates)
+            for d in sub.digit_table().T[::-1]:
+                table = self.add_arr(self.mul_arr(table, roots[0]), d)
         emb = SubfieldEmbedding(self, sub, table)
         if modulus is None:
             self._subfields[t] = emb
@@ -572,10 +574,8 @@ class FieldTower:
             return ComplementBasis(self, t, list(betas))
         from . import fqlinalg
         sub = self.subfield(t)
-        rows = [np.array(self.digits(int(sub.embed_table[
-            sub.sub_tower.from_digits([0] * i + [1] + [0] * (t - 1 - i))])),
-            dtype=np.int16) for i in range(t)]
-        basis_rows = list(rows)
+        basis_rows = [np.array(self.digits(int(c)), dtype=np.int16)
+                      for c in sub.embed_table[self.base.q ** np.arange(t)]]
         betas = []
         need = self.m - t
         cand = 1

@@ -192,36 +192,30 @@ class RankCode:
                 f"q^m={self.tower.order})")
 
 
-def span_vectors(rows, tower: FieldTower) -> np.ndarray:
-    """All F_{q^m}-combinations of the given rows ((Q^k, n) array).
-
-    Built row by row so each level reuses the partial sums of the
-    previous one.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    k, n = rows.shape
-    acc = np.zeros((1, n), dtype=np.int64)
-    coeffs = np.arange(tower.order, dtype=np.int64)
-    for i in range(k):
-        scaled = tower.mul_arr(coeffs[:, None], rows[i][None, :])
-        acc = tower.add_arr(acc[None, :, :], scaled[:, None, :]).reshape(-1, n)
+def _combinations(rows, coeffs, tower: FieldTower) -> np.ndarray:
+    """sum_i c_i rows[i] for every choice of the c_i in `coeffs`, the
+    last row's most significant, built row by row so each level reuses
+    the partial sums of the previous one."""
+    acc = np.zeros((1, rows.shape[1]), dtype=np.int64)
+    for row in rows:
+        scaled = tower.mul_arr(coeffs[:, None], row[None, :])
+        acc = tower.add_arr(acc[None], scaled[:, None]).reshape(-1, len(row))
     return acc
+
+
+def span_vectors(rows, tower: FieldTower) -> np.ndarray:
+    """All F_{q^m}-combinations of the given rows ((Q^k, n) array)."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    return _combinations(rows, np.arange(tower.order), tower)
 
 
 def fq_span_vectors(cols, tower: FieldTower, budget: int = DEFAULT_BUDGET
                     ) -> np.ndarray:
     """All F_q-combinations of the given columns ((q^n, k) array)."""
     C = np.atleast_2d(np.asarray(cols, dtype=np.int64))  # k x n, combine cols
-    k, n = C.shape
-    if tower.base.q ** n > budget:
-        raise BudgetExceeded(
-            f"F_q-span sweep needs {tower.base.q ** n} > budget {budget}")
-    acc = np.zeros((1, k), dtype=np.int64)
-    coeffs = np.arange(tower.base.q, dtype=np.int64)
-    for j in range(n):
-        scaled = tower.mul_arr(coeffs[:, None], C[:, j][None, :])
-        acc = tower.add_arr(acc[None, :, :], scaled[:, None, :]).reshape(-1, k)
-    return acc
+    if (size := tower.base.q ** C.shape[1]) > budget:
+        raise BudgetExceeded(f"F_q-span sweep needs {size} > budget {budget}")
+    return _combinations(C.T, np.arange(tower.base.q), tower)
 
 
 def min_rank_distance(code: RankCode, budget: int = DEFAULT_BUDGET) -> int:

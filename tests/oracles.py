@@ -33,6 +33,33 @@ def schoolbook_pow(tower, a, n):
     return result
 
 
+def digit_table_add(tower, A, B):
+    """`FieldTower.add_arr` before the block-table kernel: gather both
+    operands' digit rows, add them through the base field's table and
+    repack with a matmul."""
+    if tower.base.p == 2:
+        return np.bitwise_xor(A, B)
+    dig = tower.digit_table()
+    s = tower.base._add[dig[A], dig[B]].astype(np.int64)
+    return s @ tower._qpow
+
+
+def digit_table_neg(tower, A):
+    """`FieldTower.neg_arr` before the block-table kernel."""
+    if tower.base.p == 2:
+        return np.asarray(A).copy()
+    d = tower.base._neg[tower.digit_table()[A]].astype(np.int64)
+    return d @ tower._qpow
+
+
+def digit_table_sub(tower, A, B):
+    """`FieldTower.sub_arr` before the block-table kernel."""
+    if tower.base.p == 2:
+        return np.bitwise_xor(A, B)
+    dig = tower.digit_table()
+    return tower.base._add[dig[A], tower.base._neg[dig[B]]] @ tower._qpow
+
+
 def brute_rank_covering_radius(code):
     """max over ambient vectors of min rank distance to a codeword."""
     tower = code.tower

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranksat import FieldError, make_tower
-from ranksat.gftower import SmallField
+from ranksat.gftower import SmallField, add_digits
 
-from oracles import schoolbook_mul, schoolbook_pow
+from oracles import (digit_table_add, digit_table_neg, digit_table_sub,
+                     schoolbook_mul, schoolbook_pow)
 
 # (q, m) with q^m <= 4096, over prime and non-prime bases
 CASES = [(q, m) for q in (2, 3, 4, 5, 8, 9) for m in range(1, 13)
@@ -101,10 +102,41 @@ def test_field_axioms_and_frobenius(case, random_modulus, seed):
     assert np.array_equal(fa == a, a < q)
 
 
+# (q, m) for the block-table addition: one block (3^3, 5^3, 9^2), several
+# blocks (3^6, 3^7, 5^4, 7^3, 9^3, and 17^2, whose blocks hold one digit)
+# and characteristic 2 (4^3)
+KERNEL_CASES = [(3, 3), (5, 3), (9, 2), (3, 6), (3, 7), (5, 4), (7, 3),
+                (9, 3), (17, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES,
+                         ids=[f"q{q}-m{m}" for q, m in KERNEL_CASES])
+@PROPERTY
+@given(st.integers(2, 4), SEEDS)
+def test_add_kernel_matches_digit_table(case, k, seed):
+    t = make_tower(*case)
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, t.order, (2, 200))
+    a[:20], b[10:30] = 0, 0       # zero operands, alone and paired
+    assert np.array_equal(t.add_arr(a, b), digit_table_add(t, a, b))
+    assert np.array_equal(t.sub_arr(a, b), digit_table_sub(t, a, b))
+    assert np.array_equal(t.neg_arr(a), digit_table_neg(t, a))
+    assert np.array_equal(t.add_arr(a[:, None], b[None, :9]),
+                          digit_table_add(t, a[:, None], b[None, :9]))
+    # packed vectors over k m e base-p digits, as `_mark_lines` adds them
+    u, v = rng.integers(0, t.order, (2, 50, k))
+    u[:5] = 0
+    qpow = t.order ** np.arange(k - 1, -1, -1)
+    assert np.array_equal(
+        add_digits(u @ qpow, v @ qpow, t.base.p, k * t.m * t.base.e),
+        digit_table_add(t, u, v) @ qpow)
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
 def test_small_field_tables_match_schoolbook(q):
-    # SmallField(p^e) takes its tables from FieldTower(p, e); the
-    # reference multiplies F_p-polynomials mod the same default modulus
+    # SmallField(p^e) takes its product table from FieldTower(p, e) and
+    # its sums from add_digits; the reference multiplies F_p-polynomials
+    # mod the same default modulus and adds digit by digit
     F = SmallField(q)
     t = make_tower(F.p, F.e)
     for x in range(q):

@@ -1,14 +1,17 @@
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ranksat import (QSystem, construct_identity_block, cutting_system_6_3,
-                     gabidulin, linear_set, make_tower, saturation_radius,
-                     tower_from_json, weight_spectrum)
+from ranksat import (FieldError, QSystem, construct_identity_block,
+                     cutting_system_6_3, gabidulin, linear_set, make_tower,
+                     saturation_radius, tower_from_json, weight_spectrum)
 from ranksat import interchange as io
 from ranksat.cli import main
 from ranksat.covering import SaturationCertificate
+from ranksat.qsystem import random_system
 
 
 def test_field_json_round_trip(tower9):
@@ -87,6 +90,48 @@ def test_certificate_json_round_trip(tower4):
     doc = json.loads(json.dumps(cert.to_json()))
     replay = SaturationCertificate.from_json(doc, tower4)
     assert replay.verify(sysm)
+
+
+# (q, m) for the JSON round trips: prime and non-prime bases, odd and even
+JSON_FIELDS = [(2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (9, 1), (7, 1)]
+
+
+def _via_text(doc):
+    return json.loads(json.dumps(doc))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(JSON_FIELDS), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_json_round_trips(qm, random_modulus, seed):
+    rng = random.Random(seed)
+    q, m = qm
+    tower = make_tower(q, m)
+    while random_modulus:
+        try:
+            tower = make_tower(q, m, [rng.randrange(q) for _ in range(m)]
+                               + [1])
+            break
+        except FieldError:         # reducible; draw again
+            continue
+    assert tower_from_json(_via_text(tower.to_json())) == tower
+    k = rng.randint(1, 2)
+    sysm = random_system(tower, k, rng.randint(k, m * k), rng)
+    t2, G = io.matrix_from_json(
+        _via_text(io.matrix_to_json(tower, sysm.generator)))
+    assert t2 == tower and np.array_equal(G, sysm.generator)
+    # linear sets are written only: each point reads back from its digits
+    ls = linear_set(sysm)
+    doc = _via_text(io.linear_set_to_json(ls))
+    assert [[tower.from_digits(d) for d in e["point"]] for e in doc] == \
+        ls.points.tolist()
+    assert [e["weight"] for e in doc] == ls.weights.tolist()
+    _, cert = saturation_radius(sysm)
+    back = SaturationCertificate.from_json(_via_text(cert.to_json()), tower)
+    assert (back.rho, back.k, back.n, back.witnesses, back.tightness,
+            back.system_hash) == (cert.rho, cert.k, cert.n, cert.witnesses,
+                                  cert.tightness, cert.system_hash)
+    assert back.to_json() == cert.to_json()
 
 
 # ------------------------------------------------------------------- CLI
@@ -200,10 +245,14 @@ def test_cli_bounds_verify_paper(capsys):
     ["construct", "--family", "identity-block", "--q", "6"],
     ["construct", "--family", "identity-block", "--k", "2", "--rho", "5"],
     ["construct", "--family", "rho1", "--v", "1,x"],
-    ["construct", "--family", "f-sum", "--left", "/nonexistent"]],
+    ["construct", "--family", "f-sum", "--left", "/nonexistent"],
+    ["construct", "--family", "rho1", "--k", "0"],
+    ["construct", "--family", "identity-block", "--out",
+     "/nonexistent/x.json"]],
     ids=["bounds-q6", "bounds-q1", "bounds-m0", "bounds-rhomax0",
          "search-q6", "construct-q6", "construct-rho5", "construct-bad-v",
-         "construct-missing-left"])
+         "construct-missing-left", "construct-k0",
+         "construct-out-missing-dir"])
 def test_cli_rejects_invalid_parameters(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
