@@ -33,8 +33,7 @@ from .bounds import gaussian_binomial
 from .gftower import FieldTower, add_digits, expand
 from .interchange import _is_int
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
-                     ext_matmul, fq_span_vectors, min_rank_distance,
-                     rank_weight_batch)
+                     ext_matmul, min_rank_distance, rank_weight_batch)
 from .qsystem import (PointIndexer, QSystem, SystemError_, expanded_columns,
                       linear_set, is_scattered)
 
@@ -47,12 +46,69 @@ class ConsistencyError(AssertionError):
 
 
 # ----------------------------------------------------------------------
-# Syndrome sweep: one marking loop for the rank and Hamming layers
+# Flat marking, shared by the coefficient and geometric sweeps
 # ----------------------------------------------------------------------
 
-# Marks per chunk; bounds the size of the sweep's intermediates.
+# Marks per chunk; bounds the size of the sweeps' intermediates.
 _MARK_CHUNK = 1 << 16
 
+
+def _line_bases(a, u, tower: FieldTower):
+    """RREF bases (R, pivots) of lines through canonical points a != u."""
+    rows = np.arange(a.shape[0])
+    ja, ju = np.argmax(a != 0, axis=1), np.argmax(u != 0, axis=1)
+    swap = (ju < ja)[:, None]
+    top, other = np.where(swap, u, a), np.where(swap, a, u)
+    other = np.where((ja == ju)[:, None], tower.sub_arr(other, top), other)
+    j1, j2 = np.minimum(ja, ju), np.argmax(other != 0, axis=1)
+    R2 = tower.mul_arr(tower.inv_arr(other[rows, j2])[:, None], other)
+    R1 = tower.sub_arr(top, tower.mul_arr(top[rows, j2][:, None], R2))
+    return np.stack([R1, R2], axis=1), np.stack([j1, j2], axis=1)
+
+
+def _distinct_flats(R, pivots, indexer: PointIndexer, seen=None):
+    """(first, seen): the ascending first positions of the distinct flats
+    of the RREF bases R (b, w, k) (all b if a key, the indices of the
+    rows, overflows), less those keyed in `seen`, returned updated."""
+    b, w, _ = R.shape
+    if indexer.total ** w >= 1 << 63:
+        return np.arange(b), seen
+    key, first = np.unique((indexer.off[pivots] + R @ indexer.qpow)
+                           @ indexer.total ** np.arange(w - 1, -1, -1),
+                           return_index=True)
+    if seen is not None:
+        new = np.searchsorted(seen, key) == np.searchsorted(seen, key, "right")
+        key, first = key[new], first[new]
+        seen = np.sort(np.concatenate([seen, key]), kind="stable")
+    return np.sort(first), seen
+
+
+def _flat_points(R, pivots, indexer: PointIndexer) -> np.ndarray:
+    """The (Q^w - 1)/(Q - 1) point indices of each flat spanned by the
+    RREF bases R (b, w, k) with pivot columns `pivots` (b, w): canonical
+    R_i + sum_{j > i} mu_j R_j is off[pivot_i] + packed R_i added to the
+    packed span of the rows below, grown a row and 5 digits of mu a step."""
+    tower, (b, w, k) = indexer.tower, R.shape
+    p, me = tower.base.p, tower.m * tower.base.e
+    steps = [np.arange(p ** min(5, me - t)) * p ** t for t in range(0, me, 5)]
+    packed = R @ indexer.qpow
+    span, out = None, []    # no rows below: the span is {0}
+    for i in range(w - 1, -1, -1):
+        row = packed[:, i, None]
+        out.append(indexer.off[pivots[:, i], None]
+                   + (row if span is None else add_digits(row, span, p,
+                                                          k * me)))
+        for mus in (steps if i else []):
+            mults = tower.mul_arr(R[:, i, None], mus[:, None]) @ indexer.qpow
+            span = mults if span is None else add_digits(
+                span[:, None], mults[:, :, None], p, k * me).reshape(
+                    b, mus.size * span.shape[1])
+    return np.concatenate(out, axis=1)
+
+
+# ----------------------------------------------------------------------
+# Syndrome sweep: one loop for the rank and Hamming layers
+# ----------------------------------------------------------------------
 
 def _check_space(total: int, budget: int) -> None:
     if total > budget:
@@ -77,21 +133,13 @@ def _cone(tower: FieldTower, V) -> np.ndarray:
     return tower.mul_arr(np.arange(1, tower.order)[:, None], V[:, None, :])
 
 
-def _independent(tower: FieldTower, gammas: np.ndarray) -> np.ndarray:
-    """The rows of `gammas` (first coordinate 1) with F_q-independent
-    coordinates: gamma_j is outside F_q + <gamma_1..gamma_{j-1}>_{F_q},
-    where F_q holds the codes below q."""
-    for j in range(1, gammas.shape[1]):
-        S = fq_span_vectors(gammas[:, 1:j], tower)
-        outside = tower.add_arr(gammas[:, j], S) >= tower.base.q
-        gammas = gammas[outside.all(axis=0)]
-    return gammas
-
-
-def _subspace_level(H, tower: FieldTower, w: int, per: int):
+def _subspace_level(H, points: PointIndexer, w: int, per: int):
     """Level w of the rank sweep, or None past min(n, m): ("rank", its
-    charge [n w]_q Q^w, `_independent`, chunks (M, H M^T) of at most
-    `per` RREF bases M of the w-dimensional F_q-row spaces)."""
+    charge [n w]_q Q^w, chunks (M, B, marks) over at most `per` RREF
+    bases M of the w-dimensional F_q-row spaces), keeping the first M of
+    each column span of B = H M^T of rank w, marks its points (one of
+    lower rank is B(gamma + c gamma_0), B gamma_0 = 0, reached before)."""
+    tower = points.tower
     n = H.shape[1]
     if w > min(n, tower.m):
         return None
@@ -101,53 +149,71 @@ def _subspace_level(H, tower: FieldTower, w: int, per: int):
         batches = (b for _, b in fqlinalg.rref_subspaces(n, w, tower.base))
         if count <= per:    # a small level is one chunk, not one per batch
             batches = [np.concatenate(list(batches))]
-        for b in batches:
-            for lo in range(0, b.shape[0], per):
-                Ms = b[lo:lo + per]
-                yield Ms, ext_matmul(H, Ms.transpose(0, 2, 1), tower)
-    return "rank", count * tower.order ** w, _independent, chunks()
+        for Ms in (b[lo:lo + per] for b in batches
+                   for lo in range(0, len(b), per)):
+            B = ext_matmul(H, Ms.transpose(0, 2, 1), tower)
+            if w == 1:      # the RREF of B^T is its canonical scaling
+                _, idx, keep = points.canonicalize(B[:, :, 0])
+                yield Ms[keep], B[keep], idx[:, None]
+                continue
+            if w == 2:      # two distinct points span a line
+                full = np.flatnonzero(B.any(axis=1).all(axis=1))
+                W, idx, _ = points.canonicalize(
+                    B[full].transpose(0, 2, 1).reshape(-1, points.k))
+                line = idx[0::2] != idx[1::2]
+                full = full[line]
+                R, pivots = _line_bases(W[0::2][line], W[1::2][line], tower)
+            else:
+                R, pivots, rank = fqlinalg.echelon(B.transpose(0, 2, 1),
+                                                   tower)
+                full = np.flatnonzero(rank == w)
+                R, pivots = R[full], pivots[full]
+            first = _distinct_flats(R, pivots, points)[0]
+            yield (Ms[full[first]], B[full[first]],
+                   _flat_points(R[first], pivots[first], points))
+    return "rank", count * tower.order ** w, chunks()
 
 
-def _support_level(H, tower: FieldTower, w: int, per: int):
+def _support_level(H, points: PointIndexer, w: int, per: int):
     """Level w of the Hamming sweep, or None past n: ("Hamming weight",
-    its charge C(n, w) (Q-1)^w, every gamma, chunks (M, H M^T) of at
-    most `per` selection matrices M of the w-subsets S of the
-    coordinates, for which H M^T is the column gather H[:, S])."""
+    its charge C(n, w) (Q-1)^w, chunks (M, B, marks) over at most `per`
+    selection matrices M of the w-subsets S, B = H[:, S]), marking B gamma
+    for gamma with no zero coordinate, not the flat (1 point over F_2)."""
     n = H.shape[1]
     if w > n:
         return None
 
     def chunks():
+        # the points of PG(w-1, Q) with no zero coordinate
+        gammas = 1 + np.indices((1,) + (points.Q - 1,) * (w - 1)).reshape(
+            w, -1)
         supports = combinations(range(n), w)
         while chunk := list(islice(supports, per)):
             S = np.array(chunk)
-            yield np.eye(n, dtype=np.int64)[S], H[:, S].transpose(1, 0, 2)
-    return ("Hamming weight", comb(n, w) * (tower.order - 1) ** w,
-            lambda tower, gammas: gammas, chunks())
+            B = H[:, S].transpose(1, 0, 2)
+            V = ext_matmul(B, gammas, points.tower).transpose(0, 2, 1)
+            yield (np.eye(n, dtype=np.int64)[S], B,
+                   points.canonicalize(V.reshape(-1, points.k))[1])
+    return "Hamming weight", comb(n, w) * (points.Q - 1) ** w, chunks()
 
 
 def _rank_layers(H, tower: FieldTower, budget: int,
                  first_touch: dict | None = None, level=_subspace_level):
     """Yield (w, covered) after marking {H x^T : x = gamma M, M of a
     level <= w} for w = 0, 1, ... until every syndrome is covered.  Level
-    w is `level(H, tower, w, per)`: its label, its charge, a selection
-    `select(tower, gammas)` of the gammas it marks and chunks (M, H M^T)
-    of at most `per` w x n matrices M.  `_subspace_level` takes M over
-    the RREF bases of the F_q-row spaces of dimension w (x over rank
-    weight <= w), `_support_level` over the w-subsets of the coordinates
-    (x over Hamming weight <= w).
+    w is `level(H, points, w, per)`: its label, its charge and chunks
+    (M, B, marks), B = H M^T, M over the RREF bases of the F_q-row spaces
+    of dimension w (x over rank weight <= w) or the w-subsets of the
+    coordinates (x over Hamming weight <= w).
 
     H (c x)^T = c H x^T, so `covered` is one bitmap over the points of
-    PG(r-1, Q), updated in place.  Level w marks B gamma, B = H M^T, for
-    the selected gammas among the (Q-1)^(w-1) points of PG(w-1, Q) with
-    no zero coordinate (a zero drops a row of M, so that x was reached at
-    a lower level; B gamma = 0 marks nothing), and stops once the bitmap
-    is full; its charge does not depend on the stop.  The rank level
-    keeps only F_q-independent gammas (else gamma M has rank below w).
-    When `first_touch` is a dict it collects, for each syndrome (a
-    tuple), the first x = gamma * M (M, then gamma over F_{q^m}^w) that
-    reaches it: the first M of a chunk to reach a point reaches all its
-    multiples, so only those M are replayed over all gamma.
+    PG(r-1, Q), updated in place; rank level w is the union of the column
+    spans (flats) of B.  A level stops once the bitmap is full (its
+    charge does not depend on the stop).  When `first_touch` is a dict it
+    collects, for each syndrome (a tuple), the first x = gamma * M (M,
+    then gamma over F_{q^m}^w) of the rank sweep that reaches it: the
+    first M of a chunk whose flat holds a point reaches its multiples, so
+    only those M are replayed over all gamma.
     """
     H = np.atleast_2d(np.asarray(H, dtype=np.int64))
     r = H.shape[0]
@@ -161,38 +227,32 @@ def _rank_layers(H, tower: FieldTower, budget: int,
     yield w, covered
     while left:
         w += 1
-        pg = PointIndexer(tower, w)
         per = max(1, _MARK_CHUNK // (Q - 1) ** (w - 1))
-        lvl = level(H, tower, w, per)
+        lvl = level(H, points, w, per)
         if lvl is None:
             raise RuntimeError("sweep failed to terminate (unreachable)")
-        what, charge, select, chunks = lvl
+        what, charge, chunks = lvl
         work = _charge(work, charge, budget, what, w,
                        (1 + (Q - 1) * (points.total - left)) / Q ** r)
-        gammas = pg.decode(np.arange(pg.total))
-        gammas = select(tower, gammas[(gammas != 0).all(axis=1)]).T
         fresh = 0      # bounds the points newly covered since `left`
-        for Ms, B in chunks:
-            V = ext_matmul(B, gammas, tower).transpose(0, 2, 1)
-            W, pidx, keep = points.canonicalize(V.reshape(-1, r))
-            new = ~covered[pidx]
+        for Ms, B, marks in chunks:
+            new = ~covered[marks]
             if first_touch is not None and new.any():
-                _, first = np.unique(pidx[new], return_index=True)
-                subs = np.unique(np.flatnonzero(keep)[new][first]
-                                 // gammas.shape[1])
+                uniq, first = np.unique(marks[new], return_index=True)
+                subs = np.unique(np.nonzero(new)[0][first])
                 # the affine gamma grid, first coordinate most significant
-                grid = np.arange(Q ** w) // pg.qpow[:, None] % Q
+                grid = np.indices((Q,) * w).reshape(w, -1)
                 idx = (ext_matmul(B[subs], grid, tower).transpose(0, 2, 1)
                        @ points.qpow).ravel()
-                uniq, pos = np.unique(idx, return_index=True)
-                targets = _cone(tower, W[new][first]).reshape(-1, r)
+                found, pos = np.unique(idx, return_index=True)
+                targets = _cone(tower, points.decode(uniq)).reshape(-1, r)
                 # pos = subs index * Q^w + gamma's column of the grid
-                pos = pos[np.searchsorted(uniq, targets @ points.qpow)]
+                pos = pos[np.searchsorted(found, targets @ points.qpow)]
                 x = ext_matmul(grid.T[pos % Q ** w, None],
                                Ms[subs[pos // Q ** w]], tower)[:, 0]
                 first_touch.update(zip(map(tuple, targets.tolist()),
                                        map(tuple, x.tolist())))
-            covered[pidx] = True
+            covered[marks] = True
             fresh += np.count_nonzero(new)
             if fresh >= left:
                 left, fresh = points.total - int(np.count_nonzero(covered)), 0
@@ -301,20 +361,6 @@ class SaturationCertificate:
                    data.get("system_hash", ""))
 
 
-def _coverage_through_level(G, tower: FieldTower, w_max: int, budget: int
-                            ) -> np.ndarray:
-    """Bitmap of packed targets reachable with coefficient rank <= w_max."""
-    for w, covered in _rank_layers(G, tower, budget):
-        if w == w_max:
-            break
-    points = PointIndexer(tower, np.atleast_2d(G).shape[0])
-    affine = np.zeros(tower.order ** points.k, dtype=bool)
-    affine[0] = True
-    reps = points.decode(np.flatnonzero(covered))
-    affine[_cone(tower, reps) @ points.qpow] = True
-    return affine
-
-
 def system_hash(sys: QSystem) -> str:
     payload = json.dumps({"q": sys.tower.base.q, "m": sys.tower.m,
                           "modulus": list(sys.tower.modulus),
@@ -334,10 +380,12 @@ def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET,
     tight = None
     for rho, covered in _rank_layers(sys.generator, tower, budget,
                                      first_touch):
-        if not covered.all():
-            # the least packed target missed (a point's least multiple)
-            reps = points.decode(np.flatnonzero(~covered))
-            tight = tuple(reps[np.argmin(reps @ points.qpow)].tolist())
+        # least target missed: blocks (pivots) are in decreasing packed order
+        for lo, hi in zip(points.base[-2::-1], points.base[:0:-1]):
+            if not covered[lo:hi].all():
+                tight = tuple(points.decode(lo + np.argmin(covered[lo:hi]))[0]
+                              .tolist())
+                break
     cert = SaturationCertificate(rho, sys.k, sys.n, tower, first_touch or {},
                                  tight, system_hash(sys))
     return rho, cert
@@ -349,51 +397,6 @@ def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET,
 
 _FRONTIER_CHUNK = 1 << 16
 _WORK_HARD_CAP = 1 << 33
-
-
-def _mark_lines(a, u, indexer: PointIndexer, covered: np.ndarray,
-                seen: np.ndarray | None = None) -> np.ndarray | None:
-    """Mark every point on the line through canonical points a[i] != u[i].
-
-    The RREF basis (R1, R2) of a line puts R1's pivot at 1 and R2's
-    entry there at 0, so R2 and every R1 + mu R2 are already canonical:
-    their indices follow from packed vectors (summed by `add_digits`),
-    with no canonicalize.
-    Each distinct line of the call is marked once (when its key fits in
-    an int64); when `seen` (the sorted keys of lines marked earlier) is
-    given, lines in it are skipped and the updated keys are returned.
-    """
-    tower, k, total, Q = indexer.tower, indexer.k, indexer.total, indexer.Q
-    rows = np.arange(a.shape[0])
-    ja, ju = np.argmax(a != 0, axis=1), np.argmax(u != 0, axis=1)
-    swap = (ju < ja)[:, None]
-    top, other = np.where(swap, u, a), np.where(swap, a, u)
-    other = np.where((ja == ju)[:, None], tower.sub_arr(other, top), other)
-    j1, j2 = np.minimum(ja, ju), np.argmax(other != 0, axis=1)
-    R2 = tower.mul_arr(tower.inv_arr(other[rows, j2])[:, None], other)
-    R1 = tower.sub_arr(top, tower.mul_arr(top[rows, j2][:, None], R2))
-    off = indexer.base[:-1] - indexer.qpow
-    r1, i2 = R1 @ indexer.qpow, off[j2] + R2 @ indexer.qpow
-    if total ** 2 < 1 << 63:
-        # a line's key is (index of R1) * total + (index of R2)
-        key, first = np.unique((off[j1] + r1) * total + i2,
-                               return_index=True)
-        if seen is not None:
-            new = (np.searchsorted(seen, key)
-                   == np.searchsorted(seen, key, side="right"))
-            key, first = key[new], first[new]
-            seen = np.sort(np.concatenate([seen, key]), kind="stable")
-        r1, i2, j1, R2 = r1[first], i2[first], j1[first], R2[first]
-    covered[i2] = True
-    per = max(1, _MARK_CHUNK // Q)
-    for s in range(0, r1.size, per):
-        # packed mu R2 for every mu, added to packed R1 digit by digit
-        table = tower.mul_arr(R2[s:s + per, None], np.arange(Q)[:, None]) \
-            @ indexer.qpow
-        marks = add_digits(r1[s:s + per, None], table, tower.base.p,
-                           k * tower.m * tower.base.e)
-        covered[off[j1[s:s + per], None] + marks] = True
-    return seen
 
 
 def _geometric_layers(sys: QSystem, budget: int):
@@ -449,9 +452,11 @@ def _geometric_layers(sys: QSystem, budget: int):
             pairs = (np.ones((f, hi - lo), dtype=bool) if level > 2 else
                      np.arange(f)[:, None] > np.arange(lo, hi))
             ia, iu = np.nonzero(pairs)
-            if ia.size:
-                seen = _mark_lines(frontier[ia], L[lo + iu], indexer,
-                                   covered, seen)
+            R, pivots = _line_bases(frontier[ia], L[lo + iu], tower)
+            first, seen = _distinct_flats(R, pivots, indexer, seen)
+            for s in range(0, first.size, max(1, _MARK_CHUNK // Q)):
+                t = first[s:s + max(1, _MARK_CHUNK // Q)]
+                covered[_flat_points(R[t], pivots[t], indexer)] = True
             lo, per = hi, min(2 * per, max(1, _FRONTIER_CHUNK // f))
         if not covered.all():
             newly = np.nonzero(covered & ~before)[0]

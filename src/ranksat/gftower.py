@@ -59,17 +59,19 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 @cache
 def _block_tables(p: int):
-    """(P, T, N) for blocks of base-p digits, P the largest power of p up
-    to 256 (p itself when p > 16): T[a P + b] = a + b and N[a] = -a,
-    digit by digit mod p, for a, b < P.  Built once per p."""
+    """(P, add, neg) for blocks of base-p digits, P the largest power of p
+    up to 256 (p itself, with no table, when p > 16): add(a, b) = a + b
+    and neg(a) = -a, digit by digit mod p, for a, b < P.  Built once."""
+    if p > 16:
+        return p, lambda a, b: (a + b) % p, lambda a: -a % p
     x = np.arange(p)
     T = N = np.zeros(1, dtype=np.int64)
-    while len(N) == 1 or len(N) * p <= 256:     # append a low digit
+    while len(N) * p <= 256:     # append a low digit
         T = (T.reshape(len(N), 1, len(N), 1) * p
              + ((x[:, None] + x) % p)[:, None]).ravel()
         N = (N[:, None] * p + (-x % p)).ravel()
     T.flags.writeable = N.flags.writeable = False   # shared by all callers
-    return len(N), T, N
+    return len(N), lambda a, b: T[a * len(N) + b], N.__getitem__
 
 
 def _by_blocks(f, p: int, n: int, *X):
@@ -88,18 +90,16 @@ def _by_blocks(f, p: int, n: int, *X):
 
 def add_digits(A, B, p: int, n: int):
     """Digit-wise sum mod p of integer arrays packing n base-p digits: XOR
-    when p = 2, else one gather per block (one in all when p^n <= 256)."""
+    when p = 2, else one table gather (or sum mod p) per block."""
     if p == 2:
         return np.bitwise_xor(A, B)
-    P, T, _ = _block_tables(p)
-    return _by_blocks(lambda a, b: T[a * P + b], p, n, A, B)
+    return _by_blocks(_block_tables(p)[1], p, n, A, B)
 
 
 def neg_digits(A, p: int, n: int):
     """Digit-wise negation mod p of an integer array packing n base-p
     digits (a copy of A when p = 2)."""
-    return np.array(A) if p == 2 else \
-        _by_blocks(_block_tables(p)[2].__getitem__, p, n, A)
+    return np.array(A) if p == 2 else _by_blocks(_block_tables(p)[2], p, n, A)
 
 
 # ----------------------------------------------------------------------

@@ -66,7 +66,7 @@ class QSystem:
 
 class PointIndexer:
     """Dense index of PG(k-1, Q): canonical reps scale the first nonzero
-    coordinate to 1; index blocks are grouped by that position."""
+    coordinate j to 1, and have index off[j] + (packed base Q)."""
 
     def __init__(self, tower: FieldTower, k: int):
         Q = tower.order
@@ -75,11 +75,9 @@ class PointIndexer:
         self.Q = Q
         self.qpow = np.array([Q ** (k - 1 - i) for i in range(k)],
                              dtype=np.int64)
-        base = np.zeros(k + 1, dtype=np.int64)
-        for j in range(k):
-            base[j + 1] = base[j] + Q ** (k - 1 - j)
-        self.base = base
-        self.total = int(base[k])          # (Q^k - 1)/(Q - 1)
+        self.base = np.concatenate([[0], np.cumsum(self.qpow)])
+        self.off = self.base[:-1] - self.qpow
+        self.total = int(self.base[k])     # (Q^k - 1)/(Q - 1)
 
     def canonicalize(self, V: np.ndarray):
         """Canonical reps and indices for the nonzero rows of V.
@@ -97,7 +95,7 @@ class PointIndexer:
         piv = V[np.arange(V.shape[0]), j]
         t = self.tower
         W = t._exp[t._log[V] + t._log[t._inv_table[piv]][:, None]]
-        idx = W @ self.qpow + (self.base[j] - self.qpow[j])
+        idx = W @ self.qpow + self.off[j]
         return W, idx, keep
 
     def index_of(self, v) -> int:
@@ -110,11 +108,8 @@ class PointIndexer:
         """Canonical representative vectors for an index array."""
         idx = np.asarray(idx, dtype=np.int64).ravel()
         j = np.searchsorted(self.base, idx, side="right") - 1
-        tail = idx - self.base[j] + self.qpow[j]
-        W = np.zeros((idx.size, self.k), dtype=np.int64)
-        for i in range(self.k):
-            W[:, i] = (tail // self.qpow[i]) % self.Q
-        return W
+        tail = idx - self.off[j]
+        return tail[:, None] // self.qpow % self.Q
 
 
 class LinearSet:

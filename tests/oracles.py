@@ -337,6 +337,30 @@ def _span_marks(B, tower, first=0):
     return acc @ ppow
 
 
+def affine_coverage(covered, tower, r):
+    """The affine bitmap over F_{q^m}^r (packed targets, first entry most
+    significant) of a projective bitmap over PG(r-1, Q): zero and every
+    multiple of each covered point."""
+    from ranksat.covering import _cone
+    from ranksat.qsystem import PointIndexer
+    points = PointIndexer(tower, r)
+    affine = np.zeros(tower.order ** r, dtype=bool)
+    affine[0] = True
+    reps = points.decode(np.flatnonzero(covered))
+    affine[_cone(tower, reps) @ points.qpow] = True
+    return affine
+
+
+def coverage_through_level(G, tower, w_max, budget):
+    """Bitmap of packed targets that the package's `_rank_layers` reaches
+    with coefficient rank <= w_max."""
+    from ranksat.covering import _rank_layers
+    for w, covered in _rank_layers(G, tower, budget):
+        if w == w_max:
+            break
+    return affine_coverage(covered, tower, np.atleast_2d(G).shape[0])
+
+
 def affine_rank_layers(H, tower, budget, first_touch=None):
     """The coefficient sweep over an affine bitmap: yield (w, covered)
     after marking the packed indices of all Q^w multiples gamma * M of

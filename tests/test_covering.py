@@ -18,7 +18,7 @@ from ranksat.qsystem import SystemError_, random_code
 from oracles import (brute_cutting, brute_hamming_covering_radius,
                      brute_is_maximal, brute_is_minimal,
                      brute_rank_covering_radius, brute_saturation_radius,
-                     degenerate_code)
+                     coverage_through_level, degenerate_code)
 
 
 # ----------------------------------------------------------------- radii
@@ -478,11 +478,10 @@ def test_lifted_cutting_set_coefficient_sweep(tower16, tower256):
 # ------------------------------------------------------ sweep soundness
 
 def test_coverage_monotone_and_complete_at_rho(tower4):
-    from ranksat.covering import _coverage_through_level
     sysm = construct_identity_block(tower4, 3, 2)
     fractions = []
     for w in range(0, 3):
-        cov = _coverage_through_level(sysm.generator, tower4, w, 1 << 26)
+        cov = coverage_through_level(sysm.generator, tower4, w, 1 << 26)
         fractions.append(float(cov.sum()) / cov.size)
     assert fractions == sorted(fractions)
     assert fractions[1] < 1.0

@@ -5,6 +5,7 @@ Frobenius identities, for default and random irreducible moduli.
 """
 
 import random
+from functools import cache
 
 import numpy as np
 import pytest
@@ -103,10 +104,11 @@ def test_field_axioms_and_frobenius(case, random_modulus, seed):
 
 
 # (q, m) for the block-table addition: one block (3^3, 5^3, 9^2), several
-# blocks (3^6, 3^7, 5^4, 7^3, 9^3, and 17^2, whose blocks hold one digit)
-# and characteristic 2 (4^3)
+# blocks (3^6, 3^7, 5^4, 7^3, 9^3), one digit to a block and no table
+# (17^2, 257^2, 1021^1) and characteristic 2 (4^3)
 KERNEL_CASES = [(3, 3), (5, 3), (9, 2), (3, 6), (3, 7), (5, 4), (7, 3),
-                (9, 3), (17, 2), (4, 3)]
+                (9, 3), (17, 2), (257, 2), (1021, 1), (4, 3)]
+_kernel_tower = cache(make_tower)      # F_{257^2} takes ~1 s to build
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES,
@@ -114,7 +116,7 @@ KERNEL_CASES = [(3, 3), (5, 3), (9, 2), (3, 6), (3, 7), (5, 4), (7, 3),
 @PROPERTY
 @given(st.integers(2, 4), SEEDS)
 def test_add_kernel_matches_digit_table(case, k, seed):
-    t = make_tower(*case)
+    t = _kernel_tower(*case)
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, t.order, (2, 200))
     a[:20], b[10:30] = 0, 0       # zero operands, alone and paired
@@ -123,7 +125,9 @@ def test_add_kernel_matches_digit_table(case, k, seed):
     assert np.array_equal(t.neg_arr(a), digit_table_neg(t, a))
     assert np.array_equal(t.add_arr(a[:, None], b[None, :9]),
                           digit_table_add(t, a[:, None], b[None, :9]))
-    # packed vectors over k m e base-p digits, as `_mark_lines` adds them
+    # packed vectors over k m e base-p digits, as `_flat_points` adds
+    # them; like its packed points they fit an int64
+    k = min(k, 3) if t.order ** k >= 1 << 63 else k
     u, v = rng.integers(0, t.order, (2, 50, k))
     u[:5] = 0
     qpow = t.order ** np.arange(k - 1, -1, -1)

@@ -22,16 +22,16 @@ from ranksat import (BudgetExceeded, QSystem, associated_code, covering,
                      linear_set, make_tower, rank_covering_radius,
                      random_system, saturation_radius,
                      saturation_radius_geometric)
-from ranksat.covering import (_coverage_through_level, _geometric_layers,
-                              _rank_layers)
+from ranksat.covering import _geometric_layers, _rank_layers
 from ranksat.linalg import ext_matmul, rank_weight
 from ranksat.qsystem import PointIndexer, SystemError_, random_code
 
-from oracles import (affine_hamming_covering_radius, affine_rank_layers,
-                     affine_saturation_radius, brute_cutting,
+from oracles import (affine_coverage, affine_hamming_covering_radius,
+                     affine_rank_layers, affine_saturation_radius,
+                     brute_cutting,
                      brute_hamming_covering_radius, brute_is_minimal,
                      brute_min_coefficient_rank, brute_rank_covering_radius,
-                     degenerate_code)
+                     coverage_through_level, degenerate_code)
 
 TOWERS = {qm: make_tower(*qm) for qm in [(2, 2), (2, 3), (3, 2), (4, 2)]}
 
@@ -43,6 +43,15 @@ SYSTEMS = [(qm, k, n) for qm in TOWERS for k in (1, 2, 3)
 # (q, m), k, N with at most 4096 (word, codeword) oracle pairs
 CODES = [(qm, k, N) for qm in TOWERS for N in range(1, 5)
          for k in range(1, N + 1) if TOWERS[qm].order ** (N + k) <= 4096]
+
+# parity-check matrices: of the dual of a system's code (the system's
+# generator), and of a random [N, k] code.  DEEP holds systems of radius 3
+# ([3, 3] over F_8/F_2, [4, 3] and [5, 4] over F_16/F_2), whose level 3
+# has flats of rank below 3 when they are nonscattered; they are drawn as
+# often as the rest together
+PARITY = [("dual", c) for c in SYSTEMS] + [("code", c) for c in CODES]
+F16 = make_tower(2, 4)
+DEEP = [("dual", c) for c in [((2, 3), 3, 3), ((2, 4), 3, 4), ((2, 4), 4, 5)]]
 
 # (q, m), k, N with at most 2^12 syndromes, over the towers and F_3, F_5
 HAMMING = [(qm, k, N) for qm in [*TOWERS, (3, 1), (5, 1)]
@@ -82,7 +91,7 @@ def test_coefficient_sweep_matches_oracle(case, seed):
     rho, cert = saturation_radius(sysm)
     assert rho == least.max()
     for w in range(rho + 1):
-        covered = _coverage_through_level(G, tower, w, 1 << 26)
+        covered = coverage_through_level(G, tower, w, 1 << 26)
         assert np.array_equal(covered, least <= w)
     # every nonzero target has a witness of its least coefficient rank
     assert len(cert.witnesses) == Q ** k - 1
@@ -142,7 +151,7 @@ def test_projective_sweep_matches_affine_oracle(case, nonscattered, chunk,
     levels = [c.copy() for _, c in affine_rank_layers(G, tower, 1 << 26)]
     assert len(levels) == rho + 1
     for w, covered in enumerate(levels):
-        assert np.array_equal(_coverage_through_level(G, tower, w, 1 << 26),
+        assert np.array_equal(coverage_through_level(G, tower, w, 1 << 26),
                               covered)
     dual = associated_code(sysm).dual()
     for w, _ in affine_rank_layers(dual.parity_check, tower, 1 << 26):
@@ -155,6 +164,68 @@ def test_projective_sweep_matches_affine_oracle(case, nonscattered, chunk,
     budget = rng.randint(1, work + 1)
     assert (_outcome(lambda: saturation_radius(sysm, budget)[0])
             == _outcome(lambda: affine_saturation_radius(sysm, budget)[0]))
+
+
+def _parity_check(case, nonscattered, rng):
+    """(tower, H) for a PARITY or DEEP case."""
+    kind, (qm, k, n) = case
+    tower = F16 if qm == (2, 4) else TOWERS[qm]
+    if kind == "dual":
+        return tower, associated_code(_system(tower, k, n, nonscattered,
+                                              rng)).dual().parity_check
+    return tower, random_code(tower, k, n, rng).parity_check
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(DEEP), st.sampled_from(PARITY)),
+       st.booleans(), st.sampled_from([5, 1 << 16]), SEEDS)
+def test_rank_level_matches_affine_oracle(case, nonscattered, chunk, seed):
+    # the rank level marks the flats of B = H M^T, the oracle every
+    # gamma M; a chunk of 5 marks puts the flats of a level, and repeats
+    # of one flat, into different chunks
+    rng = random.Random(seed)
+    tower, H = _parity_check(case, nonscattered, rng)
+    r = H.shape[0]
+    expected = [c.copy() for _, c in affine_rank_layers(H, tower, 1 << 26)]
+    with mock.patch.object(covering, "_MARK_CHUNK", chunk):
+        got = [affine_coverage(c, tower, r)
+               for _, c in _rank_layers(H, tower, 1 << 26)]
+        assert len(got) == len(expected)
+        for covered, oracle in zip(got, expected):
+            assert np.array_equal(covered, oracle)
+        work = 1 + sum(gaussian_binomial(H.shape[1], j, tower.base.q)
+                       * tower.order ** j for j in range(1, len(got)))
+        budget = rng.randint(1, work + 1)
+        assert (_outcome(lambda: [w for w, _ in _rank_layers(H, tower,
+                                                             budget)])
+                == _outcome(lambda: [w for w, _ in affine_rank_layers(
+                    H, tower, budget)]))
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(DEEP), st.sampled_from(PARITY)),
+       st.booleans(), st.sampled_from([5, 1 << 16]), SEEDS)
+def test_rank_level_marks_column_spans(case, nonscattered, per, seed):
+    # every M a level keeps has B = H M^T of F_{q^m}-rank w, and its row
+    # of marks holds each point of the column span of B once: the points
+    # of B gamma for all gamma != 0, canonicalized
+    tower, H = _parity_check(case, nonscattered, random.Random(seed))
+    Q, (r, n) = tower.order, H.shape
+    points = PointIndexer(tower, r)
+    for w in range(1, min(n, tower.m) + 1 if r else 1):
+        grid = np.indices((Q,) * w).reshape(w, -1)
+        for Ms, B, marks in covering._subspace_level(H, points, w, per)[2]:
+            assert np.array_equal(B, ext_matmul(H, Ms.transpose(0, 2, 1),
+                                                tower))
+            assert marks.shape == (len(Ms), (Q ** w - 1) // (Q - 1))
+            _, idx, keep = points.canonicalize(
+                ext_matmul(B, grid, tower).transpose(0, 2, 1).reshape(-1, r))
+            span = np.zeros((len(Ms), points.total), dtype=bool)
+            span[np.flatnonzero(keep) // Q ** w, idx] = True
+            flat = np.zeros_like(span)
+            flat[np.arange(len(Ms))[:, None], marks] = True
+            assert np.array_equal(flat, span)
+            assert (flat.sum(axis=1) == marks.shape[1]).all()
 
 
 def _invertible(size, field, order, rng):
