@@ -18,7 +18,7 @@ import numpy as np
 from . import fqlinalg
 from .gftower import ComplementBasis, FieldTower, make_tower
 from .linalg import RankCode, ext_matmul, rank_weight
-from .qsystem import QSystem, SystemError_, expanded_columns
+from .qsystem import QSystem, SystemError_
 
 
 # ----------------------------------------------------------------------
@@ -212,14 +212,17 @@ class Decomposition:
 
     def reconstruct(self, tower: FieldTower) -> np.ndarray:
         V = np.array(self.vectors, dtype=np.int64).reshape(-1, len(self.target))
+        if not len(V):
+            return np.zeros_like(self.target)
         scaled = tower.mul_arr(np.array(self.lams, dtype=np.int64)[:, None], V)
-        return reduce(tower.add_arr, scaled, np.zeros_like(self.target))
+        return reduce(tower.add_arr, scaled)
 
     def verify(self, sysm: QSystem) -> bool:
-        """Exact reconstruction plus membership of every u in U (checked
-        against the expanded generator, not the box shape).  False when a
-        lambda lacks its vector or is not a field element, or when the
-        target or a vector is not in F_{q^m}^k."""
+        """Exact reconstruction plus membership of every u in U, tested by
+        `QSystem.contains` (one product with U's cached parity check over
+        F_p, not the box shape; no elimination once it is built).  False
+        when a lambda lacks its vector or is not a field element, or when
+        the target or a vector is not in F_{q^m}^k."""
         tower, k, Q = sysm.tower, sysm.k, sysm.tower.order
         vectors = [np.asarray(u) for u in self.vectors]
         if (np.shape(self.target) != (k,)
@@ -232,9 +235,8 @@ class Decomposition:
             return False
         if not np.array_equal(self.reconstruct(tower), self.target):
             return False
-        cols = expanded_columns(np.column_stack([sysm.generator] + vectors),
-                                tower)
-        return fqlinalg.rank(cols, tower.base) == sysm.n
+        V = np.array(vectors, dtype=np.int64).reshape(-1, k)
+        return bool(sysm.contains(V).all())
 
 
 def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
@@ -251,6 +253,9 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     first candidate outside it, drawn from the complement basis first.
     The RREF of [module | bottom digits] that finds every bottom
     coordinate inside the module also holds their F_{q^t}-coordinates.
+    The constants of the system (the subfield embedding, its basis, the
+    default candidates and their digits) are built on the first call and
+    kept in `sysm.meta["decompose"]`.
     """
     if "box" not in sysm.meta:
         raise SystemError_(
@@ -264,9 +269,13 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
         raise SystemError_(f"target must have length {sysm.k}")
     if (v < 0).any() or (v >= tower.order).any():
         raise SystemError_(f"target codes must lie in 0..{tower.order - 1}")
-    emb = tower.subfield(t)
-    D = tower.digit_table()
-    sub_basis = emb.embed_table[emb.sub_tower._qpow]
+    if "decompose" not in sysm.meta:
+        emb = tower.subfield(t)
+        D = tower.digit_table()
+        alphas = [tower.pow(tower.alpha, j) for j in range(tower.m)]
+        sysm.meta["decompose"] = (emb, D, emb.embed_table[emb.sub_tower._qpow],
+                                  alphas, D[alphas].T)
+    emb, D, sub_basis, alphas, alpha_digits = sysm.meta["decompose"]
     top, bottom = v[:s], v[s:]
 
     # direct membership: one term suffices
@@ -288,11 +297,11 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     # the first pivot right of A in [A | candidates] is the first
     # candidate outside the module.
     gens = list(lams)
-    candidates = []
+    candidates, candidate_digits = alphas, alpha_digits
     if basis is not None and basis.t == t:
-        candidates.extend(basis.betas)
-    candidates.extend(tower.pow(tower.alpha, j) for j in range(tower.m))
-    bottom_digits, candidate_digits = D[bottom].T, D[candidates].T
+        candidates = list(basis.betas) + alphas
+        candidate_digits = np.hstack([D[basis.betas].T, alpha_digits])
+    bottom_digits = D[bottom].T
     while True:
         A = D[tower.mul_arr(np.array(gens, dtype=np.int64)[:, None],
                             sub_basis)].reshape(-1, tower.m).T
@@ -314,16 +323,11 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
                               @ X.reshape(len(gens), t, h)]
 
     # 4. assemble terms and drop the vacuous ones
-    lams_out: list[int] = []
-    vecs_out: list[np.ndarray] = []
-    for j, g in enumerate(gens):
-        u = np.zeros(sysm.k, dtype=np.int64)
-        if j < nu:
-            u[:s] = coeffs[:, j]
-        u[s:] = bottoms[j]
-        if g and u.any():
-            lams_out.append(g)
-            vecs_out.append(u)
+    U = np.zeros((len(gens), sysm.k), dtype=np.int64)
+    U[:nu, :s] = coeffs[:, :nu].T
+    U[:, s:] = bottoms
+    keep = np.flatnonzero(np.array(gens, dtype=bool) & U.any(axis=1))
+    lams_out, vecs_out = [gens[j] for j in keep], list(U[keep])
     dec = Decomposition(v.copy(), lams_out, vecs_out)
     assert np.array_equal(dec.reconstruct(tower), v), "reconstruction failed"
     return dec

@@ -145,12 +145,24 @@ def _subspace_level(H, points: PointIndexer, w: int, per: int):
         return None
     count = gaussian_binomial(n, w, tower.base.q)
 
+    def runs():
+        """The pivot batches of `rref_subspaces` regrouped, in order, into
+        runs of `per` bases (the last may be shorter); only a run that
+        spans batches is copied."""
+        held, size = [], 0
+        for _, b in fqlinalg.rref_subspaces(n, w, tower.base):
+            while len(b):
+                held.append(b[:per - size])
+                size += len(held[-1])
+                b = b[len(held[-1]):]
+                if size == per:
+                    yield np.concatenate(held) if len(held) > 1 else held[0]
+                    held, size = [], 0
+        if held:
+            yield np.concatenate(held)
+
     def chunks():
-        batches = (b for _, b in fqlinalg.rref_subspaces(n, w, tower.base))
-        if count <= per:    # a small level is one chunk, not one per batch
-            batches = [np.concatenate(list(batches))]
-        for Ms in (b[lo:lo + per] for b in batches
-                   for lo in range(0, len(b), per)):
+        for Ms in runs():
             B = ext_matmul(H, Ms.transpose(0, 2, 1), tower)
             if w == 1:      # the RREF of B^T is its canonical scaling
                 _, idx, keep = points.canonicalize(B[:, :, 0])

@@ -12,6 +12,9 @@ space: equal subspaces produce equal arrays.
 kept: on a single small matrix the stacked form costs several times the
 plain loop, and callers such as `decompose` (two calls per target outside
 U, plus two per module extension) reduce one small matrix at a time.
+`Decomposition.verify` makes none: `QSystem.contains` tests membership
+in U by one product with a parity check that `kernel` builds once per
+system.
 """
 
 from __future__ import annotations
@@ -41,15 +44,15 @@ def rref(M, field):
         if nz.size == 0:
             continue
         p = r + int(nz[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        if R[r, c] != 1:
-            R[r] = field.mul_arr(field.inv_arr(R[r, c]), R[r])
+        row = (R[p].copy() if R[p, c] == 1
+               else field.mul_arr(field.inv_arr(R[p, c]), R[p]))
+        R[p] = R[r]
+        R[r] = row
         # clear column c in every other row with one array op
         f = R[:, c].copy()
         f[r] = 0
-        if f.any():
-            R[:] = field.sub_arr(R, field.mul_arr(f[:, None], R[r]))
+        if np.count_nonzero(f):
+            R[:] = field.sub_arr(R, field.mul_arr(f[:, None], row))
         pivots.append(c)
         r += 1
     return R[:r], pivots

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fqlinalg
-from .gftower import FieldTower, expand
+from .gftower import FieldTower, SmallField, expand
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, MatrixExt, RankCode,
                      as_matrix, fq_span_vectors)
 
@@ -30,10 +30,15 @@ def expanded_columns(G, tower: FieldTower) -> np.ndarray:
 
 
 class QSystem:
-    """An [n, k]_{q^m/q} system with validated generator matrix."""
+    """An [n, k]_{q^m/q} system with validated generator matrix.
+
+    `generator` is a read-only copy of the caller's matrix, so the parity
+    check of U over F_p that `contains` builds on its first call and
+    keeps cannot go stale.
+    """
 
     def __init__(self, tower: FieldTower, generator):
-        G = as_matrix(tower, generator)
+        G = np.array(as_matrix(tower, generator))
         k, n = G.shape
         if n > tower.m * k:
             raise SystemError_(f"n={n} exceeds mk={tower.m * k}")
@@ -45,11 +50,40 @@ class QSystem:
                     f"F_(q^m)^{k}; the system must span (got a degenerate set)")
         if n and fqlinalg.rank(expanded_columns(G, tower), tower.base) != n:
             raise SystemError_("generator columns are F_q-dependent")
+        G.flags.writeable = False
         self.tower = tower
-        self.generator = G
+        self._generator = G
         self.k = k
         self.n = n
         self.meta: dict = {}
+        self._parity = None
+
+    @property
+    def generator(self) -> np.ndarray:
+        return self._generator
+
+    def _pdigits(self, V) -> np.ndarray:
+        """The k m e base-p digits of each row of V (codes of F_{q^m}^k);
+        addition of codes is digit-wise mod p, so this map is F_p-linear."""
+        t = self.tower
+        V = np.asarray(V, dtype=np.int64)
+        ppow = t.base.p ** np.arange(t.m * t.base.e)
+        return (V[..., None] // ppow % t.base.p).reshape(
+            V.shape[:-1] + (self.k * ppow.size,))
+
+    def contains(self, V) -> np.ndarray:
+        """Membership in U of each row of V (codes in 0..Q-1): P d(v) = 0
+        mod p, where d is `_pdigits` and the rows of P span the annihilator
+        of U in F_p^(kme).  U's F_p-span is spanned by c g_j, c = p^i the
+        F_p-basis codes of F_q (i < e) and g_j the generator columns."""
+        p = self.tower.base.p
+        if self._parity is None:
+            c = p ** np.arange(self.tower.base.e)
+            span = self.tower.mul_arr(c[:, None, None], self.generator.T)
+            self._parity = fqlinalg.kernel(
+                self._pdigits(span.reshape(c.size * self.n, self.k)),
+                SmallField(p))
+        return ~(self._pdigits(V) @ self._parity.T % p).any(axis=-1)
 
     def vectors(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """All q^n elements of U as a (q^n, k) array."""

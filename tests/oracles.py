@@ -231,6 +231,16 @@ def degenerate_code(sysm, extra, rng):
     return RankCode(tower, ext_matmul(sysm.generator, A[:, cols], tower))
 
 
+def rank_membership(sysm, vectors):
+    """`Decomposition.verify`'s former membership test: every vector lies
+    in U iff the expanded [G | vectors] has F_q-rank n."""
+    from ranksat import fqlinalg
+    from ranksat.qsystem import expanded_columns
+    cols = expanded_columns(np.column_stack([sysm.generator] + list(vectors)),
+                            sysm.tower)
+    return fqlinalg.rank(cols, sysm.tower.base) == sysm.n
+
+
 def decompose_by_solves(sysm, v, basis=None):
     """`decompose` with one `fqlinalg.solve` per bottom coordinate and per
     extension candidate: the module grows by the first candidate outside

@@ -10,14 +10,15 @@ from ranksat import (Decomposition, QSystem, associated_code,
                      cutting_system_6_3, cutting_system_8_4, decompose,
                      direct_sum, f_sum, gabidulin, is_nondegenerate,
                      lift_system, linear_set, make_tower, min_rank_distance,
-                     plotkin_sum, saturation_radius,
+                     plotkin_sum, random_system, saturation_radius,
                      saturation_radius_geometric, weight_spectrum)
 from ranksat import fqlinalg
 from ranksat.gftower import expand
+from ranksat.linalg import ext_matmul
 from ranksat.qsystem import SystemError_
 
 from oracles import (brute_min_terms, brute_saturation_radius,
-                     decompose_by_solves)
+                     decompose_by_solves, rank_membership)
 
 
 # ------------------------------------------------------------------ rho1
@@ -201,6 +202,23 @@ def _replace_vector(dec, u):
     return Decomposition(dec.target, dec.lams, [u] + dec.vectors[1:])
 
 
+def _rescale_first_term(dec, Q):
+    """lambda_0 c^-1 and c u_0 for the least c outside F_2 with c u_0
+    outside U (by the rank oracle) in the F_16 test system: the sum is
+    unchanged, but one term is not in U."""
+    t = make_tower(2, 4, [1, 1, 0, 0, 1])
+    sysm = construct_subgeometry(t, 2, 2, 2)
+    assert Q == t.order
+    u = np.asarray(dec.vectors[0])
+    c = next(c for c in range(t.base.q, Q)
+             if not rank_membership(sysm, [t.mul_arr(c, u)]))
+    bad = Decomposition(dec.target,
+                        [t.mul(dec.lams[0], t.inv(c))] + dec.lams[1:],
+                        [t.mul_arr(c, u)] + dec.vectors[1:])
+    assert np.array_equal(bad.reconstruct(t), dec.target)
+    return bad
+
+
 # each takes a well-formed decomposition and the field order Q
 MALFORMED = {
     "lambda-without-vector":
@@ -221,6 +239,7 @@ MALFORMED = {
         lambda d, Q: _replace_vector(d, np.full_like(d.vectors[0], Q)),
     "short-target":
         lambda d, Q: Decomposition(d.target[:3], d.lams, d.vectors),
+    "rescaled-term": _rescale_first_term,
 }
 
 
@@ -272,6 +291,58 @@ def test_decompose_matches_oracle(box, seed, with_basis):
         assert all(np.array_equal(a, b)
                    for a, b in zip(dec.vectors, ref.vectors))
         assert dec.verify(sysm) == ref.verify(sysm)
+
+
+# random non-box systems over F_2, F_3, F_4 and F_9 bases
+MEMBER_TOWERS = [BOX_TOWERS[(2, 4)], BOX_TOWERS[(3, 2)],
+                 BOX_TOWERS[(4, 2)], make_tower(9, 2)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(BOX_SYSTEMS), st.sampled_from(MEMBER_TOWERS)),
+       st.integers(0, 2 ** 32 - 1))
+def test_membership_matches_rank_oracle(system, seed):
+    """`QSystem.contains` (U's parity check over F_p) agrees with the rank
+    of the expanded [G | u], on members of U, on members scaled by some
+    c in F_{q^m} and on random vectors."""
+    rng = random.Random(seed)
+    if isinstance(system, tuple):
+        kind, q, m, params = system
+        construct = (construct_subgeometry if kind == "subgeometry"
+                     else construct_identity_block)
+        sysm = construct(BOX_TOWERS[(q, m)], *params)
+    else:
+        k = rng.randrange(1, 4)
+        sysm = random_system(system, k, rng.randrange(k, 2 * k + 1), rng)
+    tower = sysm.tower
+    coeffs = np.array([[rng.randrange(tower.base.q) for _ in range(sysm.n)]
+                       for _ in range(8)], dtype=np.int64)
+    members = ext_matmul(coeffs, sysm.generator.T, tower)
+    scaled = tower.mul_arr(np.array([[tower.random_element(rng)]
+                                     for _ in range(8)]), members)
+    randoms = np.array([[tower.random_element(rng) for _ in range(sysm.k)]
+                        for _ in range(8)], dtype=np.int64)
+    V = np.vstack([members, scaled, randoms])
+    expect = [rank_membership(sysm, [u]) for u in V]
+    assert all(expect[:8])
+    assert sysm.contains(V).tolist() == expect
+    assert sysm.contains(V[:0]).shape == (0,)
+
+
+def test_verify_runs_no_elimination_once_warm(tower16, monkeypatch):
+    sysm = construct_subgeometry(tower16, 2, 2, 2)
+    rng = random.Random(5)
+    decs = [decompose(sysm, [tower16.random_element(rng) for _ in range(5)])
+            for _ in range(20)]
+    bad = _rescale_first_term(decs[0], tower16.order)
+    assert decs[0].verify(sysm)     # builds the parity check
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran an elimination")
+
+    monkeypatch.setattr(fqlinalg, "rref", refuse)
+    assert all(dec.verify(sysm) for dec in decs)
+    assert bad.verify(sysm) is False
 
 
 # ------------------------------------------------------------------ sums

@@ -170,3 +170,14 @@ def test_point_indexer_bijective(tower4):
     _, idx, _ = indexer.canonicalize(reps)
     assert np.array_equal(idx, np.arange(indexer.total))
     assert indexer.total == (tower4.order ** 3 - 1) // (tower4.order - 1)
+
+
+def test_generator_is_a_read_only_copy(tower16):
+    G = np.array([[1, tower16.alpha, 0], [0, 1, tower16.alpha]],
+                 dtype=np.int64)
+    sysm = QSystem(tower16, G)
+    with pytest.raises(ValueError):
+        sysm.generator[0, 0] = 0
+    G[0, 0] = 0                     # the caller's array stays writable
+    assert sysm.generator[0, 0] == 1
+    assert sysm.contains(sysm.generator.T).all()
