@@ -230,12 +230,15 @@ class Decomposition:
                 or not all(isinstance(lam, (int, np.integer))
                            and 0 <= lam < Q for lam in self.lams)
                 or not all(u.shape == (k,) and u.dtype.kind in "iu"
-                           and (u >= 0).all() and (u < Q).all()
                            for u in vectors)):
+            return False
+        # one range test for every entry: a negative int64 read as uint64
+        # is at least 2^63 > Q
+        V = np.array(vectors, dtype=np.int64).reshape(-1, k)
+        if (V.view(np.uint64) >= Q).any():
             return False
         if not np.array_equal(self.reconstruct(tower), self.target):
             return False
-        V = np.array(vectors, dtype=np.int64).reshape(-1, k)
         return bool(sysm.contains(V).all())
 
 
@@ -253,7 +256,9 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     first candidate outside it, drawn from the complement basis first.
     The RREF of [module | bottom digits] that finds every bottom
     coordinate inside the module also holds their F_{q^t}-coordinates.
-    The constants of the system (the subfield embedding, its basis, the
+    The eliminations run on Python lists (`fqlinalg.rref_rows`), and the
+    arrays of the result are built once, after the last of them.  The
+    constants of the system (the subfield embedding, its basis, the
     default candidates and their digits) are built on the first call and
     kept in `sysm.meta["decompose"]`.
     """
@@ -267,15 +272,15 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     v = np.asarray(v, dtype=np.int64).ravel()
     if v.shape != (sysm.k,):
         raise SystemError_(f"target must have length {sysm.k}")
-    if (v < 0).any() or (v >= tower.order).any():
+    if (v.view(np.uint64) >= tower.order).any():    # negatives wrap high
         raise SystemError_(f"target codes must lie in 0..{tower.order - 1}")
     if "decompose" not in sysm.meta:
         emb = tower.subfield(t)
         D = tower.digit_table()
         alphas = [tower.pow(tower.alpha, j) for j in range(tower.m)]
         sysm.meta["decompose"] = (emb, D, emb.embed_table[emb.sub_tower._qpow],
-                                  alphas, D[alphas].T)
-    emb, D, sub_basis, alphas, alpha_digits = sysm.meta["decompose"]
+                                  alphas, D[alphas].T.tolist())
+    emb, D, sub_basis, alphas, alpha_rows = sysm.meta["decompose"]
     top, bottom = v[:s], v[s:]
 
     # direct membership: one term suffices
@@ -285,31 +290,31 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
         return Decomposition(v, [1], [v.copy()])
 
     # 1. the pivot columns of the top block's digits are the lams, and
-    # the reduced rows express every top_c = sum_j coeffs[c, j] lam_j
-    R, pivots = fqlinalg.rref(D[top].T, tower.base)
-    lams = [int(top[c]) for c in pivots]
+    # the reduced rows express every top_c = sum_j T[j][c] lam_j
+    T = D[top].T.tolist()
+    lams = [int(top[c]) for c in fqlinalg.rref_rows(T, tower.base)]
     nu = len(lams)
-    coeffs = np.zeros((s, s), dtype=np.int16)
-    coeffs[:, :nu] = R.T
 
     # 2. extend until the F_{q^t}-module of the gens holds every bottom
     # value.  Column j*t + i of A is the digits of gens[j] * sub_basis[i];
     # the first pivot right of A in [A | candidates] is the first
     # candidate outside the module.
     gens = list(lams)
-    candidates, candidate_digits = alphas, alpha_digits
+    candidates, candidate_rows = alphas, alpha_rows
     if basis is not None and basis.t == t:
         candidates = list(basis.betas) + alphas
-        candidate_digits = np.hstack([D[basis.betas].T, alpha_digits])
-    bottom_digits = D[bottom].T
+        candidate_rows = [b + a for b, a in
+                          zip(D[basis.betas].T.tolist(), alpha_rows)]
+    bottom_rows = D[bottom].T.tolist()
     while True:
-        A = D[tower.mul_arr(np.array(gens, dtype=np.int64)[:, None],
-                            sub_basis)].reshape(-1, tower.m).T
-        c = A.shape[1]
-        R, pivots = fqlinalg.rref(np.hstack([A, bottom_digits]), tower.base)
+        A = D[[tower.mul(g, b) for g in gens for b in sub_basis]].T.tolist()
+        c = len(gens) * t
+        R = [a + b for a, b in zip(A, bottom_rows)]
+        pivots = fqlinalg.rref_rows(R, tower.base)
         if not pivots or pivots[-1] < c:
             break
-        _, found = fqlinalg.rref(np.hstack([A, candidate_digits]), tower.base)
+        found = fqlinalg.rref_rows([a + b for a, b in zip(A, candidate_rows)],
+                                   tower.base)
         outside = [p - c for p in found if p >= c]
         assert outside, "module extension stalled (unreachable)"
         gens.append(candidates[outside[0]])
@@ -318,13 +323,13 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     # 3. RREF is unique, so the pivot rows give the particular solution
     # with free variables 0; each t-digit block is one subfield code
     X = np.zeros((c, h), dtype=np.int64)
-    X[pivots] = R[:, c:]
+    X[pivots] = np.array(R, dtype=np.int64).reshape(len(pivots), c + h)[:, c:]
     bottoms = emb.embed_table[emb.sub_tower._qpow
                               @ X.reshape(len(gens), t, h)]
 
     # 4. assemble terms and drop the vacuous ones
     U = np.zeros((len(gens), sysm.k), dtype=np.int64)
-    U[:nu, :s] = coeffs[:, :nu].T
+    U[:nu, :s] = np.array(T, dtype=np.int64).reshape(nu, s)
     U[:, s:] = bottoms
     keep = np.flatnonzero(np.array(gens, dtype=bool) & U.any(axis=1))
     lams_out, vecs_out = [gens[j] for j in keep], list(U[keep])

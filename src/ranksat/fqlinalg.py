@@ -1,20 +1,23 @@
 """Dense linear algebra over a finite field: the base field F_q or the
 extension F_{q^m}.
 
-Matrices are numpy integer arrays of element codes.  Row operations go
-through the field's array ops (`mul_arr`, `sub_arr`, `inv_arr`,
-`neg_arr`), which a SmallField and a FieldTower both provide, so every
+Matrices are numpy integer arrays of element codes.  A SmallField and a
+FieldTower both provide scalar ops (`mul`, `sub`, `inv` on Python ints)
+and array ops (`mul_arr`, `sub_arr`, `inv_arr`, `neg_arr`), so every
 function that takes a `field` works over F_q and over F_{q^m} alike.
 Reduced row echelon form is the canonical representative of a row
 space: equal subspaces produce equal arrays.
 
-`rref` eliminates one matrix and `echelon` a stack of them.  Both are
-kept: on a single small matrix the stacked form costs several times the
-plain loop, and callers such as `decompose` (two calls per target outside
-U, plus two per module extension) reduce one small matrix at a time.
-`Decomposition.verify` makes none: `QSystem.contains` tests membership
-in U by one product with a parity check that `kernel` builds once per
-system.
+There is one elimination per input shape.  `rref_rows` reduces one
+matrix held as Python lists of ints, through the scalar ops: on the
+small matrices its callers reduce, a dozen numpy calls per pivot cost
+more than the arithmetic.  `rref` wraps it for arrays, and `rank`,
+`kernel`, `inv` and `solve` run on `rref`; `decompose` keeps its three
+eliminations per target in lists and calls `rref_rows` directly.
+`echelon` reduces a stack of matrices at once through the array ops.
+`Decomposition.verify` makes no elimination: `QSystem.contains` tests
+membership in U by one product with a parity check that `kernel` builds
+once per system.
 """
 
 from __future__ import annotations
@@ -26,36 +29,50 @@ import numpy as np
 from .gftower import SmallField
 
 
+def rref_rows(R, field) -> list[int]:
+    """Reduce R, a list of distinct row lists of Python ints, to reduced
+    row echelon form in place, with its zero rows deleted; returns the
+    pivot columns.  The field is reached only through its scalar `mul`,
+    `sub` and `inv`, and each pivot row clears its column in the other
+    rows at its nonzero entries only."""
+    mul, sub, inv = field.mul, field.sub, field.inv
+    pivots = []
+    for c in range(len(R[0]) if R else 0):
+        r = len(pivots)
+        if r == len(R):
+            break
+        for p in range(r, len(R)):
+            if R[p][c]:
+                break
+        else:
+            continue
+        row = R[p]
+        if row[c] != 1:
+            x = inv(row[c])
+            row = [mul(x, y) for y in row]
+        R[p], R[r] = R[r], row
+        terms = [(j, y) for j, y in enumerate(row) if y]
+        for i, Ri in enumerate(R):
+            f = Ri[c]
+            if f and i != r:
+                for j, y in terms:
+                    Ri[j] = sub(Ri[j], mul(f, y))
+        pivots.append(c)
+    del R[len(pivots):]
+    return pivots
+
+
 def rref(M, field):
     """Reduced row echelon form.
 
     Returns (R, pivot_cols).  R has leading ones, zeros above and below
     each pivot, and zero rows removed, so it is canonical for the row
-    space.
+    space.  R is an int64 array of shape (rank, cols).
     """
-    R = np.atleast_2d(np.array(M, dtype=np.int64))
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = R[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        row = (R[p].copy() if R[p, c] == 1
-               else field.mul_arr(field.inv_arr(R[p, c]), R[p]))
-        R[p] = R[r]
-        R[r] = row
-        # clear column c in every other row with one array op
-        f = R[:, c].copy()
-        f[r] = 0
-        if np.count_nonzero(f):
-            R[:] = field.sub_arr(R, field.mul_arr(f[:, None], row))
-        pivots.append(c)
-        r += 1
-    return R[:r], pivots
+    M = np.atleast_2d(np.asarray(M, dtype=np.int64))
+    R = M.tolist()
+    pivots = rref_rows(R, field)
+    return np.array(R, dtype=np.int64).reshape(len(pivots), M.shape[1]), pivots
 
 
 def echelon(M, field):

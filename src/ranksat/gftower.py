@@ -20,7 +20,8 @@ multiply with one gather and no zero test.
 from __future__ import annotations
 
 import json
-from functools import cache, reduce
+import operator
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -72,6 +73,41 @@ def _block_tables(p: int):
         N = (N[:, None] * p + (-x % p)).ravel()
     T.flags.writeable = N.flags.writeable = False   # shared by all callers
     return len(N), lambda a, b: T[a * len(N) + b], N.__getitem__
+
+
+@cache
+def _scalar_blocks(p: int):
+    """(P, add, neg) for one block of a scalar code, as in
+    `_block_tables(p)` but with add(a * P + b) = a + b: bound lookups in
+    list copies of the tables (P^2 <= 65,536 entries, made on first use)
+    when p <= 16, arithmetic mod p above."""
+    if p > 16:
+        return p, (lambda i: (i // p + i % p) % p), (lambda a: -a % p)
+    P, add, neg = _block_tables(p)
+    x = np.arange(P)
+    return (P, add(x[:, None], x).ravel().tolist().__getitem__,
+            neg(x).tolist().__getitem__)
+
+
+@cache
+def _code_ops(p: int):
+    """Scalar (add, sub, neg) of integers packing base-p digits, digit by
+    digit mod p: XOR when p = 2, else two `_scalar_blocks` lookups per
+    block of digits for a - b, and a + b = a - (0 - b).  No numpy array
+    is built."""
+    if p == 2:
+        return operator.xor, operator.xor, operator.pos
+
+    def sub(a, b):
+        P, add, neg = _scalar_blocks(p)
+        out, pw = 0, 1
+        while a or b:
+            out += add(a % P * P + neg(b % P)) * pw
+            a, b, pw = a // P, b // P, pw * P
+        return out
+
+    neg = partial(sub, 0)
+    return (lambda a, b: sub(a, neg(b))), sub, neg
 
 
 def _by_blocks(f, p: int, n: int, *X):
@@ -206,6 +242,12 @@ class SmallField:
     F_p-coordinates of the element in base p, and the tables are those of
     FieldTower(p, e): the modulus is the lexicographically first
     irreducible monic polynomial of degree e over F_p.
+
+    The scalar ops take and return Python ints and build no numpy array:
+    arithmetic mod q for prime q (so a numpy scalar narrower than int64
+    can overflow in `mul`), and for e > 1 the scalar ops of
+    FieldTower(p, e), bound in the constructor.  `fqlinalg.rref` runs on
+    them; the array ops (`add_arr` ...) serve `echelon` and the kernels.
     """
 
     def __init__(self, q: int):
@@ -216,30 +258,36 @@ class SmallField:
         self.p = p
         self.e = e
         a, b = np.arange(q)[:, None], np.arange(q)[None, :]
-        mul = a * b % q if e == 1 else FieldTower(p, e).mul_arr(a, b)
+        if e == 1:
+            mul = a * b % q
+        else:
+            t = FieldTower(p, e)
+            mul = t.mul_arr(a, b)
+            self.add, self.sub, self.neg, self.mul, self.inv = (
+                t.add, t.sub, t.neg, t.mul, t.inv)
         self._add = add_digits(a, b, p, e).astype(np.int16)
         self._mul = mul.astype(np.int16)
         self._neg = neg_digits(np.arange(q), p, e).astype(np.int16)
         # row 0 holds no 1, so its argmax leaves inv(0) = 0
         self._inv = np.argmax(self._mul == 1, axis=1).astype(np.int16)
 
-    # scalar ops ---------------------------------------------------------
+    # scalar ops (prime q; see __init__ for e > 1) ----------------------
     def add(self, a: int, b: int) -> int:
-        return int(self._add[a, b])
+        return (a + b) % self.q
 
     def sub(self, a: int, b: int) -> int:
-        return int(self._add[a, self._neg[b]])
+        return (a - b) % self.q
 
     def neg(self, a: int) -> int:
-        return int(self._neg[a])
+        return -a % self.q
 
     def mul(self, a: int, b: int) -> int:
-        return int(self._mul[a, b])
+        return a * b % self.q
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return int(self._inv[a])
+        return pow(int(a), -1, self.q)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -366,12 +414,18 @@ class FieldTower:
     modulus is a monic irreducible polynomial of degree m over F_q given
     as a coefficient array (ascending).  `alpha` is the class of x; its
     packed code is q (digits (0, 1, 0, ...)).
+
+    The scalar ops take and return Python ints and build no numpy array:
+    `add`, `sub` and `neg` are XOR (and the identity) for p = 2 and list
+    lookups per block of base-p digits for odd p (`_code_ops`); `mul` and
+    `inv` read the log/exp tables through memoryviews.
     """
 
     def __init__(self, q: int, m: int, modulus=None):
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
         self.base = SmallField(q)
+        self.add, self.sub, self.neg = _code_ops(self.base.p)
         self.m = m
         self.order = q ** m
         if self.order > MAX_TABLE_ORDER:
@@ -443,6 +497,10 @@ class FieldTower:
         self._log[orbit] = np.arange(Q - 1)
         self._inv_table = np.concatenate(
             ([0], self._exp[(Q - 1) - self._log[1:]]))
+        # the scalar ops read the tables through memoryviews, which return
+        # Python ints without a numpy scalar and copy nothing
+        self._exp_view, self._log_view, self._inv_view = map(
+            memoryview, (self._exp, self._log, self._inv_table))
 
     # -- scalar operations -------------------------------------------------
     def digits(self, a: int) -> list[int]:
@@ -453,24 +511,17 @@ class FieldTower:
         q = self.base.q
         return int(sum(int(d) * q ** i for i, d in enumerate(digs[: self.m])))
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b if self.base.p == 2 else int(self.add_arr(a, b))
-
-    def neg(self, a: int) -> int:
-        return a if self.base.p == 2 else int(self.neg_arr(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    # add, sub and neg are `_code_ops(p)`, bound in the constructor
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[int(self._log[a]) + int(self._log[b])])
+        # log(0) is the sentinel, so a zero factor reads exp's zero padding
+        log = self._log_view
+        return self._exp_view[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return int(self._inv_table[a])
+        return self._inv_view[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

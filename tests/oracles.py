@@ -60,6 +60,34 @@ def digit_table_sub(tower, A, B):
     return tower.base._add[dig[A], tower.base._neg[dig[B]]] @ tower._qpow
 
 
+def numpy_rref(M, field):
+    """`fqlinalg.rref` before it ran on Python rows: per pivot, one array
+    op normalises the pivot row and one clears its column."""
+    R = np.atleast_2d(np.array(M, dtype=np.int64))
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = R[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        row = (R[p].copy() if R[p, c] == 1
+               else field.mul_arr(field.inv_arr(R[p, c]), R[p]))
+        R[p] = R[r]
+        R[r] = row
+        # clear column c in every other row with one array op
+        f = R[:, c].copy()
+        f[r] = 0
+        if np.count_nonzero(f):
+            R[:] = field.sub_arr(R, field.mul_arr(f[:, None], row))
+        pivots.append(c)
+        r += 1
+    return R[:r], pivots
+
+
 def brute_rank_covering_radius(code):
     """max over ambient vectors of min rank distance to a codeword."""
     tower = code.tower

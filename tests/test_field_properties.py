@@ -1,7 +1,8 @@
 """Property tests of the field tables: the log/exp tables of every tower
 and the op tables of every base field agree with schoolbook polynomial
 arithmetic, and the table kernels satisfy the field axioms and the
-Frobenius identities, for default and random irreducible moduli.
+Frobenius identities, for default and random irreducible moduli.  The
+scalar ops agree with the array ops.
 """
 
 import random
@@ -152,3 +153,44 @@ def test_small_field_tables_match_schoolbook(q):
                 [(u + v) % F.p for u, v in zip(dx, dy)])
     assert (F._add[np.arange(q), F._neg] == 0).all()
     assert (F._mul[np.arange(1, q), F._inv[1:]] == 1).all()
+
+
+# fields for the scalar ops: towers over p = 2, odd p with one block and
+# with several blocks of base-p digits (3^6 has two), p > 16 (one digit
+# to a block, no table) and non-prime bases; base fields prime and not
+SCALAR_FIELDS = ([("tower", q, m) for q, m in [(2, 5), (3, 3), (3, 6),
+                                               (257, 2), (1021, 1), (4, 2),
+                                               (9, 2)]]
+                 + [("base", q, 1) for q in (2, 3, 4, 9, 1021)])
+
+
+def _scalar_field(kind, q, m):
+    return _kernel_tower(q, m) if kind == "tower" else SmallField(q)
+
+
+@pytest.mark.parametrize("case", SCALAR_FIELDS,
+                         ids=[f"{k}-q{q}-m{m}" for k, q, m in SCALAR_FIELDS])
+@PROPERTY
+@given(SEEDS)
+def test_scalar_ops_match_array_ops(case, seed):
+    """The scalar ops, which `fqlinalg.rref` runs on, return Python ints
+    equal to the array ops on the same codes."""
+    F = _scalar_field(*case)
+    Q = len(F.elements())
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, Q, (2, 40))
+    a[:4], b[2:6] = 0, 0
+    a[-1], b[-1] = Q - 1, Q - 1
+    for x, y in zip(a.tolist(), b.tolist()):
+        got = [F.add(x, y), F.sub(x, y), F.neg(x), F.mul(x, y)]
+        want = [F.add_arr(x, y), F.sub_arr(x, y), F.neg_arr(x),
+                F.mul_arr(x, y)]
+        if y:
+            got += [F.inv(y), F.div(x, y)]
+            want += [F.inv_arr(y), F.mul_arr(x, F.inv_arr(y))]
+        assert all(type(g) is int for g in got)
+        assert got == [int(w) for w in want]
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.div(1, 0)

@@ -1,13 +1,98 @@
-import numpy as np
+import random
+from unittest import mock
 
-from ranksat import fqlinalg, gaussian_binomial
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ranksat import (construct_subgeometry, decompose, fqlinalg,
+                     gaussian_binomial, make_tower)
 from ranksat.gftower import SmallField
 from ranksat.linalg import ext_matmul
 
-from oracles import brute_subspace_count
+from oracles import brute_subspace_count, numpy_rref
 
 F2 = SmallField(2)
 F3 = SmallField(3)
+
+# base fields, prime and not, and towers of both characteristics
+RREF_FIELDS = {**{f"F{q}": SmallField(q) for q in (2, 3, 4, 5, 9, 16)},
+               **{f"F{q}^{m}": make_tower(q, m)
+                  for q, m in [(2, 2), (3, 3), (2, 8), (5, 2)]}}
+MATRIX_KINDS = ["random", "sparse", "zero", "duplicate-rows", "reduced"]
+
+
+def _matrix(field, rows, cols, kind, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, len(field.elements()), (rows, cols))
+    if kind == "sparse":            # zero columns and non-pivot columns
+        M *= rng.random((rows, cols)) < 0.3
+    elif kind == "zero":
+        M[:] = 0
+    elif kind == "duplicate-rows" and rows:
+        M = M[rng.integers(0, rows, rows)]
+    elif kind == "reduced":         # already in RREF, padded with zeros
+        R, _ = numpy_rref(M, field)
+        M = np.zeros_like(M)
+        M[:len(R)] = R
+    return M
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(RREF_FIELDS)), st.integers(0, 6),
+       st.integers(0, 10), st.sampled_from(MATRIX_KINDS),
+       st.integers(0, 2 ** 32 - 1))
+def test_rref_matches_numpy_oracle(name, rows, cols, kind, seed):
+    """The elimination on Python rows gives the same R and pivots as the
+    per-pivot numpy loop it replaced, and so do the functions built on
+    it: kernel, solve and inv, run once more with the oracle as rref."""
+    field = RREF_FIELDS[name]
+    M = _matrix(field, rows, cols, kind, seed)
+    R, pivots = fqlinalg.rref(M, field)
+    R_ref, pivots_ref = numpy_rref(M, field)
+    assert pivots == pivots_ref
+    assert R.dtype == np.int64 and R.shape == (len(pivots), cols)
+    assert np.array_equal(R, R_ref)
+    b = np.random.default_rng(seed + 1).integers(
+        0, len(field.elements()), rows)
+    square = M[:min(rows, cols), :min(rows, cols)]
+    got = [fqlinalg.kernel(M, field), fqlinalg.solve(M, b, field),
+           fqlinalg.inv(square, field)]
+    with mock.patch.object(fqlinalg, "rref", numpy_rref):
+        want = [fqlinalg.kernel(M, field), fqlinalg.solve(M, b, field),
+                fqlinalg.inv(square, field)]
+    for x, y in zip(got, want):
+        assert (x is None and y is None) or np.array_equal(x, y)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("refused call")
+
+
+def test_rref_needs_no_array_op(monkeypatch):
+    for op in ("mul_arr", "sub_arr", "inv_arr"):
+        monkeypatch.setattr(SmallField, op, _refuse)
+    R, pivots = fqlinalg.rref(np.array([[2, 1, 0], [1, 2, 1]]), SmallField(3))
+    assert pivots == [0, 2]
+    assert R.tolist() == [[1, 2, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("with_basis", [False, True],
+                         ids=["default", "basis"])
+def test_decompose_runs_no_rref_after_warm_up(monkeypatch, with_basis):
+    """decompose eliminates on Python rows (`fqlinalg.rref_rows`); only
+    the first calls, which build the system's constants and the parity
+    check of `verify`, may reach `rref`."""
+    tower = make_tower(2, 4)
+    sysm = construct_subgeometry(tower, 2, 2, 2)
+    rng = random.Random(5)
+    basis = tower.random_complement_basis(2, rng) if with_basis else None
+    targets = [np.array([tower.random_element(rng) for _ in range(sysm.k)])
+               for _ in range(30)]
+    assert decompose(sysm, targets[0], basis).verify(sysm)
+    monkeypatch.setattr(fqlinalg, "rref", _refuse)
+    for v in targets:
+        assert decompose(sysm, v, basis).verify(sysm)
 
 
 def test_rref_canonical_for_equal_spaces():
