@@ -3,9 +3,9 @@ of a rank-rho-saturating system in F_{q^m}^k.
 
 Everything here is exact integer arithmetic.  The exact-value table is
 data driven: each published row is a predicate plus a value, so new
-rows can be added without touching the closure logic.  The brute-force
-searcher is an independent oracle that enumerates every F_q-subspace of
-the ambient space at tiny parameters.
+rows can be added without touching the closure logic.  The exhaustive
+search finds s itself, with a least witness, over the systems
+F_q^k + W to which every system is equivalent (`brute_force_witness`).
 """
 
 from __future__ import annotations
@@ -298,14 +298,14 @@ def verify_published_rows(qmax: int = 5, mmax: int = 12, kmax: int = 12
 
 
 # ----------------------------------------------------------------------
-# Brute-force oracle
+# Exhaustive search
 # ----------------------------------------------------------------------
 
 def brute_force_s(q: int, m: int, k: int, rho: int,
                   budget: int = 1 << 26) -> int:
     """Smallest n such that some spanning n-dimensional F_q-subspace of
     F_{q^m}^k has saturation radius <= rho, by exhaustive enumeration of
-    subspaces of the expanded ambient space F_q^{mk}."""
+    the systems F_q^k + W (see `brute_force_witness`)."""
     return brute_force_witness(q, m, k, rho, budget).n
 
 
@@ -313,37 +313,53 @@ def brute_force_witness(q: int, m: int, k: int, rho: int,
                         budget: int = 1 << 26):
     """First system of least dimension whose saturation radius is <= rho.
 
-    Scans n = k, k+1, ... and, within each n, the n-dimensional
-    subspaces of F_q^{mk} in enumeration order; its `.n` is
-    `brute_force_s`."""
+    A system U spans F_{q^m}^k, so some F_q-basis of U begins with an
+    F_{q^m}-basis of F_{q^m}^k, and an element of GL(k, q^m) sends that
+    basis to e_1..e_k.  The saturation radius is invariant under
+    GL(k, q^m), so every system is equivalent to U = F_q^k + W with W an
+    (n-k)-dimensional subspace of the quotient F_{q^m}^k / F_q^k, which
+    is F_q^{(m-1)k} on the digits 1..m-1 of each entry (F_q is the codes
+    0..q-1).  Each W is one RREF basis M of `fqlinalg.rref_subspaces`,
+    and its system has the generator [I_k | A] with A read from M.
+
+    Scans n = k, k+1, ... and, within each n, those W in enumeration
+    order; its `.n` is `brute_force_s`.  Level n is refused when its
+    count of W or the syndrome space Q^k that each candidate's sweep
+    marks exceeds the budget, or when a candidate's sweep through level
+    rho does; every refusal has completed_level n - 1."""
     from . import fqlinalg
     from .covering import _rank_layers
     from .gftower import make_tower
     from .linalg import BudgetExceeded
-    from .qsystem import QSystem, SystemError_
+    from .qsystem import QSystem
     _validate_params(q, m, k, rho)
     tower = make_tower(q, m)
-    D = m * k
-    for n in range(k, D + 1):
-        count = gaussian_binomial(D, n, q)
-        if count > budget:
+    space = tower.order ** k
+    eye = np.eye(k, dtype=np.int64)
+    for n in range(k, m * k + 1):
+        count = gaussian_binomial((m - 1) * k, n - k, q)
+        if max(count, space) > budget:
             raise BudgetExceeded(
-                f"n={n} needs {count} subspaces > budget {budget}; "
-                f"search completed up to n={n - 1}")
-        for _, batch in fqlinalg.rref_subspaces(D, n, tower.base):
-            for M in batch:
-                gen = (M.reshape(n, k, m).astype(np.int64)
-                       @ tower._qpow).T          # k x n packed
-                try:
-                    sysm = QSystem(tower, gen)
-                except SystemError_:
-                    continue
+                f"n={n} needs {count} subspaces of the quotient and a "
+                f"syndrome space of {space}, budget {budget}; "
+                f"search completed up to n={n - 1}", completed_level=n - 1)
+        for _, batch in fqlinalg.rref_subspaces((m - 1) * k, n - k,
+                                                tower.base):
+            A = (batch.reshape(len(batch), n - k, k, m - 1).astype(np.int64)
+                 @ tower._qpow[1:]).transpose(0, 2, 1)
+            for a in A:
+                gen = np.hstack([eye, a])
                 # the sweep through level rho only: radius <= rho iff
                 # that level covers every target
-                for w, covered in _rank_layers(sysm.generator, tower,
-                                               budget):
-                    if w == rho:
-                        break
+                try:
+                    for w, covered in _rank_layers(gen, tower, budget):
+                        if w == rho:
+                            break
+                except BudgetExceeded as exc:
+                    raise BudgetExceeded(
+                        f"n={n}: a candidate's sweep refused ({exc}); "
+                        f"search completed up to n={n - 1}",
+                        completed_level=n - 1) from exc
                 if covered.all():
-                    return sysm
+                    return QSystem(tower, gen)
     raise RuntimeError("no saturating system found (unreachable)")

@@ -2,10 +2,12 @@
 
 Exit codes for `verify`: 0 the claimed radius matches, 1 it does not,
 2 the input could not be parsed, 3 the budget refused the sweep (the
-refusal message includes the coverage reached).  `construct`, `bounds`
-and `search` exit 2, with a one-line message, when the parameters name
-no field, no valid cell or no valid construction: q not a prime power,
-m, k, kmax or rhomax below 1, rho out of range, a malformed --v, or an
+refusal message includes the coverage reached).  `search` is exhaustive:
+it exits 0 with the least saturating system, or 3 when the budget
+refuses a dimension before one is found.  `construct`, `bounds` and
+`search` exit 2, with a one-line message, when the parameters name no
+field, no valid cell or no valid construction: q not a prime power, m, k,
+kmax or rhomax below 1, rho out of range, a malformed --v, or an
 unreadable or malformed --left/--right matrix.
 """
 
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .constructions import (construct_identity_block, construct_rho1,
 from .covering import geometric_certificate, saturation_radius
 from .gftower import FieldError, make_tower
 from .linalg import BudgetExceeded, DEFAULT_BUDGET
-from .qsystem import QSystem, SystemError_, lift_system, random_system
+from .qsystem import QSystem, SystemError_, lift_system
 from .scenarios import SCENARIOS, get_scenarios
 
 
@@ -43,11 +44,9 @@ def _parse_vector(text, k):
     return v
 
 
-def _add_common(p):
+def _add_budget(p):
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="cell budget for exhaustive sweeps (default 2^26)")
-    p.add_argument("--format", choices=["json", "csv", "markdown"],
-                   default="json")
 
 
 def cmd_verify(args) -> int:
@@ -162,54 +161,22 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_search(args) -> int:
-    result: dict = {"q": args.q, "m": args.m, "k": args.k, "rho": args.rho}
     try:
         bnd._validate_params(args.q, args.m, args.k, args.rho)
-        tower = make_tower(args.q, args.m, _parse_modulus(args.modulus))
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    exhausted = False
-    if args.mode in ("exhaustive", "auto"):
-        try:
-            witness = bnd.brute_force_witness(args.q, args.m, args.k,
-                                              args.rho, args.budget)
-            result.update(mode="exhaustive", n=witness.n, minimal=True,
-                          matrix=io.matrix_to_json(witness.tower,
-                                                   witness.generator))
-            exhausted = True
-        except BudgetExceeded as exc:
-            if args.mode == "exhaustive":
-                print(f"budget refusal: {exc}", file=sys.stderr)
-                return 3
-            print(f"exhaustive search refused ({exc}); falling back to "
-                  f"randomized witnesses", file=sys.stderr)
-    if not exhausted:
-        rng = random.Random(args.seed)
-        upper = bnd.upper_bound(args.q, args.m, args.k, args.rho).value
-        lower = bnd.lower_bound(args.q, args.m, args.k, args.rho).value
-        best = None
-        for n in range(upper, lower - 1, -1):
-            found = None
-            for _ in range(args.samples):
-                sysm = random_system(tower, args.k, n, rng)
-                try:
-                    rho, _ = saturation_radius(sysm, args.budget)
-                except BudgetExceeded:
-                    break
-                if rho <= args.rho:
-                    found = sysm
-                    break
-            if found is None:
-                break
-            best = (n, found)
-        if best is None:
-            result.update(mode="randomized", n=None, minimal=False)
-        else:
-            n, sysm = best
-            result.update(mode="randomized", n=n, minimal=False,
-                          matrix=io.matrix_to_json(tower, sysm.generator))
-    print(json.dumps(result, indent=1))
+    try:
+        witness = bnd.brute_force_witness(args.q, args.m, args.k, args.rho,
+                                          args.budget)
+    except BudgetExceeded as exc:
+        print(f"budget refusal: {exc}", file=sys.stderr)
+        return 3
+    print(json.dumps({"q": args.q, "m": args.m, "k": args.k, "rho": args.rho,
+                      "mode": "exhaustive", "n": witness.n, "minimal": True,
+                      "matrix": io.matrix_to_json(witness.tower,
+                                                  witness.generator)},
+                     indent=1))
     return 0
 
 
@@ -254,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", default=None)
     p.add_argument("--method", choices=["coefficient", "geometric"],
                    default="coefficient")
-    _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("construct", help="emit a named construction as "
@@ -282,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lift-m", type=int, default=None,
                    help="re-read the system over F_(q^M) for this M")
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("bounds", help="tabulate bounds on the minimal "
@@ -294,21 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-paper", action="store_true",
                    help="re-derive every published exact row on the grid "
                         "q<=5, m<=12, k<=12 and report differences")
-    _add_common(p)
+    p.add_argument("--format", choices=["json", "csv", "markdown"],
+                   default="json")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("search", help="exhaustive or randomized search for "
-                                      "small saturating systems")
+    p = sub.add_parser("search", help="exhaustive search for the least "
+                                      "saturating system")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--modulus", default=None)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rho", type=int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "random", "auto"],
-                   default="auto")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    p.add_argument("--mode", choices=["exhaustive"], default="exhaustive")
+    _add_budget(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("examples", help="run the named verification "
@@ -316,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("filter", nargs="?", default=None)
     p.add_argument("--time-budget", type=float, default=60.0,
                    help="per-scenario wall-clock ceiling in seconds")
-    _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_examples)
     return ap
 

@@ -499,3 +499,30 @@ def affine_saturation_radius(sysm, budget=1 << 26, witness_cap=1 << 12):
         tight = tuple(decode(tight))
     return rho, SaturationCertificate(rho, sysm.k, sysm.n, tower, witnesses,
                                       tight, system_hash(sysm))
+
+
+def full_subspace_s(q, m, k, rho, budget=1 << 26):
+    """s_{q^m/q}(k, rho) by the search over every n-dimensional subspace
+    of the expanded ambient space F_q^{mk} (n = k, k+1, ...), skipping
+    those that do not span F_{q^m}^k.  Each candidate is tested by
+    `affine_rank_layers` through level rho, so neither the reduction to
+    F_q^k + W of `brute_force_s` nor its marking kernel is involved."""
+    from ranksat import fqlinalg
+    from ranksat.gftower import make_tower
+    from ranksat.qsystem import QSystem, SystemError_
+    tower = make_tower(q, m)
+    D = m * k
+    for n in range(k, D + 1):
+        for _, batch in fqlinalg.rref_subspaces(D, n, tower.base):
+            for M in batch:
+                gen = (M.reshape(n, k, m).astype(np.int64) @ tower._qpow).T
+                try:
+                    QSystem(tower, gen)
+                except SystemError_:
+                    continue
+                for w, covered in affine_rank_layers(gen, tower, budget):
+                    if w == rho:
+                        break
+                if covered.all():
+                    return n
+    raise RuntimeError("no saturating system found (unreachable)")

@@ -1,9 +1,11 @@
 import pytest
 
+from oracles import full_subspace_s
 from ranksat import (BudgetExceeded, bounds_table, brute_force_s,
                      exact_values, gaussian_binomial, lower_bound,
+                     saturation_radius, saturation_radius_geometric,
                      upper_bound, verify_published_rows)
-from ranksat.bounds import upper_bound_table
+from ranksat.bounds import brute_force_witness, upper_bound_table
 
 
 def test_gaussian_binomial_basics():
@@ -152,6 +154,43 @@ def test_brute_force_matches_sandwich():
 def test_brute_force_budget_refusal():
     with pytest.raises(BudgetExceeded, match="subspaces"):
         brute_force_s(2, 3, 3, 1, budget=50)
+
+
+@pytest.mark.parametrize("q,m,k,rho", [
+    (2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 3, 1), (2, 2, 3, 2), (3, 2, 2, 1),
+    (3, 2, 2, 2), (2, 3, 2, 1), (2, 3, 2, 2), (4, 2, 2, 1)])
+def test_brute_force_matches_full_subspace_oracle(q, m, k, rho):
+    """The search over F_q^k + W finds the s of the search over every
+    subspace of F_q^{mk}."""
+    assert brute_force_s(q, m, k, rho) == full_subspace_s(q, m, k, rho)
+
+
+@pytest.mark.parametrize("q,m,k,rho,s", [
+    (2, 3, 3, 2, 4), (2, 3, 4, 2, 5), (2, 4, 3, 2, 5), (2, 4, 2, 1, 5),
+    (3, 3, 2, 1, 4)])
+def test_brute_force_settles_open_cells(q, m, k, rho, s):
+    """Cells the bound table leaves open (or beyond the full-subspace
+    search): the least witness lies in the sandwich and both radius
+    routes measure it at <= rho."""
+    witness = brute_force_witness(q, m, k, rho)
+    assert witness.n == s
+    assert lower_bound(q, m, k, rho).value <= s <= upper_bound(q, m, k,
+                                                               rho).value
+    radius = saturation_radius(witness)[0]
+    assert radius <= rho
+    assert saturation_radius_geometric(witness) == radius
+
+
+def test_brute_force_refusal_reads_in_dimensions():
+    """n = 5 at (2, 3, 3, 1) needs [6 2]_2 = 651 subspaces; the syndrome
+    space 8^3 = 512 fits."""
+    with pytest.raises(BudgetExceeded, match="651 subspaces") as exc:
+        brute_force_s(2, 3, 3, 1, budget=600)
+    assert "512" in str(exc.value) and exc.value.completed_level == 4
+    # at n = 4 a candidate's sweep charges 1 + [4 1]_2 8 + [4 2]_2 64
+    with pytest.raises(BudgetExceeded, match="n=4: a candidate") as exc:
+        brute_force_s(2, 3, 3, 2, budget=2000)
+    assert "2361" in str(exc.value) and exc.value.completed_level == 3
 
 
 def test_measured_radii_consistent_with_table():

@@ -260,30 +260,50 @@ def test_cli_rejects_invalid_parameters(capsys, argv):
     assert err.startswith("invalid parameters: ") and err.count("\n") == 1
 
 
-def test_cli_search_exhaustive(capsys):
-    assert main(["search", "--q", "2", "--m", "2", "--k", "2", "--rho", "1",
-                 "--mode", "exhaustive"]) == 0
+@pytest.mark.parametrize("argv,rho,n", [
+    (["--q", "2", "--m", "2", "--k", "2", "--rho", "1", "--mode",
+      "exhaustive"], 1, 3),
+    (["--q", "2", "--m", "2", "--k", "2", "--rho", "2"], 2, 2),
+    (["--q", "3", "--m", "2", "--k", "2", "--rho", "1", "--mode",
+      "exhaustive"], 1, 3)],
+    ids=["q2-rho1", "q2-rho2-default-mode", "perfbench-3-2-2-1"])
+def test_cli_search_exhaustive(capsys, argv, rho, n):
+    """The last case is the command line of perfbench's `search_job`."""
+    assert main(["search"] + argv) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["n"] == 3 and data["minimal"] is True
+    assert data["mode"] == "exhaustive"
+    assert data["n"] == n and data["minimal"] is True
     t, A = io.matrix_from_json(data["matrix"])
-    assert saturation_radius(QSystem(t, A))[0] <= 1
-    assert main(["search", "--q", "2", "--m", "2", "--k", "2",
-                 "--rho", "2"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["n"] == 2
-    _, A = io.matrix_from_json(data["matrix"])
-    assert A.shape == (2, 2)
+    assert A.shape == (2, n)
+    assert saturation_radius(QSystem(t, A))[0] <= rho
 
 
-def test_cli_search_randomized_witness(capsys):
-    assert main(["search", "--q", "2", "--m", "2", "--k", "2", "--rho", "1",
-                 "--mode", "random", "--samples", "20", "--seed", "1"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["mode"] == "randomized"
-    if data["n"] is not None:
-        t, A = io.matrix_from_json(data["matrix"])
-        rho, _ = saturation_radius(QSystem(t, A))
-        assert rho <= 1
+def test_cli_search_budget_refusal(capsys):
+    """n = 5 at (2, 3, 3, 1) needs [6 2]_2 = 651 subspaces > 600."""
+    assert main(["search", "--q", "2", "--m", "3", "--k", "3", "--rho", "1",
+                 "--budget", "600"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("budget refusal: ") and "651 subspaces" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--k", "2", "--rho", "1", "--mode", "random"],
+    ["search", "--k", "2", "--rho", "1", "--samples", "5"],
+    ["search", "--k", "2", "--rho", "1", "--seed", "1"],
+    ["search", "--k", "2", "--rho", "1", "--modulus", "1,1,1"],
+    ["search", "--k", "2", "--rho", "1", "--format", "csv"],
+    ["verify", "x.json", "--rho", "1", "--format", "csv"],
+    ["construct", "--family", "rho1", "--budget", "10"],
+    ["bounds", "--budget", "10"],
+    ["examples", "--format", "csv"]],
+    ids=["search-mode-random", "search-samples", "search-seed",
+         "search-modulus", "search-format", "verify-format",
+         "construct-budget", "bounds-budget", "examples-format"])
+def test_cli_rejects_flags_no_subcommand_reads(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_examples_filter(capsys):
