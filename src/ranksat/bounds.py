@@ -15,23 +15,12 @@ from math import gcd, ceil
 
 import numpy as np
 
-from .gftower import _factor, _prime_power
-
-
-def gaussian_binomial(a: int, b: int, q: int) -> int:
-    """Number of b-dimensional subspaces of F_q^a (exact big integer).
-
-    Returns 0 when b > a or b < 0, by convention.
-    """
-    if b < 0 or b > a:
-        return 0
-    num = 1
-    den = 1
-    for j in range(b):
-        num *= q ** (a - j) - 1
-        den *= q ** (j + 1) - 1
-    assert num % den == 0
-    return num // den
+from . import fqlinalg
+from .covering import _MARK_CHUNK, _rank_layers
+from .fqlinalg import gaussian_binomial
+from .gftower import _factor, _prime_power, make_tower
+from .linalg import BudgetExceeded, DEFAULT_BUDGET
+from .qsystem import QSystem
 
 
 @dataclass(frozen=True)
@@ -302,7 +291,7 @@ def verify_published_rows(qmax: int = 5, mmax: int = 12, kmax: int = 12
 # ----------------------------------------------------------------------
 
 def brute_force_s(q: int, m: int, k: int, rho: int,
-                  budget: int = 1 << 26) -> int:
+                  budget: int = DEFAULT_BUDGET) -> int:
     """Smallest n such that some spanning n-dimensional F_q-subspace of
     F_{q^m}^k has saturation radius <= rho, by exhaustive enumeration of
     the systems F_q^k + W (see `brute_force_witness`)."""
@@ -310,7 +299,7 @@ def brute_force_s(q: int, m: int, k: int, rho: int,
 
 
 def brute_force_witness(q: int, m: int, k: int, rho: int,
-                        budget: int = 1 << 26):
+                        budget: int = DEFAULT_BUDGET):
     """First system of least dimension whose saturation radius is <= rho.
 
     A system U spans F_{q^m}^k, so some F_q-basis of U begins with an
@@ -327,11 +316,6 @@ def brute_force_witness(q: int, m: int, k: int, rho: int,
     count of W or the syndrome space Q^k that each candidate's sweep
     marks exceeds the budget, or when a candidate's sweep through level
     rho does; every refusal has completed_level n - 1."""
-    from . import fqlinalg
-    from .covering import _rank_layers
-    from .gftower import make_tower
-    from .linalg import BudgetExceeded
-    from .qsystem import QSystem
     _validate_params(q, m, k, rho)
     tower = make_tower(q, m)
     space = tower.order ** k
@@ -343,9 +327,9 @@ def brute_force_witness(q: int, m: int, k: int, rho: int,
                 f"n={n} needs {count} subspaces of the quotient and a "
                 f"syndrome space of {space}, budget {budget}; "
                 f"search completed up to n={n - 1}", completed_level=n - 1)
-        for _, batch in fqlinalg.rref_subspaces((m - 1) * k, n - k,
-                                                tower.base):
-            A = (batch.reshape(len(batch), n - k, k, m - 1).astype(np.int64)
+        for _, stack in fqlinalg.rref_subspaces((m - 1) * k, n - k,
+                                                tower.base, _MARK_CHUNK):
+            A = (stack.reshape(len(stack), n - k, k, m - 1).astype(np.int64)
                  @ tower._qpow[1:]).transpose(0, 2, 1)
             for a in A:
                 gen = np.hstack([eye, a])

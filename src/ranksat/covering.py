@@ -29,7 +29,6 @@ from math import comb
 import numpy as np
 
 from . import fqlinalg
-from .bounds import gaussian_binomial
 from .gftower import FieldTower, add_digits, expand
 from .interchange import _is_int
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
@@ -143,26 +142,10 @@ def _subspace_level(H, points: PointIndexer, w: int, per: int):
     n = H.shape[1]
     if w > min(n, tower.m):
         return None
-    count = gaussian_binomial(n, w, tower.base.q)
-
-    def runs():
-        """The pivot batches of `rref_subspaces` regrouped, in order, into
-        runs of `per` bases (the last may be shorter); only a run that
-        spans batches is copied."""
-        held, size = [], 0
-        for _, b in fqlinalg.rref_subspaces(n, w, tower.base):
-            while len(b):
-                held.append(b[:per - size])
-                size += len(held[-1])
-                b = b[len(held[-1]):]
-                if size == per:
-                    yield np.concatenate(held) if len(held) > 1 else held[0]
-                    held, size = [], 0
-        if held:
-            yield np.concatenate(held)
+    count = fqlinalg.gaussian_binomial(n, w, tower.base.q)
 
     def chunks():
-        for Ms in runs():
+        for _, Ms in fqlinalg.rref_subspaces(n, w, tower.base, per):
             B = ext_matmul(H, Ms.transpose(0, 2, 1), tower)
             if w == 1:      # the RREF of B^T is its canonical scaling
                 _, idx, keep = points.canonicalize(B[:, :, 0])
@@ -381,14 +364,13 @@ def system_hash(sys: QSystem) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET,
-                      witness_cap: int = WITNESS_CAP
+def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET
                       ) -> tuple[int, SaturationCertificate]:
     """Smallest rho such that every ambient vector is G lambda^T for some
     lambda of rank <= rho, plus a replayable certificate."""
     tower = sys.tower
     points = PointIndexer(tower, sys.k)
-    first_touch = {} if tower.order ** sys.k <= witness_cap else None
+    first_touch = {} if tower.order ** sys.k <= WITNESS_CAP else None
     tight = None
     for rho, covered in _rank_layers(sys.generator, tower, budget,
                                      first_touch):
@@ -421,7 +403,7 @@ def _geometric_layers(sys: QSystem, budget: int):
     bitmap over the indices of a PointIndexer, updated in place.
     """
     tower, k = sys.tower, sys.k
-    Q, q = tower.order, tower.base.q
+    Q = tower.order
     if k == 0:
         yield 0, np.zeros(0, dtype=bool)
         return
@@ -429,9 +411,6 @@ def _geometric_layers(sys: QSystem, budget: int):
     if indexer.total > budget:
         raise BudgetExceeded(
             f"PG(k-1, q^m) has {indexer.total} points > budget {budget}")
-    if q ** sys.n > budget:
-        raise BudgetExceeded(
-            f"linear set sweep needs q^n = {q ** sys.n} > budget {budget}")
     _, idx, _ = indexer.canonicalize(sys.vectors(budget))
     covered = np.zeros(indexer.total, dtype=bool)
     yield 0, covered

@@ -18,6 +18,10 @@ eliminations per target in lists and calls `rref_rows` directly.
 `Decomposition.verify` makes no elimination: `QSystem.contains` tests
 membership in U by one product with a parity check that `kernel` builds
 once per system.
+
+`rref_subspaces` is the one enumerator of F_q-subspaces: the rank sweep
+and the exhaustive search read its stacks of at most `per` RREF bases,
+and `gaussian_binomial` counts them.
 """
 
 from __future__ import annotations
@@ -157,31 +161,61 @@ def all_vectors(n: int, field: SmallField) -> np.ndarray:
     return out
 
 
-def rref_subspaces(n: int, w: int, field: SmallField):
+def gaussian_binomial(a: int, b: int, q: int) -> int:
+    """Number of b-dimensional subspaces of F_q^a (exact big integer).
+
+    Returns 0 when b > a or b < 0, by convention.
+    """
+    if b < 0 or b > a:
+        return 0
+    num = 1
+    den = 1
+    for j in range(b):
+        num *= q ** (a - j) - 1
+        den *= q ** (j + 1) - 1
+    assert num % den == 0
+    return num // den
+
+
+def rref_subspaces(n: int, w: int, field: SmallField, per: int):
     """Yield all w-dimensional subspaces of F_q^n, one RREF basis each.
 
-    Yields (pivot_cols, batch) where batch has shape (count, w, n) and
-    collects every RREF matrix with that pivot set.  The total number of
-    matrices over all batches is the Gaussian binomial [n choose w]_q.
+    Yields (start, stack): stack has shape (count, w, n), int16, and holds
+    `per` bases (the last stack may hold fewer), and start is the index
+    of its first basis.  The order is the pivot sets in `combinations`
+    order, then within one the free entries read as a base-q number,
+    first free slot least significant.  Bases are built in blocks of at
+    most `per`, so no pivot set is built whole; a stack is copied only
+    when it spans blocks.  There are gaussian_binomial(n, w, q) bases.
     """
-    q = field.q
-    if w == 0:
-        yield (), np.zeros((1, 0, n), dtype=np.int16)
-        return
-    if w > n:
-        return
+    if per < 1:
+        raise ValueError(f"need per >= 1, got {per}")
+    q, top = field.q, 0
+    while q ** (top + 1) <= per:
+        top += 1
+    held, size, start = [], 0, 0
     for pivots in combinations(range(n), w):
-        free_slots = []
-        for r in range(w):
-            for c in range(pivots[r] + 1, n):
-                if c not in pivots:
-                    free_slots.append((r, c))
-        nf = len(free_slots)
-        count = q ** nf
-        batch = np.zeros((count, w, n), dtype=np.int16)
-        for r in range(w):
-            batch[:, r, pivots[r]] = 1
-        vals = np.arange(count)
-        for s, (r, c) in enumerate(free_slots):
-            batch[:, r, c] = (vals // (q ** s)) % q
-        yield pivots, batch
+        free = [(r, c) for r in range(w) for c in range(pivots[r] + 1, n)
+                if c not in pivots]
+        # blocks of q^j <= per bases: the low j free slots run through
+        # F_q^j (the table `low`), the others hold the digits of block t
+        j = min(top, len(free))
+        low = np.zeros((q ** j, w, n), dtype=np.int16)
+        for r, c in enumerate(pivots):
+            low[:, r, c] = 1
+        vals = np.arange(q ** j)
+        for s, (r, c) in enumerate(free[:j]):
+            low[:, r, c] = vals // q ** s % q
+        for t in range(q ** (len(free) - j)):
+            b = low.copy() if j < len(free) else low
+            for s, (r, c) in enumerate(free[j:]):
+                b[:, r, c] = t // q ** s % q
+            while len(b):
+                held.append(b[:per - size])
+                size, b = size + len(held[-1]), b[len(held[-1]):]
+                if size == per:
+                    yield start, (np.concatenate(held) if len(held) > 1
+                                  else held[0])
+                    held, size, start = [], 0, start + per
+    if held:
+        yield start, np.concatenate(held) if len(held) > 1 else held[0]

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import fqlinalg
 from .gftower import FieldTower, SmallField, expand
-from .linalg import (BudgetExceeded, DEFAULT_BUDGET, MatrixExt, RankCode,
-                     as_matrix, fq_span_vectors)
+from .linalg import (DEFAULT_BUDGET, MatrixExt, RankCode, as_matrix,
+                     fq_span_vectors)
 
 
 class SystemError_(ValueError):
@@ -190,20 +190,14 @@ def linear_set(sys: QSystem, budget: int = DEFAULT_BUDGET) -> LinearSet:
     """Enumerate L_U with per-point weights (one O(q^n) sweep)."""
     tower = sys.tower
     q = tower.base.q
-    if q ** sys.n > budget:
-        raise BudgetExceeded(
-            f"linear set sweep needs q^n = {q ** sys.n} > budget {budget}")
     vecs = sys.vectors(budget)
     indexer = PointIndexer(tower, sys.k)
     _, idx, _ = indexer.canonicalize(vecs)
     uniq, counts = np.unique(idx, return_counts=True)
     # the fibre over a point of weight w has exactly q^w - 1 vectors
-    weights = np.zeros(uniq.size, dtype=np.int64)
-    for i, c in enumerate(counts):
-        w = int(round(np.log(c + 1) / np.log(q)))
-        if q ** w - 1 != c:
-            raise SystemError_("point fibre size is not q^w - 1")
-        weights[i] = w
+    weights = np.rint(np.log(counts + 1) / np.log(q)).astype(np.int64)
+    if (q ** weights - 1 != counts).any():
+        raise SystemError_("point fibre size is not q^w - 1")
     points = indexer.decode(uniq)
     return LinearSet(tower, sys.k, sys.n, points, weights)
 

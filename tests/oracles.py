@@ -185,6 +185,37 @@ def brute_is_maximal(code):
     return True
 
 
+def pivot_batch_subspaces(n, w, field):
+    """`fqlinalg.rref_subspaces` before it yielded bounded stacks: all
+    w-dimensional subspaces of F_q^n, one RREF basis each.
+
+    Yields (pivot_cols, batch) where batch has shape (count, w, n) and
+    collects every RREF matrix with that pivot set.  The total number of
+    matrices over all batches is the Gaussian binomial [n choose w]_q.
+    """
+    q = field.q
+    if w == 0:
+        yield (), np.zeros((1, 0, n), dtype=np.int16)
+        return
+    if w > n:
+        return
+    for pivots in combinations(range(n), w):
+        free_slots = []
+        for r in range(w):
+            for c in range(pivots[r] + 1, n):
+                if c not in pivots:
+                    free_slots.append((r, c))
+        nf = len(free_slots)
+        count = q ** nf
+        batch = np.zeros((count, w, n), dtype=np.int16)
+        for r in range(w):
+            batch[:, r, pivots[r]] = 1
+        vals = np.arange(count)
+        for s, (r, c) in enumerate(free_slots):
+            batch[:, r, c] = (vals // (q ** s)) % q
+        yield pivots, batch
+
+
 def brute_subspace_count(n, w, q, field):
     """Number of w-dimensional subspaces of F_q^n, counted by listing
     the span of every independent w-tuple (no RREF involved)."""
@@ -409,7 +440,6 @@ def affine_rank_layers(H, tower, budget, first_touch=None):
     package's sweep, and the brute-force oracles above check it, so it is
     the reference for the projective marking, the early stop and the
     witness replay."""
-    from ranksat import fqlinalg
     from ranksat.bounds import gaussian_binomial
     from ranksat.covering import _charge, _check_space
     from ranksat.linalg import ext_matmul
@@ -428,7 +458,7 @@ def affine_rank_layers(H, tower, budget, first_touch=None):
         work = _charge(work, gaussian_binomial(n, w, tower.base.q)
                        * Q ** w, budget, "rank", w,
                        float(covered.sum()) / covered.size)
-        for _, batch in fqlinalg.rref_subspaces(n, w, tower.base):
+        for _, batch in pivot_batch_subspaces(n, w, tower.base):
             B = ext_matmul(H, batch.reshape(-1, n).T.astype(np.int64), tower)
             idx = _span_marks(B.reshape(r, -1, w), tower).ravel()
             if first_touch is not None:
@@ -507,13 +537,12 @@ def full_subspace_s(q, m, k, rho, budget=1 << 26):
     those that do not span F_{q^m}^k.  Each candidate is tested by
     `affine_rank_layers` through level rho, so neither the reduction to
     F_q^k + W of `brute_force_s` nor its marking kernel is involved."""
-    from ranksat import fqlinalg
     from ranksat.gftower import make_tower
     from ranksat.qsystem import QSystem, SystemError_
     tower = make_tower(q, m)
     D = m * k
     for n in range(k, D + 1):
-        for _, batch in fqlinalg.rref_subspaces(D, n, tower.base):
+        for _, batch in pivot_batch_subspaces(D, n, tower.base):
             for M in batch:
                 gen = (M.reshape(n, k, m).astype(np.int64) @ tower._qpow).T
                 try:

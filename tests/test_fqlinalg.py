@@ -10,7 +10,7 @@ from ranksat import (construct_subgeometry, decompose, fqlinalg,
 from ranksat.gftower import SmallField
 from ranksat.linalg import ext_matmul
 
-from oracles import brute_subspace_count, numpy_rref
+from oracles import brute_subspace_count, numpy_rref, pivot_batch_subspaces
 
 F2 = SmallField(2)
 F3 = SmallField(3)
@@ -135,20 +135,53 @@ def test_solve():
                           np.array([0, 1]), F2) is None
 
 
-def test_subspace_enumeration_counts_match_formula():
+PERS = [1, 5, 257, 1 << 16]
+
+
+@pytest.mark.parametrize("per", PERS)
+def test_subspace_enumeration_counts_match_formula(per):
     for (n, w, f) in [(4, 2, F2), (4, 1, F2), (3, 2, F3), (4, 3, F2)]:
-        total = sum(b.shape[0] for _, b in fqlinalg.rref_subspaces(n, w, f))
+        total = sum(b.shape[0]
+                    for _, b in fqlinalg.rref_subspaces(n, w, f, per))
         assert total == gaussian_binomial(n, w, f.q)
 
 
-def test_subspace_enumeration_is_duplicate_free():
+@pytest.mark.parametrize("per", PERS)
+def test_subspace_enumeration_is_duplicate_free(per):
     seen = set()
-    for _, batch in fqlinalg.rref_subspaces(4, 2, F2):
+    for _, batch in fqlinalg.rref_subspaces(4, 2, F2, per):
         for M in batch:
             key = M.tobytes()
             assert key not in seen
             seen.add(key)
     assert len(seen) == 35
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 6), st.sampled_from(PERS),
+       st.data())
+def test_subspace_stacks_match_pivot_batches(q, n, per, data):
+    """The bounded stacks, concatenated, are the pivot batches of the
+    reference enumerator in the same order; every stack but the last
+    holds exactly `per` bases, and each start counts the bases before."""
+    w = data.draw(st.integers(0, n))
+    field = SmallField(q)
+    stacks = list(fqlinalg.rref_subspaces(n, w, field, per))
+    sizes = [len(stack) for _, stack in stacks]
+    assert [start for start, _ in stacks] == [sum(sizes[:i])
+                                              for i in range(len(sizes))]
+    assert all(size == per for size in sizes[:-1]) and 1 <= sizes[-1] <= per
+    assert all(stack.dtype == np.int16 for _, stack in stacks)
+    expected = np.concatenate([b for _, b in pivot_batch_subspaces(n, w,
+                                                                   field)])
+    assert np.array_equal(np.concatenate([s for _, s in stacks]), expected)
+
+
+def test_subspace_stacks_are_bounded_before_the_first_pivot_batch_ends():
+    """The first pivot set of the 2-dimensional subspaces of F_4^8 has
+    4^12 bases; the first stack holds just `per` of them."""
+    start, stack = next(fqlinalg.rref_subspaces(8, 2, SmallField(4), 257))
+    assert start == 0 and stack.shape == (257, 2, 8)
 
 
 def test_gaussian_binomial_against_brute_span_count():
