@@ -32,7 +32,8 @@ from . import fqlinalg
 from .gftower import FieldTower, add_digits, expand
 from .interchange import _is_int
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
-                     ext_matmul, min_rank_distance, rank_weight_batch)
+                     ext_matmul, min_rank_distance, rank_weight_batch,
+                     weight_spectrum)
 from .qsystem import (PointIndexer, QSystem, SystemError_, expanded_columns,
                       linear_set, is_scattered)
 
@@ -86,22 +87,22 @@ def _flat_points(R, pivots, indexer: PointIndexer) -> np.ndarray:
     """The (Q^w - 1)/(Q - 1) point indices of each flat spanned by the
     RREF bases R (b, w, k) with pivot columns `pivots` (b, w): canonical
     R_i + sum_{j > i} mu_j R_j is off[pivot_i] + packed R_i added to the
-    packed span of the rows below, grown a row and 5 digits of mu a step."""
+    span of the rows below, grown by 0 and each row's `multiples`: windows
+    of exp, which repeats for indices Q-1..2Q-3 and is 0 from 2(Q-1) to 2S."""
     tower, (b, w, k) = indexer.tower, R.shape
-    p, me = tower.base.p, tower.m * tower.base.e
-    steps = [np.arange(p ** min(5, me - t)) * p ** t for t in range(0, me, 5)]
+    p, digits = tower.base.p, k * tower.m * tower.base.e
     packed = R @ indexer.qpow
     span, out = None, []    # no rows below: the span is {0}
     for i in range(w - 1, -1, -1):
         row = packed[:, i, None]
-        out.append(indexer.off[pivots[:, i], None]
-                   + (row if span is None else add_digits(row, span, p,
-                                                          k * me)))
-        for mus in (steps if i else []):
-            mults = tower.mul_arr(R[:, i, None], mus[:, None]) @ indexer.qpow
+        out.append(indexer.off[pivots[:, i], None] + (
+            row if span is None else add_digits(row, span, p, digits)))
+        if i:
+            mults = np.concatenate([np.zeros((b, 1), dtype=np.int64),
+                                    indexer.multiples(R[:, i])], axis=1)
             span = mults if span is None else add_digits(
-                span[:, None], mults[:, :, None], p, k * me).reshape(
-                    b, mus.size * span.shape[1])
+                span[:, None], mults[:, :, None], p, digits).reshape(
+                    b, tower.order * span.shape[1])
     return np.concatenate(out, axis=1)
 
 
@@ -125,11 +126,6 @@ def _charge(work: int, level_work: int, budget: int, what: str, w: int,
             f"enumeration through {what} {w} needs {work} > budget {budget}",
             completed_level=w - 1, coverage=coverage)
     return work
-
-
-def _cone(tower: FieldTower, V) -> np.ndarray:
-    """The multiples c v, c = 1..Q-1 (axis 1), of the rows v of V."""
-    return tower.mul_arr(np.arange(1, tower.order)[:, None], V[:, None, :])
 
 
 def _subspace_level(H, points: PointIndexer, w: int, per: int):
@@ -240,13 +236,14 @@ def _rank_layers(H, tower: FieldTower, budget: int,
                 idx = (ext_matmul(B[subs], grid, tower).transpose(0, 2, 1)
                        @ points.qpow).ravel()
                 found, pos = np.unique(idx, return_index=True)
-                targets = _cone(tower, points.decode(uniq)).reshape(-1, r)
+                codes = points.multiples(points.decode(uniq)).ravel()
                 # pos = subs index * Q^w + gamma's column of the grid
-                pos = pos[np.searchsorted(found, targets @ points.qpow)]
+                pos = pos[np.searchsorted(found, codes)]
                 x = ext_matmul(grid.T[pos % Q ** w, None],
                                Ms[subs[pos // Q ** w]], tower)[:, 0]
-                first_touch.update(zip(map(tuple, targets.tolist()),
-                                       map(tuple, x.tolist())))
+                first_touch.update(zip(
+                    map(tuple, (codes[:, None] // points.qpow % Q).tolist()),
+                    map(tuple, x.tolist())))
             covered[marks] = True
             fresh += np.count_nonzero(new)
             if fresh >= left:
@@ -389,7 +386,7 @@ def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET
 # Saturation radius (geometric form): span marking over the linear set
 # ----------------------------------------------------------------------
 
-_FRONTIER_CHUNK = 1 << 16
+_FRONTIER_CHUNK = 1 << 14
 _WORK_HARD_CAP = 1 << 33
 
 
@@ -433,9 +430,10 @@ def _geometric_layers(sys: QSystem, budget: int):
                 coverage=float(covered.sum()) / indexer.total)
         before = covered.copy()
         # u-chunks double up to ~_FRONTIER_CHUNK pairs, so a sweep that
-        # finishes early stops early.  At level 2 the frontier is L_U:
-        # i > j gives each pair once, and `seen` each line once, as two
-        # points of L_U can span it.  Past level 2 the frontier misses L_U.
+        # finishes early stops early; batches of at most _FRONTIER_CHUNK
+        # pairs cut them, as one u pairs the whole frontier.  At level 2
+        # the frontier is L_U: i > j gives each pair once, and `seen` each
+        # line once, as two points of L_U can span it; later it misses L_U.
         seen = np.zeros(0, dtype=np.int64) if level == 2 else None
         lo, per = 0, 1
         while lo < ell and not covered.all():
@@ -443,11 +441,13 @@ def _geometric_layers(sys: QSystem, budget: int):
             pairs = (np.ones((f, hi - lo), dtype=bool) if level > 2 else
                      np.arange(f)[:, None] > np.arange(lo, hi))
             ia, iu = np.nonzero(pairs)
-            R, pivots = _line_bases(frontier[ia], L[lo + iu], tower)
-            first, seen = _distinct_flats(R, pivots, indexer, seen)
-            for s in range(0, first.size, max(1, _MARK_CHUNK // Q)):
-                t = first[s:s + max(1, _MARK_CHUNK // Q)]
-                covered[_flat_points(R[t], pivots[t], indexer)] = True
+            for c in range(0, ia.size, _FRONTIER_CHUNK):
+                a, u = ia[c:c + _FRONTIER_CHUNK], iu[c:c + _FRONTIER_CHUNK]
+                R, pivots = _line_bases(frontier[a], L[lo + u], tower)
+                first, seen = _distinct_flats(R, pivots, indexer, seen)
+                for s in range(0, first.size, max(1, _MARK_CHUNK // Q)):
+                    t = first[s:s + max(1, _MARK_CHUNK // Q)]
+                    covered[_flat_points(R[t], pivots[t], indexer)] = True
             lo, per = hi, min(2 * per, max(1, _FRONTIER_CHUNK // f))
         if not covered.all():
             newly = np.nonzero(covered & ~before)[0]
@@ -515,7 +515,6 @@ def check_bound_consistency(code: RankCode, budget: int = DEFAULT_BUDGET,
     returned report lists every computed quantity.  Zero and full codes
     are exempt from the diameter inequality.
     """
-    from .linalg import weight_spectrum
     tower = code.tower
     n, k, m = code.n, code.k, tower.m
     report: dict = {"n": n, "k": k}
@@ -633,24 +632,18 @@ def puncture_nonscattered(sys: QSystem, budget: int = DEFAULT_BUDGET,
     _, idx, keep = indexer.canonicalize(vecs)
     fibre = vecs[np.nonzero(keep)[0][idx == target_idx]]
     u_a = fibre[0]
-    u_b = None
-    for cand in fibre[1:]:
-        # F_q-dependent on u_a iff cand = c u_a with c in F_q
-        if not any(np.array_equal(cand, tower.mul_scalar(c, u_a))
-                   for c in range(1, tower.base.q)):
-            u_b = cand
-            break
+    # F_q-dependent on u_a iff cand = c u_a with c in F_q
+    u_b = next((cand for cand in fibre[1:]
+                if not any(np.array_equal(cand, tower.mul_scalar(c, u_a))
+                           for c in range(1, tower.base.q))), None)
     assert u_b is not None, "weight >= 2 point must carry independent vectors"
     cols = expanded_columns(sys.generator, tower)
     c_a = fqlinalg.solve(cols, expand(u_a, tower).reshape(-1), tower.base)
     c_b = fqlinalg.solve(cols, expand(u_b, tower).reshape(-1), tower.base)
     # functional vanishing on c_a but not on c_b
     K = fqlinalg.kernel(c_a.reshape(1, -1), tower.base)
-    phi = None
-    for row in K:
-        if ext_matmul(row[None], c_b[:, None], tower.base).any():
-            phi = row
-            break
+    phi = next((row for row in K if ext_matmul(row[None], c_b[:, None],
+                                               tower.base).any()), None)
     assert phi is not None, "c_b should be independent of c_a"
     K2 = fqlinalg.kernel(phi.reshape(1, -1), tower.base)   # (n-1) x n
     newG = ext_matmul(sys.generator, K2.T.astype(np.int64), tower)

@@ -469,8 +469,9 @@ class FieldTower:
         v -> x v shifts every code's digits up one place and sends the top
         digit to x^m = -(modulus minus its leading term); v -> g v is the
         linear map with images g x^j, read off the orbit of g under x.
-        log(0) is the sentinel S = 2(Q-1), and exp is zero from index
-        2(Q-1) through 2S, so exp[log a + log b] is a b with no zero test.
+        log(0) is the sentinel S = 2(Q-1).  exp repeats for indices Q-1..2Q-3
+        and is zero from 2(Q-1) through 2S, so exp[log a + log b] is a b with
+        no zero test, and row log v of the view `_windows` is g^e v, e < Q-1.
         """
         Q, q, m = self.order, self.base.q, self.m
         xm = self.from_digits([self.base.neg(c) for c in self.modulus[:-1]])
@@ -493,6 +494,8 @@ class FieldTower:
         self._exp = np.zeros(2 * S + 1, dtype=np.int64)
         self._exp[:Q - 1] = orbit
         self._exp[Q - 1:S] = self._exp[:Q - 1]
+        self._windows = np.lib.stride_tricks.sliding_window_view(self._exp,
+                                                                 Q - 1)
         self._log = np.full(Q, S, dtype=np.int64)
         self._log[orbit] = np.arange(Q - 1)
         self._inv_table = np.concatenate(

@@ -119,8 +119,7 @@ class PointIndexer:
         Returns (W, idx, keep_mask); rows of V that are zero are dropped.
         """
         V = np.atleast_2d(np.asarray(V, dtype=np.int64))
-        nz = V != 0
-        keep = nz.any(axis=1)
+        keep = V.any(axis=1)
         V = V[keep]
         if V.shape[0] == 0:
             return (np.zeros((0, self.k), dtype=np.int64),
@@ -131,6 +130,16 @@ class PointIndexer:
         W = t._exp[t._log[V] + t._log[t._inv_table[piv]][:, None]]
         idx = W @ self.qpow + self.off[j]
         return W, idx, keep
+
+    def multiples(self, V) -> np.ndarray:
+        """Packed codes (b, Q-1) of the nonzero multiples g^e v, e < Q-1, of
+        the rows v of V (b, k): Horner over the windows of exp from log v_j."""
+        win, logs = self.tower._windows, self.tower._log[V]
+        out = win[logs[:, 0]]
+        for j in range(1, self.k):
+            out *= self.Q
+            out += win[logs[:, j]]
+        return out
 
     def index_of(self, v) -> int:
         W, idx, _ = self.canonicalize(np.asarray(v, dtype=np.int64)[None, :])

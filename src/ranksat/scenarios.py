@@ -9,13 +9,15 @@ fixed by an independent computation in this package's test suite, and
 
 from __future__ import annotations
 
+import fnmatch
+import random
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import bounds as bnd
+from . import bounds as bnd, fqlinalg
 from .constructions import (construct_identity_block, construct_rho1,
                             construct_subgeometry, cutting_system_6_3,
                             cutting_system_8_4, decompose, direct_sum,
@@ -23,7 +25,7 @@ from .constructions import (construct_identity_block, construct_rho1,
 from .covering import (is_linear_cutting_blocking_set, rank_covering_radius,
                        saturation_radius, saturation_radius_geometric)
 from .gftower import make_tower
-from .linalg import DEFAULT_BUDGET
+from .linalg import DEFAULT_BUDGET, ext_matmul
 from .qsystem import QSystem, associated_code, linear_set, is_scattered, \
     lift_system
 
@@ -104,16 +106,11 @@ def _experiment_5_9_q4(budget):
     tower = make_tower(4, 4)
     sysm = cutting_system_8_4(tower)
     code = associated_code(sysm)
-    # rank-1 codewords are lambda * v with v over F_q; reduce all such v
-    # against the row echelon form of the generator at once
-    from . import fqlinalg
-    R, pivots = fqlinalg.rref(code.generator, tower)
+    # rank-1 codewords are lambda * v with v over F_q, and v is a codeword
+    # iff the parity check annihilates it: test all such v at once
     V = fqlinalg.all_vectors(sysm.n, tower.base)[1:].astype(np.int64)
-    for r, c in enumerate(pivots):
-        coef = V[:, c]
-        V = tower.sub_arr(V, tower.mul_arr(coef[:, None], R[r][None, :]))
-    has_rank1 = bool((~V.any(axis=1)).any())
-    d_lower = 1 if has_rank1 else 2
+    syndromes = ext_matmul(code.parity_check, V.T, tower)
+    d_lower = 2 if syndromes.any(axis=0).all() else 1
     bound = min(sysm.n, tower.m) - d_lower + 1
     return {"d_rk_at_least": d_lower, "radius_at_most": bound}
 
@@ -128,7 +125,6 @@ def _subgeometry(q: int, r: int, t: int, h: int):
 
 def _decompose_check(q: int, r: int, t: int, h: int, trials: int = 200):
     def run(budget):
-        import random
         tower = make_tower(q, r * t)
         sysm = construct_subgeometry(tower, r, t, h)
         rng = random.Random(0)
@@ -196,7 +192,6 @@ SCENARIOS: list[Scenario] = [
 
 
 def get_scenarios(pattern: str | None = None) -> list[Scenario]:
-    import fnmatch
     if not pattern:
         return sorted(SCENARIOS, key=lambda s: s.name)
     return sorted((s for s in SCENARIOS if fnmatch.fnmatch(s.name, pattern)),

@@ -10,8 +10,9 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from ranksat.gftower import _poly_mulmod, _poly_trim
+from ranksat.gftower import FieldTower, _poly_mulmod, _poly_trim, add_digits
 from ranksat.linalg import ext_rank, rank_weight
+from ranksat.qsystem import PointIndexer
 
 
 def schoolbook_mul(tower, a, b):
@@ -240,7 +241,6 @@ def brute_subspace_count(n, w, q, field):
 
 def brute_cutting(sysm):
     """Hyperplane check straight from the definition, enumerating U."""
-    from ranksat.qsystem import PointIndexer
     tower = sysm.tower
     U = [np.array(u, dtype=np.int64) for u in sysm.vectors()]
     indexer = PointIndexer(tower, sysm.k)
@@ -263,7 +263,6 @@ def brute_is_minimal(code, budget=1 << 26):
     """No two projectively distinct codewords have nested rank supports:
     every pair of supports compared, from the codeword list."""
     from ranksat.linalg import rank_support
-    from ranksat.qsystem import PointIndexer
     tower = code.tower
     words = code.codewords(budget)
     reps, idx, _ = PointIndexer(tower, code.n).canonicalize(words)
@@ -406,12 +405,37 @@ def _span_marks(B, tower, first=0):
     return acc @ ppow
 
 
+def _cone(tower: FieldTower, V) -> np.ndarray:
+    """The multiples c v, c = 1..Q-1 (axis 1), of the rows v of V."""
+    return tower.mul_arr(np.arange(1, tower.order)[:, None], V[:, None, :])
+
+
+def mu_digit_flat_points(R, pivots, indexer: PointIndexer) -> np.ndarray:
+    """`covering._flat_points` before `PointIndexer.multiples`: the span
+    of the rows below grew by products of each row with the codes of five
+    base-p digits of mu at a time, packed by a matmul."""
+    tower, (b, w, k) = indexer.tower, R.shape
+    p, me = tower.base.p, tower.m * tower.base.e
+    steps = [np.arange(p ** min(5, me - t)) * p ** t for t in range(0, me, 5)]
+    packed = R @ indexer.qpow
+    span, out = None, []    # no rows below: the span is {0}
+    for i in range(w - 1, -1, -1):
+        row = packed[:, i, None]
+        out.append(indexer.off[pivots[:, i], None]
+                   + (row if span is None else add_digits(row, span, p,
+                                                          k * me)))
+        for mus in (steps if i else []):
+            mults = tower.mul_arr(R[:, i, None], mus[:, None]) @ indexer.qpow
+            span = mults if span is None else add_digits(
+                span[:, None], mults[:, :, None], p, k * me).reshape(
+                    b, mus.size * span.shape[1])
+    return np.concatenate(out, axis=1)
+
+
 def affine_coverage(covered, tower, r):
     """The affine bitmap over F_{q^m}^r (packed targets, first entry most
     significant) of a projective bitmap over PG(r-1, Q): zero and every
     multiple of each covered point."""
-    from ranksat.covering import _cone
-    from ranksat.qsystem import PointIndexer
     points = PointIndexer(tower, r)
     affine = np.zeros(tower.order ** r, dtype=bool)
     affine[0] = True

@@ -230,6 +230,35 @@ def test_geometric_sweep_refuses_above_hard_cap(monkeypatch):
     assert exc.value.coverage == 449 / 266305
 
 
+def test_geometric_sweep_bounds_pair_batches(monkeypatch):
+    # [6,4]/F_27 block: its level-3 frontier has 8,424 points, so even one
+    # linear-set point per chunk pairs far more than 64 at level 3
+    from ranksat import covering
+    sysm = construct_identity_block(make_tower(3, 3), 4, 3)
+
+    def levels():
+        return [(w, covered.copy())
+                for w, covered in covering._geometric_layers(sysm, 1 << 26)]
+
+    expected = levels()
+    sizes = []
+    line_bases = covering._line_bases
+
+    def spy(a, u, tower):
+        sizes.append(a.shape[0])
+        return line_bases(a, u, tower)
+
+    monkeypatch.setattr(covering, "_FRONTIER_CHUNK", 64)
+    monkeypatch.setattr(covering, "_line_bases", spy)
+    bounded = levels()
+    # L_U, then the frontier of 8,424 points, then all of PG(3, 27)
+    assert [int(c.sum()) for _, c in expected] == [0, 352, 8_776, 20_440]
+    assert max(sizes) == 64
+    assert [w for w, _ in bounded] == [w for w, _ in expected] == [0, 1, 2, 3]
+    assert all(np.array_equal(c, e) for (_, c), (_, e) in zip(bounded,
+                                                              expected))
+
+
 def test_basis_change_invariance(tower4, rng):
     from ranksat import fqlinalg
     from ranksat.linalg import ext_matmul

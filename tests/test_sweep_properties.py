@@ -14,6 +14,7 @@ from math import comb
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranksat import (BudgetExceeded, QSystem, associated_code, covering,
@@ -31,7 +32,8 @@ from oracles import (affine_coverage, affine_hamming_covering_radius,
                      brute_cutting,
                      brute_hamming_covering_radius, brute_is_minimal,
                      brute_min_coefficient_rank, brute_rank_covering_radius,
-                     coverage_through_level, degenerate_code)
+                     coverage_through_level, degenerate_code,
+                     mu_digit_flat_points)
 
 TOWERS = {qm: make_tower(*qm) for qm in [(2, 2), (2, 3), (3, 2), (4, 2)]}
 
@@ -66,6 +68,10 @@ CUTTING = [(qm, k, n) for qm in TOWERS for k in (1, 2, 3)
 # (field, order): the base fields F_2, F_3, F_4 and the towers over them
 FIELDS = ([(TOWERS[qm].base, qm[0]) for qm in [(2, 2), (3, 2), (4, 2)]]
           + [(TOWERS[qm], TOWERS[qm].order) for qm in [(2, 2), (3, 2), (4, 2)]])
+
+# F_2, F_7 (m = 1), F_4/F_2, F_9/F_3, F_16/F_4 (e > 1), F_27 and F_256
+KERNEL_TOWERS = [make_tower(*qm) for qm in [(2, 1), (7, 1), (2, 2), (3, 2),
+                                            (4, 2), (3, 3), (2, 8)]]
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
@@ -337,6 +343,35 @@ def test_cutting_test_matches_oracles(case, extra, seed):
     cutting = is_linear_cutting_blocking_set(sysm)
     assert cutting == brute_cutting(sysm)
     assert cutting == is_minimal_rank_code(code) == brute_is_minimal(code)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("tower", KERNEL_TOWERS,
+                         ids=lambda t: f"F{t.order}/F{t.base.q}")
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 1), st.integers(0, 3), SEEDS)
+def test_flat_points_match_mu_digit_oracle(tower, w, extra, b, seed):
+    # b RREF bases of w-flats of PG(k-1, Q), half their free entries zero
+    Q, k = tower.order, w + extra
+    indexer = PointIndexer(tower, k)
+    rng = np.random.default_rng(seed)
+    R = rng.integers(0, Q, (b, w, k)) * (rng.random((b, w, k)) < 0.5)
+    pivots = np.zeros((b, w), dtype=np.int64)
+    for s in range(b):
+        pivots[s] = np.sort(rng.choice(k, w, replace=False))
+        for i, j in enumerate(pivots[s]):
+            R[s, i, :j] = R[s, :, j] = 0
+            R[s, i, j] = 1
+    got = np.sort(covering._flat_points(R, pivots, indexer), axis=1)
+    assert got.shape == (b, (Q ** w - 1) // (Q - 1))
+    assert (np.diff(got, axis=1) > 0).all()
+    assert np.array_equal(got, np.sort(mu_digit_flat_points(R, pivots,
+                                                            indexer), axis=1))
+    # the window kernel lists the nonzero multiples, zero rows included
+    V = rng.integers(0, Q, (b, k)) * (rng.random((b, k)) < 0.7)
+    cone = tower.mul_arr(np.arange(1, Q)[:, None], V[:, None]) @ indexer.qpow
+    assert np.array_equal(np.sort(indexer.multiples(V), axis=1),
+                          np.sort(cone, axis=1))
 
 
 @PROPERTY
