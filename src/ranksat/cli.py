@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -208,7 +209,10 @@ def cmd_examples(args) -> int:
     return 1 if failures else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ranksat` parser, built once per process: it is configuration,
+    and `parse_args` does not change it."""
     ap = argparse.ArgumentParser(
         prog="ranksat",
         description="rank-saturating systems and rank-metric covering codes")

@@ -9,25 +9,33 @@ hot-path operations have numpy-vectorized variants that operate on
 integer arrays of element codes.
 
 Multiplication uses log/exp tables, and one builder makes them for every
-field (`FieldTower._build_tables`): it forms the map v -> x v on all
-codes at once, derives v -> g v from it, and steps that map from 1 for
-the first code g whose orbit has length q^m - 1.  A non-prime base field
-SmallField(p^e) takes its product table from FieldTower(p, e).  log(0) is
-a sentinel that indexes the zero padding of exp, so the array kernels
-multiply with one gather and no zero test.
+field (`FieldTower._build_tables`): it finds the first code g of
+multiplicative order q^m - 1 by an order test, forms the map v -> x v on
+all codes at once, derives v -> g v from it, and steps that map from 1.
+A non-prime base field SmallField(p^e) takes its product table from the
+tower F_p <= F_{p^e}.  log(0) is a sentinel that indexes the zero padding
+of exp, so the array kernels multiply with one gather and no zero test.
+
+`make_tower` is the one factory for towers: it builds each (q, m,
+modulus) once per process and hands every caller the same read-only
+object.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from functools import cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 
 import numpy as np
 
 # Tables are built eagerly; beyond this the sweeps this library exists
 # for are infeasible anyway, so we refuse rather than degrade silently.
 MAX_TABLE_ORDER = 1 << 22
+
+# Towers `make_tower` keeps alive: more than one `ranksat examples` run or
+# one perfbench worker builds, so neither evicts.
+TOWER_CACHE_SIZE = 32
 
 
 class FieldError(ValueError):
@@ -240,13 +248,13 @@ class SmallField:
 
     Elements are integer codes 0 .. q-1.  For e > 1 the code packs the
     F_p-coordinates of the element in base p, and the tables are those of
-    FieldTower(p, e): the modulus is the lexicographically first
+    make_tower(p, e): the modulus is the lexicographically first
     irreducible monic polynomial of degree e over F_p.
 
     The scalar ops take and return Python ints and build no numpy array:
     arithmetic mod q for prime q (so a numpy scalar narrower than int64
     can overflow in `mul`), and for e > 1 the scalar ops of
-    FieldTower(p, e), bound in the constructor.  `fqlinalg.rref` runs on
+    make_tower(p, e), bound in the constructor.  `fqlinalg.rref` runs on
     them; the array ops (`add_arr` ...) serve `echelon` and the kernels.
     """
 
@@ -261,7 +269,7 @@ class SmallField:
         if e == 1:
             mul = a * b % q
         else:
-            t = FieldTower(p, e)
+            t = make_tower(p, e)
             mul = t.mul_arr(a, b)
             self.add, self.sub, self.neg, self.mul, self.inv = (
                 t.add, t.sub, t.neg, t.mul, t.inv)
@@ -400,6 +408,8 @@ class SubfieldEmbedding:
         member = np.zeros(tower.order, dtype=bool)
         member[embed_table] = True
         self.member_mask = member
+        # kept by the shared tower (`FieldTower.subfield`), so read-only
+        embed_table.flags.writeable = member.flags.writeable = False
 
     def embed(self, a: int) -> int:
         return int(self.embed_table[a])
@@ -419,6 +429,11 @@ class FieldTower:
     `add`, `sub` and `neg` are XOR (and the identity) for p = 2 and list
     lookups per block of base-p digits for odd p (`_code_ops`); `mul` and
     `inv` read the log/exp tables through memoryviews.
+
+    Build towers with `make_tower`, which shares one object per field
+    and process.  The tables (`_exp`, `_log`, `_inv_table`, `_qpow`,
+    `digit_table()` and the arrays of the `subfield` embeddings) are
+    read-only, so no caller can change what another one reads.
     """
 
     def __init__(self, q: int, m: int, modulus=None):
@@ -445,6 +460,7 @@ class FieldTower:
         self.modulus = tuple(modulus)
         self.alpha = q if m > 1 else self.base.sub(0, modulus[0])
         self._qpow = np.array([q ** i for i in range(m)], dtype=np.int64)
+        self._qpow.flags.writeable = False
         self._digit_table = None
         self._build_tables()
         self._subfields: dict[int, SubfieldEmbedding] = {}
@@ -462,9 +478,23 @@ class FieldTower:
             out = self.add_arr(out[None, :], scaled[:, None]).ravel()
         return out
 
+    def _primitive_code(self) -> int:
+        """The least code g >= 1 of multiplicative order Q - 1: g^((Q-1)/r)
+        is not 1 for any prime r | Q - 1, by square-and-multiply of g's
+        digit polynomial mod the modulus."""
+        F, Q = self.base, self.order
+        exponents = [(Q - 1) // r for r in _factor(Q - 1)]
+        modulus = list(self.modulus)
+        for g in range(1, Q):
+            poly = _poly_trim(self.digits(g))
+            if all(_poly_powmod(F, poly, e, modulus) != [1]
+                   for e in exponents):
+                return g
+        raise FieldError("no primitive element found (unreachable)")
+
     def _build_tables(self):
-        """Log/exp tables from the orbit of 1 under v -> g v, for the first
-        code g >= 1 whose orbit has length Q - 1.
+        """Log/exp tables from the orbit of 1 under v -> g v, for the
+        generator g = `_primitive_code()`.
 
         v -> x v shifts every code's digits up one place and sends the top
         digit to x^m = -(modulus minus its leading term); v -> g v is the
@@ -472,34 +502,33 @@ class FieldTower:
         log(0) is the sentinel S = 2(Q-1).  exp repeats for indices Q-1..2Q-3
         and is zero from 2(Q-1) through 2S, so exp[log a + log b] is a b with
         no zero test, and row log v of the view `_windows` is g^e v, e < Q-1.
+        The tables are read-only: every holder of the tower shares them.
         """
         Q, q, m = self.order, self.base.q, self.m
+        g = self._primitive_code()
         xm = self.from_digits([self.base.neg(c) for c in self.modulus[:-1]])
         times_x = self._linear_map([q ** j for j in range(1, m)] + [xm])
-        for g in range(1, Q):
-            images = [g]
-            for _ in range(m - 1):
-                images.append(int(times_x[images[-1]]))
-            step = self._linear_map(images).tolist()
-            orbit, v = [1], step[1]
-            while v != 1 and len(orbit) < Q:
-                orbit.append(v)
-                v = step[v]
-            if len(orbit) == Q - 1:
-                break
-        else:
-            raise FieldError("no primitive element found (unreachable)")
+        images = [g]
+        for _ in range(m - 1):
+            images.append(int(times_x[images[-1]]))
+        step = self._linear_map(images).tolist()
+        orbit, v = [1], step[1]
+        while v != 1:
+            orbit.append(v)
+            v = step[v]
         self.generator = g
         S = 2 * (Q - 1)
         self._exp = np.zeros(2 * S + 1, dtype=np.int64)
         self._exp[:Q - 1] = orbit
         self._exp[Q - 1:S] = self._exp[:Q - 1]
-        self._windows = np.lib.stride_tricks.sliding_window_view(self._exp,
-                                                                 Q - 1)
         self._log = np.full(Q, S, dtype=np.int64)
         self._log[orbit] = np.arange(Q - 1)
         self._inv_table = np.concatenate(
             ([0], self._exp[(Q - 1) - self._log[1:]]))
+        for table in (self._exp, self._log, self._inv_table):
+            table.flags.writeable = False
+        self._windows = np.lib.stride_tricks.sliding_window_view(self._exp,
+                                                                 Q - 1)
         # the scalar ops read the tables through memoryviews, which return
         # Python ints without a numpy scalar and copy nothing
         self._exp_view, self._log_view, self._inv_view = map(
@@ -573,13 +602,15 @@ class FieldTower:
         return np.where(A == 0, 0, out)
 
     def digit_table(self):
-        """(order, m) array: row a = Gamma-coordinates of element a."""
+        """(order, m) read-only array: row a = Gamma-coordinates of
+        element a, built on first use."""
         if self._digit_table is None:
             Q, q = self.order, self.base.q
             dig = np.zeros((Q, self.m), dtype=np.int16)
             rng = np.arange(Q)
             for i in range(self.m):
                 dig[:, i] = (rng // (q ** i)) % q
+            dig.flags.writeable = False
             self._digit_table = dig
         return self._digit_table
 
@@ -596,7 +627,7 @@ class FieldTower:
             raise FieldError(f"t={t} does not divide m={self.m}")
         if t in self._subfields and modulus is None:
             return self._subfields[t]
-        sub = FieldTower(self.base.q, t, modulus)
+        sub = make_tower(self.base.q, t, modulus)
         if t == self.m and tuple(sub.modulus) == self.modulus:
             table = np.arange(self.order, dtype=np.int64)
         else:
@@ -670,7 +701,21 @@ class FieldTower:
 
 
 def make_tower(q: int, m: int, modulus=None) -> FieldTower:
-    """Build the tower F_q <= F_{q^m}; see FieldTower."""
+    """The tower F_q <= F_{q^m} = F_q[x]/(modulus); see FieldTower.
+
+    The one factory for towers.  It keeps the TOWER_CACHE_SIZE most
+    recently used ones, keyed on (q, m, modulus) with the modulus as a
+    tuple of ints (a list, tuple or array of the same coefficients is one
+    key; None, the first irreducible, is a key of its own), so a field is
+    built once per process and shared.  Failures are not kept: a bad
+    modulus raises FieldError on every call.
+    """
+    key = None if modulus is None else tuple(int(c) for c in modulus)
+    return _cached_tower(operator.index(q), operator.index(m), key)
+
+
+@lru_cache(maxsize=TOWER_CACHE_SIZE)
+def _cached_tower(q: int, m: int, modulus) -> FieldTower:
     return FieldTower(q, m, modulus)
 
 

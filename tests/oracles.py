@@ -579,3 +579,29 @@ def full_subspace_s(q, m, k, rho, budget=1 << 26):
                 if covered.all():
                     return n
     raise RuntimeError("no saturating system found (unreachable)")
+
+
+def orbit_walk_tables(tower):
+    """`FieldTower._build_tables` before the order test: walk the orbit of
+    1 under v -> g v for every candidate g = 1, 2, ... until one has
+    length Q - 1.  Returns (g, exp, log), exp the orbit (Q - 1 codes) and
+    log indexed by code with the sentinel 2(Q - 1) at 0."""
+    Q, q, m = tower.order, tower.base.q, tower.m
+    xm = tower.from_digits([tower.base.neg(c) for c in tower.modulus[:-1]])
+    times_x = tower._linear_map([q ** j for j in range(1, m)] + [xm])
+    for g in range(1, Q):
+        images = [g]
+        for _ in range(m - 1):
+            images.append(int(times_x[images[-1]]))
+        step = tower._linear_map(images).tolist()
+        orbit, v = [1], step[1]
+        while v != 1 and len(orbit) < Q:
+            orbit.append(v)
+            v = step[v]
+        if len(orbit) == Q - 1:
+            break
+    else:
+        raise RuntimeError("no primitive element found (unreachable)")
+    log = np.full(Q, 2 * (Q - 1), dtype=np.int64)
+    log[orbit] = np.arange(Q - 1)
+    return g, np.array(orbit, dtype=np.int64), log

@@ -6,7 +6,6 @@ scalar ops agree with the array ops.
 """
 
 import random
-from functools import cache
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from ranksat import FieldError, make_tower
 from ranksat.gftower import SmallField, add_digits
 
 from oracles import (digit_table_add, digit_table_neg, digit_table_sub,
-                     schoolbook_mul, schoolbook_pow)
+                     orbit_walk_tables, schoolbook_mul, schoolbook_pow)
 
 # (q, m) with q^m <= 4096, over prime and non-prime bases
 CASES = [(q, m) for q in (2, 3, 4, 5, 8, 9) for m in range(1, 13)
@@ -71,6 +70,27 @@ def test_log_tables_match_schoolbook(case, random_modulus, seed):
     assert Q == 2 or _is_primitive(t, g)
 
 
+def _tables_match_orbit_walk(t):
+    g, exp, log = orbit_walk_tables(t)
+    assert t.generator == g
+    assert np.array_equal(t._exp[:t.order - 1], exp)
+    assert np.array_equal(t._log, log)
+
+
+@PROPERTY
+@given(st.sampled_from(CASES), st.booleans(), SEEDS)
+def test_order_test_finds_the_orbit_walks_generator(case, random_modulus,
+                                                    seed):
+    """The order test picks the generator the orbit walk picked, so the
+    log/exp tables are the walk's."""
+    _tables_match_orbit_walk(_tower(*case, random_modulus, seed))
+
+
+def test_order_test_matches_orbit_walk_on_f257_squared():
+    # the walk visits 258 non-primitive orbits before g = 259
+    _tables_match_orbit_walk(make_tower(257, 2))
+
+
 @PROPERTY
 @given(st.sampled_from(CASES), st.booleans(), SEEDS)
 def test_field_axioms_and_frobenius(case, random_modulus, seed):
@@ -109,7 +129,6 @@ def test_field_axioms_and_frobenius(case, random_modulus, seed):
 # (17^2, 257^2, 1021^1) and characteristic 2 (4^3)
 KERNEL_CASES = [(3, 3), (5, 3), (9, 2), (3, 6), (3, 7), (5, 4), (7, 3),
                 (9, 3), (17, 2), (257, 2), (1021, 1), (4, 3)]
-_kernel_tower = cache(make_tower)      # F_{257^2} takes ~1 s to build
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES,
@@ -117,7 +136,7 @@ _kernel_tower = cache(make_tower)      # F_{257^2} takes ~1 s to build
 @PROPERTY
 @given(st.integers(2, 4), SEEDS)
 def test_add_kernel_matches_digit_table(case, k, seed):
-    t = _kernel_tower(*case)
+    t = make_tower(*case)
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, t.order, (2, 200))
     a[:20], b[10:30] = 0, 0       # zero operands, alone and paired
@@ -165,7 +184,7 @@ SCALAR_FIELDS = ([("tower", q, m) for q, m in [(2, 5), (3, 3), (3, 6),
 
 
 def _scalar_field(kind, q, m):
-    return _kernel_tower(q, m) if kind == "tower" else SmallField(q)
+    return make_tower(q, m) if kind == "tower" else SmallField(q)
 
 
 @pytest.mark.parametrize("case", SCALAR_FIELDS,

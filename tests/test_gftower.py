@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ranksat
 from ranksat import FieldError, collapse, expand, make_tower, project
-from ranksat.gftower import SmallField
+from ranksat.gftower import TOWER_CACHE_SIZE, SmallField, _cached_tower
 
 from oracles import schoolbook_mul
 
@@ -224,3 +228,69 @@ def test_odd_sub_arr_is_add_of_negation(q, m):
     t = make_tower(q, m)
     A, B = np.meshgrid(np.arange(t.order), np.arange(t.order))
     assert np.array_equal(t.sub_arr(A, B), t.add_arr(A, t.neg_arr(B)))
+
+
+# -- make_tower: one shared, read-only tower per field and process ------------
+
+def test_make_tower_shares_one_object_per_modulus():
+    mod = [1, 1, 0, 0, 1]
+    t = make_tower(2, 4, mod)
+    assert make_tower(2, 4, tuple(mod)) is t
+    assert make_tower(2, 4, np.array(mod)) is t
+    assert make_tower(np.int64(2), 4, np.array(mod, dtype=np.int16)) is t
+    other = make_tower(2, 4, [1, 0, 0, 1, 1])       # x^4 + x^3 + 1
+    assert other is not t and other != t
+    assert other.modulus == (1, 0, 0, 1, 1)
+
+
+def test_make_tower_caches_no_failure():
+    before = _cached_tower.cache_info()
+    for _ in range(2):
+        with pytest.raises(FieldError, match="reducible"):
+            make_tower(2, 4, [1, 0, 0, 0, 1])
+    after = _cached_tower.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+
+def test_shared_tables_are_read_only(tower16):
+    sub = tower16.subfield(2)
+    for table in (tower16._exp, tower16._log, tower16._inv_table,
+                  tower16._qpow, tower16.digit_table(), sub.embed_table,
+                  sub.member_mask):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+    assert tower16.mul(2, 3) == schoolbook_mul(tower16, 2, 3)
+
+
+def test_tower_cache_stays_within_its_bound():
+    # F_37 = F_37[x]/(x + a) for TOWER_CACHE_SIZE + 5 values of a
+    mods = [[a, 1] for a in range(TOWER_CACHE_SIZE + 5)]
+    first = make_tower(37, 1, mods[0])
+    for mod in mods[1:]:
+        make_tower(37, 1, mod)
+    info = _cached_tower.cache_info()
+    assert info.maxsize == TOWER_CACHE_SIZE
+    assert info.currsize == TOWER_CACHE_SIZE
+    last = make_tower(37, 1, mods[-1])
+    assert make_tower(37, 1, mods[-1]) is last
+    evicted = make_tower(37, 1, mods[0])           # least recently used
+    assert evicted is not first and evicted == first
+
+
+def test_field_tower_is_built_only_by_make_tower():
+    """`FieldTower(...)` is called in one place in the package, the cached
+    factory behind `make_tower`, so no second construction path can hand
+    out an unshared tower."""
+    calls, factory = [], None
+    for path in sorted(Path(ranksat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            f = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "FieldTower" in (
+                    getattr(f, "id", None), getattr(f, "attr", None)):
+                calls.append((path.name, node.lineno))
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "_cached_tower"):
+                factory = (path.name, node.lineno, node.end_lineno)
+    assert factory is not None and len(calls) == 1
+    (name, line), = calls
+    assert name == factory[0] and factory[1] <= line <= factory[2], calls

@@ -9,7 +9,7 @@ from ranksat import (FieldError, QSystem, construct_identity_block,
                      cutting_system_6_3, gabidulin, linear_set, make_tower,
                      saturation_radius, tower_from_json, weight_spectrum)
 from ranksat import interchange as io
-from ranksat.cli import main
+from ranksat.cli import build_parser, main
 from ranksat.covering import SaturationCertificate
 from ranksat.qsystem import random_system
 
@@ -344,3 +344,22 @@ def test_console_script_entry_point():
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0
     assert "PASS gabidulin-4-2" in out.stdout
+
+
+def test_cli_main_reuses_its_parser(tmp_path, tower4, capsys):
+    """One process, three verifies: good, malformed, good again.  The
+    parser is built once, and the two good calls print the same line,
+    exit the same way and write the same certificate bytes."""
+    good, bad = tmp_path / "sys.json", tmp_path / "bad.json"
+    _write_system(good, construct_identity_block(tower4, 3, 2))
+    bad.write_text(json.dumps(_one_entry_doc([3, 0, 0, 0])))
+    cert = tmp_path / "out.cert.json"
+    argv = ["verify", str(good), "--rho", "2", "--certificate", str(cert)]
+    runs = []
+    for args in (argv, ["verify", str(bad), "--rho", "1"], argv):
+        code = main(args)
+        out = capsys.readouterr().out
+        runs.append((code, out, cert.read_bytes()))
+    assert [code for code, _, _ in runs] == [0, 2, 0]
+    assert runs[0] == runs[2]
+    assert build_parser() is build_parser()
