@@ -247,20 +247,20 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     """Write v as a combination of at most s elements of a box system
     U = F_q^s x F_{q^t}^h.
 
-    Projection-and-elimination: one RREF of the top coordinates' digits
-    keeps, in increasing index, each value that is F_q-independent of
-    the previous ones as a new coefficient (dependent values are
-    expressed through the existing ones and contribute no term); then
-    extend the chosen coefficients until the F_{q^t}-module they
-    generate contains every bottom coordinate, adding each time the
-    first candidate outside it, drawn from the complement basis first.
-    The RREF of [module | bottom digits] that finds every bottom
-    coordinate inside the module also holds their F_{q^t}-coordinates.
-    The eliminations run on Python lists (`fqlinalg.rref_rows`), and the
-    arrays of the result are built once, after the last of them.  The
-    constants of the system (the subfield embedding, its basis, the
-    default candidates and their digits) are built on the first call and
-    kept in `sysm.meta["decompose"]`.
+    Projection-and-elimination: the greedy F_q-basis of the top
+    coordinates (`fqlinalg.fq_basis`) keeps, in increasing index, each
+    value that is F_q-independent of the previous ones as a new
+    coefficient, and the coordinates of every top value on them are the
+    top blocks of the terms; then extend the chosen coefficients until
+    the F_{q^t}-module they generate contains every bottom coordinate,
+    adding each time the first candidate outside it, drawn from the
+    complement basis first.  The greedy basis of [module | bottoms] that
+    finds every bottom coordinate inside the module also holds their
+    F_{q^t}-coordinates.  The eliminations run on the codes, as Python
+    ints, and the arrays of the result are built once, after the last of
+    them.  The constants of the system (the subfield embedding, its basis
+    and the default candidates) are built on the first call and kept in
+    `sysm.meta["decompose"]`.
     """
     if "box" not in sysm.meta:
         raise SystemError_(
@@ -276,63 +276,64 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
         raise SystemError_(f"target codes must lie in 0..{tower.order - 1}")
     if "decompose" not in sysm.meta:
         emb = tower.subfield(t)
-        D = tower.digit_table()
-        alphas = [tower.pow(tower.alpha, j) for j in range(tower.m)]
-        sysm.meta["decompose"] = (emb, D, emb.embed_table[emb.sub_tower._qpow],
-                                  alphas, D[alphas].T.tolist())
-    emb, D, sub_basis, alphas, alpha_rows = sysm.meta["decompose"]
-    top, bottom = v[:s], v[s:]
+        sysm.meta["decompose"] = (
+            emb, emb.embed_table.tolist(),
+            emb.embed_table[emb.sub_tower._qpow].tolist(),
+            [tower.pow(tower.alpha, j) for j in range(tower.m)])
+    emb, embed, sub_basis, alphas = sysm.meta["decompose"]
+    top, bottom = v[:s].tolist(), v[s:].tolist()
 
     # direct membership: one term suffices
-    if (top < q).all() and emb.member_mask[bottom].all():
+    if max(top) < q and emb.member_mask[v[s:]].all():
         if not v.any():
             return Decomposition(v, [], [])
         return Decomposition(v, [1], [v.copy()])
 
-    # 1. the pivot columns of the top block's digits are the lams, and
-    # the reduced rows express every top_c = sum_j T[j][c] lam_j
-    T = D[top].T.tolist()
-    lams = [int(top[c]) for c in fqlinalg.rref_rows(T, tower.base)]
-    nu = len(lams)
+    # 1. the greedy basis of the top values is the lams, and top_c =
+    # sum_j (digit j of coords[c]) lam_j
+    pivots, top_coords = fqlinalg.fq_basis(top, tower)
+    gens = [top[c] for c in pivots]
+    nu = len(gens)
 
     # 2. extend until the F_{q^t}-module of the gens holds every bottom
-    # value.  Column j*t + i of A is the digits of gens[j] * sub_basis[i];
-    # the first pivot right of A in [A | candidates] is the first
-    # candidate outside the module.
-    gens = list(lams)
-    candidates, candidate_rows = alphas, alpha_rows
+    # value.  Entry j*t + i of A is gens[j] * sub_basis[i]; the first
+    # pivot past A in [A | candidates] is the first candidate outside
+    # the module.
+    candidates = alphas
     if basis is not None and basis.t == t:
         candidates = list(basis.betas) + alphas
-        candidate_rows = [b + a for b, a in
-                          zip(D[basis.betas].T.tolist(), alpha_rows)]
-    bottom_rows = D[bottom].T.tolist()
     while True:
-        A = D[[tower.mul(g, b) for g in gens for b in sub_basis]].T.tolist()
-        c = len(gens) * t
-        R = [a + b for a, b in zip(A, bottom_rows)]
-        pivots = fqlinalg.rref_rows(R, tower.base)
+        A = [tower.mul(g, b) for g in gens for b in sub_basis]
+        c = len(A)
+        pivots, coords = fqlinalg.fq_basis(A + bottom, tower)
         if not pivots or pivots[-1] < c:
             break
-        found = fqlinalg.rref_rows([a + b for a, b in zip(A, candidate_rows)],
-                                   tower.base)
-        outside = [p - c for p in found if p >= c]
-        assert outside, "module extension stalled (unreachable)"
-        gens.append(candidates[outside[0]])
-    assert len(gens) <= s, f"needed {len(gens)} > {s} coefficients"
+        found = next((p - c for p in fqlinalg.fq_basis(A + candidates,
+                                                       tower)[0] if p >= c),
+                     None)
+        if found is None:
+            raise RuntimeError("module extension stalled (unreachable)")
+        gens.append(candidates[found])
+    if len(gens) > s:
+        raise RuntimeError(f"needed {len(gens)} > {s} coefficients "
+                           "(unreachable)")
 
-    # 3. RREF is unique, so the pivot rows give the particular solution
-    # with free variables 0; each t-digit block is one subfield code
-    X = np.zeros((c, h), dtype=np.int64)
-    X[pivots] = np.array(R, dtype=np.int64).reshape(len(pivots), c + h)[:, c:]
-    bottoms = emb.embed_table[emb.sub_tower._qpow
-                              @ X.reshape(len(gens), t, h)]
+    # 3. the coordinates of each bottom value on the pivots of A, with
+    # the other entries 0; each t-digit block is one subfield code
+    sub = [[0] * h for _ in gens]
+    for col, x in enumerate(coords[c:]):
+        for i, p in enumerate(pivots):
+            if d := x // q ** i % q:
+                sub[p // t][col] += d * q ** (p % t)
 
     # 4. assemble terms and drop the vacuous ones
-    U = np.zeros((len(gens), sysm.k), dtype=np.int64)
-    U[:nu, :s] = np.array(T, dtype=np.int64).reshape(nu, s)
-    U[:, s:] = bottoms
-    keep = np.flatnonzero(np.array(gens, dtype=bool) & U.any(axis=1))
-    lams_out, vecs_out = [gens[j] for j in keep], list(U[keep])
-    dec = Decomposition(v.copy(), lams_out, vecs_out)
-    assert np.array_equal(dec.reconstruct(tower), v), "reconstruction failed"
-    return dec
+    rows = [([x // q ** j % q for x in top_coords] if j < nu else [0] * s)
+            + [embed[a] for a in sub[j]] for j in range(len(gens))]
+    keep = [j for j, row in enumerate(rows) if gens[j] and any(row)]
+    lams, rows = [gens[j] for j in keep], [rows[j] for j in keep]
+    # sum lams[j] rows[j] = v, one coordinate at a time in Python ints
+    if [reduce(tower.add, map(tower.mul, lams, col), 0)
+            for col in zip(*rows)] != top + bottom:
+        raise RuntimeError("reconstruction failed (unreachable)")
+    return Decomposition(v.copy(), lams, list(
+        np.array(rows, dtype=np.int64).reshape(-1, sysm.k)))

@@ -567,28 +567,33 @@ def is_linear_cutting_blocking_set(sys: QSystem,
                                    budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the span of H intersect U is H for every hyperplane H.
 
-    Per chunk of normals h, h . (G c) = 0 expands to m F_q-constraints
-    C c = 0; the RREF rows of C placed at their pivot rows form an
-    idempotent S with kernel ker C, so G (I - S) spans H intersect U,
-    whose rank over F_{q^m} must be k - 1.
+    Per chunk of normals h, X = h G holds the values h . g_j, and G c lies
+    in H iff sum_j c_j X_j = 0 for c in F_q^n.  On the greedy F_q-basis
+    X_{p_1}, .., X_{p_r} of X (`fqlinalg.fq_basis_batch`), each X_j =
+    sum_i c_ij X_{p_i}, so the vectors g_j - sum_i c_ij g_{p_i} span
+    H intersect U (zero at j = p_i), and their rank over F_{q^m} must be
+    k - 1.
     """
     tower = sys.tower
     G = sys.generator
-    k, n = sys.k, sys.n
+    k, n, q = sys.k, sys.n, tower.base.q
     indexer = PointIndexer(tower, k)
     if indexer.total > budget:
         raise BudgetExceeded(
             f"{indexer.total} hyperplanes exceed budget {budget}")
+    # row n is zero: the pivot index of an empty basis slot
+    cols = np.concatenate([G.T, np.zeros((1, k), dtype=np.int64)])
     per = max(1, _CUT_CHUNK // max(1, k * n))
     for start in range(0, indexer.total, per):
         h = indexer.decode(np.arange(start, min(start + per, indexer.total)))
-        C = tower.digit_table()[ext_matmul(h, G, tower)].transpose(0, 2, 1)
-        R, pivot_col, _ = fqlinalg.echelon(C, tower.base)
-        S = np.zeros((len(h), n + 1, n), dtype=np.int64)
-        S[np.arange(len(h))[:, None], pivot_col] = R
-        I_S = tower.base.sub_arr(np.eye(n, dtype=np.int64), S[:, :n])
-        if (fqlinalg.echelon(ext_matmul(G, I_S, tower), tower)[2]
-                != k - 1).any():
+        X = ext_matmul(h, G, tower)
+        coords, pivots, rank = fqlinalg.fq_basis_batch(X, tower)
+        V = np.broadcast_to(G.T, (len(h), n, k))
+        for i in range(rank.max()):
+            c = coords // q ** i % q
+            V = tower.sub_arr(V, tower.mul_arr(c[:, :, None],
+                                               cols[pivots[:, i], None]))
+        if (fqlinalg.echelon(V, tower)[2] != k - 1).any():
             return False
     return True
 
@@ -618,7 +623,8 @@ def puncture_nonscattered(sys: QSystem, budget: int = DEFAULT_BUDGET,
     Requires a non-scattered linear set; returns the [n-1, k] system
     spanned by a basis u_1 .. u_{n-1} such that the removed vector is an
     F_{q^m}-multiple (lambda not in F_q) of a member of the new system.
-    When verify_budget is given, asserts radius(new) <= radius(old) + 1.
+    When verify_budget is given, checks radius(new) <= radius(old) + 1
+    and raises ConsistencyError if it fails.
     """
     tower = sys.tower
     ls = linear_set(sys, budget)
@@ -636,7 +642,9 @@ def puncture_nonscattered(sys: QSystem, budget: int = DEFAULT_BUDGET,
     u_b = next((cand for cand in fibre[1:]
                 if not any(np.array_equal(cand, tower.mul_scalar(c, u_a))
                            for c in range(1, tower.base.q))), None)
-    assert u_b is not None, "weight >= 2 point must carry independent vectors"
+    if u_b is None:
+        raise RuntimeError("a point of weight >= 2 carries no two independent "
+                           "vectors (unreachable)")
     cols = expanded_columns(sys.generator, tower)
     c_a = fqlinalg.solve(cols, expand(u_a, tower).reshape(-1), tower.base)
     c_b = fqlinalg.solve(cols, expand(u_b, tower).reshape(-1), tower.base)
@@ -644,12 +652,16 @@ def puncture_nonscattered(sys: QSystem, budget: int = DEFAULT_BUDGET,
     K = fqlinalg.kernel(c_a.reshape(1, -1), tower.base)
     phi = next((row for row in K if ext_matmul(row[None], c_b[:, None],
                                                tower.base).any()), None)
-    assert phi is not None, "c_b should be independent of c_a"
+    if phi is None:
+        raise RuntimeError("c_b is dependent on c_a (unreachable)")
     K2 = fqlinalg.kernel(phi.reshape(1, -1), tower.base)   # (n-1) x n
     newG = ext_matmul(sys.generator, K2.T.astype(np.int64), tower)
     punctured = QSystem(tower, newG)
     if verify_budget is not None:
         rho_old, _ = saturation_radius(sys, verify_budget)
         rho_new, _ = saturation_radius(punctured, verify_budget)
-        assert rho_new <= rho_old + 1, (rho_new, rho_old)
+        if rho_new > rho_old + 1:
+            raise ConsistencyError(
+                f"puncturing bound violated: radius {rho_new} after "
+                f"puncturing > {rho_old} + 1")
     return punctured

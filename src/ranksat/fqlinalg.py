@@ -8,16 +8,22 @@ function that takes a `field` works over F_q and over F_{q^m} alike.
 Reduced row echelon form is the canonical representative of a row
 space: equal subspaces produce equal arrays.
 
-There is one elimination per input shape.  `rref_rows` reduces one
-matrix held as Python lists of ints, through the scalar ops: on the
-small matrices its callers reduce, a dozen numpy calls per pivot cost
-more than the arithmetic.  `rref` wraps it for arrays, and `rank`,
-`kernel`, `inv` and `solve` run on `rref`; `decompose` keeps its three
-eliminations per target in lists and calls `rref_rows` directly.
-`echelon` reduces a stack of matrices at once through the array ops.
-`Decomposition.verify` makes no elimination: `QSystem.contains` tests
-membership in U by one product with a parity check that `kernel` builds
-once per system.
+Two eliminations serve matrices, one per input shape.  `rref_rows`
+reduces one matrix held as Python lists of ints, through the scalar ops:
+on the small matrices its callers reduce, a dozen numpy calls per pivot
+cost more than the arithmetic.  `rref` wraps it for arrays, and `rank`,
+`kernel`, `inv` and `solve` run on `rref`.  `echelon` reduces a stack of
+matrices at once through the array ops; the package calls it over
+towers only.
+
+A third elimination serves F_{q^m} elements read as vectors over F_q:
+`fq_basis` finds the greedy F_q-basis of a list of codes, and the
+F_q-coordinates of every code on it, by reducing each code against the
+basis found so far, with no digit matrix; `fq_basis_batch` does the same for
+each row of an array at once.  `decompose`, the cutting-set test and the
+rank weights run on them.  `Decomposition.verify` makes no elimination:
+`QSystem.contains` tests membership in U by one product with a parity
+check that `kernel` builds once per system.
 
 `rref_subspaces` is the one enumerator of F_q-subspaces: the rank sweep
 and the exhaustive search read its stacks of at most `per` RREF bases,
@@ -64,6 +70,84 @@ def rref_rows(R, field) -> list[int]:
         pivots.append(c)
     del R[len(pivots):]
     return pivots
+
+
+def fq_basis(codes, tower) -> tuple[list[int], list[int]]:
+    """The greedy F_q-basis of the F_{q^m} elements `codes`, Python ints
+    taken in order: (pivots, coords), pivots the indices of the codes
+    outside the F_q-span of the codes before them, and coords[j] the
+    F_q-coordinates of codes[j] on the codes at pivots, packed base q
+    (digit i on codes[pivots[i]]).  These are the pivot columns and the
+    columns of the RREF of the digit matrix whose column j holds the
+    digits of codes[j]; coords at pivot i is q^i.
+
+    No digit matrix is built: each code is reduced against the basis
+    found so far by sub(x, mul(d, b)), d = x // q^l % q its digit at
+    b's leading digit l, through the tower's scalar ops, and the packed
+    coordinates are updated by the same two ops."""
+    q, mul, sub, inv = tower.base.q, tower.mul, tower.sub, tower.inv
+    # (q^l, b, -coords of b): b has digit 1 at l, and 0 at the leading
+    # digits of the rows before it
+    basis, pivots, coords = [], [], []
+    for j, x in enumerate(codes):
+        c = 0
+        for ql, b, nc in basis:
+            if (d := x // ql % q) == 1:
+                x, c = sub(x, b), sub(c, nc)
+            elif d:
+                x, c = sub(x, mul(d, b)), sub(c, mul(d, nc))
+        if x:
+            ql = 1
+            while not (d := x // ql % q):
+                ql *= q
+            unit = q ** len(pivots)
+            nc = sub(c, unit)
+            if d != 1:
+                d = inv(d)
+                x, nc = mul(d, x), mul(d, nc)
+            basis.append((ql, x, nc))
+            pivots.append(j)
+            c = unit
+        coords.append(c)
+    return pivots, coords
+
+
+def fq_basis_batch(X, tower):
+    """`fq_basis` of each row of X, a (b, n) array of F_{q^m} codes:
+    (coords, pivots, rank), coords (b, n) the packed coordinates, and
+    pivots (b, min(n, m)) the pivot indices of each row, then n.  One
+    step of the elimination runs on a column of X at once, through the
+    tower's array ops; every array holds b x n or fewer entries."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.int64))
+    (b, n), q = X.shape, tower.base.q
+    top = min(n, tower.m)
+    qpow = q ** np.arange(tower.m)
+    # leading digit q^l, row and minus coordinates of each basis slot;
+    # an empty slot is zero, so a reduction by it does nothing.  A new
+    # row leads at its highest digit, found by one sorted search
+    lead = np.ones((b, top), dtype=np.int64)
+    B = np.zeros((b, top), dtype=np.int64)
+    NC = np.zeros((b, top), dtype=np.int64)
+    coords = np.zeros((b, n), dtype=np.int64)
+    pivots = np.full((b, top), n, dtype=np.int64)
+    rank = np.zeros(b, dtype=np.int64)
+    for j in range(n):
+        x, c = X[:, j], np.zeros(b, dtype=np.int64)
+        for i in range(rank.max(initial=0)):
+            d = x // lead[:, i] % q
+            x = tower.sub_arr(x, tower.mul_arr(d, B[:, i]))
+            c = tower.sub_arr(c, tower.mul_arr(d, NC[:, i]))
+        coords[:, j] = c
+        new = np.flatnonzero(x)
+        if new.size:
+            x, c, r = x[new], c[new], rank[new]
+            ql = qpow[np.searchsorted(qpow, x, "right") - 1]
+            d = tower.inv_arr(x // ql)
+            lead[new, r], pivots[new, r], coords[new, j] = ql, j, qpow[r]
+            B[new, r] = tower.mul_arr(d, x)
+            NC[new, r] = tower.mul_arr(d, tower.sub_arr(c, qpow[r]))
+            rank[new] += 1
+    return coords, pivots, rank
 
 
 def rref(M, field):
@@ -173,7 +257,8 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     for j in range(b):
         num *= q ** (a - j) - 1
         den *= q ** (j + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"[{a} {b}]_{q} is not an integer (unreachable)")
     return num // den
 
 

@@ -101,21 +101,30 @@ def _scalar_blocks(p: int):
 def _code_ops(p: int):
     """Scalar (add, sub, neg) of integers packing base-p digits, digit by
     digit mod p: XOR when p = 2, else two `_scalar_blocks` lookups per
-    block of digits for a - b, and a + b = a - (0 - b).  No numpy array
-    is built."""
+    block of digits for a - b, and a + b = a - (0 - b); operands of one
+    block (below P) take one lookup for a + b.  No numpy array is
+    built."""
     if p == 2:
         return operator.xor, operator.xor, operator.pos
 
     def sub(a, b):
         P, add, neg = _scalar_blocks(p)
+        if a < P and b < P:
+            return add(a * P + neg(b))
         out, pw = 0, 1
         while a or b:
             out += add(a % P * P + neg(b % P)) * pw
             a, b, pw = a // P, b // P, pw * P
         return out
 
+    def add(a, b):
+        P, block_add, _ = _scalar_blocks(p)
+        if a < P and b < P:
+            return block_add(a * P + b)
+        return sub(a, neg(b))
+
     neg = partial(sub, 0)
-    return (lambda a, b: sub(a, neg(b))), sub, neg
+    return add, sub, neg
 
 
 def _by_blocks(f, p: int, n: int, *X):
@@ -480,15 +489,26 @@ class FieldTower:
 
     def _primitive_code(self) -> int:
         """The least code g >= 1 of multiplicative order Q - 1: g^((Q-1)/r)
-        is not 1 for any prime r | Q - 1, by square-and-multiply of g's
-        digit polynomial mod the modulus."""
+        is not 1 for any prime r | Q - 1.  Each power is a product of the
+        squares g^(2^i) of g's digit polynomial mod the modulus, one chain
+        shared by every r and grown only as far as an exponent needs."""
         F, Q = self.base, self.order
         exponents = [(Q - 1) // r for r in _factor(Q - 1)]
         modulus = list(self.modulus)
+
+        def power(e):
+            result = [1]
+            for i in range(e.bit_length()):
+                if i == len(chain):
+                    chain.append(_poly_mulmod(F, chain[-1], chain[-1],
+                                              modulus))
+                if e >> i & 1:
+                    result = _poly_mulmod(F, result, chain[i], modulus)
+            return result
+
         for g in range(1, Q):
-            poly = _poly_trim(self.digits(g))
-            if all(_poly_powmod(F, poly, e, modulus) != [1]
-                   for e in exponents):
+            chain = [_poly_trim(self.digits(g))]
+            if all(power(e) != [1] for e in exponents):
                 return g
         raise FieldError("no primitive element found (unreachable)")
 
@@ -654,26 +674,15 @@ class FieldTower:
 
     def complement_basis(self, t: int, betas=None) -> ComplementBasis:
         """Complement of the embedded F_{q^t}: default greedily extends an
-        F_q-basis of the subfield by powers of alpha."""
+        F_q-basis of the subfield by the powers 1, alpha, .., alpha^(m-1),
+        taking each one outside the F_q-span of those before it."""
         if betas is not None:
             return ComplementBasis(self, t, list(betas))
         from . import fqlinalg
-        sub = self.subfield(t)
-        basis_rows = [np.array(self.digits(int(c)), dtype=np.int16)
-                      for c in sub.embed_table[self.base.q ** np.arange(t)]]
-        betas = []
-        need = self.m - t
-        cand = 1
-        while len(betas) < need:
-            d = np.array(self.digits(cand), dtype=np.int16)
-            trial = np.array(basis_rows + [d])
-            if fqlinalg.rank(trial, self.base) == len(basis_rows) + 1:
-                betas.append(cand)
-                basis_rows.append(d)
-            cand = self.mul(cand, self.alpha) if self.m > 1 else cand + 1
-            if cand == 1:
-                raise FieldError("could not extend subfield basis (unreachable)")
-        return ComplementBasis(self, t, betas)
+        sub = self.subfield(t).embed_table[self.base.q ** np.arange(t)]
+        powers = [self.pow(self.alpha, j) for j in range(self.m)]
+        pivots = fqlinalg.fq_basis(sub.tolist() + powers, self)[0]
+        return ComplementBasis(self, t, [powers[p - t] for p in pivots[t:]])
 
     def random_complement_basis(self, t: int, rng) -> ComplementBasis:
         need = self.m - t

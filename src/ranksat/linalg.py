@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fqlinalg
-from .gftower import FieldTower, expand
+from .gftower import FieldError, FieldTower, expand
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -89,23 +89,22 @@ def ext_matmul(A, B, tower: FieldTower) -> np.ndarray:
 def rank_weight(v, tower: FieldTower) -> int:
     """F_q-dimension of the span of the coordinates of v."""
     v = np.asarray(v, dtype=np.int64).ravel()
-    if not v.size or not v.any():
-        return 0
-    return fqlinalg.rank(expand(v, tower), tower.base)
+    if v.size and (v.min() < 0 or v.max() >= tower.order):
+        raise FieldError("entry outside the extension field")
+    return len(fqlinalg.fq_basis(v.tolist(), tower)[0])
 
 
-# Entries N * n * m per batched elimination; bounds its intermediates.
+# Entries N * n per batched elimination; bounds its intermediates.
 _RANK_CHUNK = 1 << 16
 
 
 def rank_weight_batch(V, tower: FieldTower) -> np.ndarray:
-    """Rank weights of each row of V (N x n), as an int array: the ranks
-    of the rows' expansions, eliminated a chunk of rows at a time."""
+    """Rank weights of each row of V (N x n), as an int array: the sizes
+    of the rows' greedy F_q-bases, a chunk of rows at a time."""
     V = np.atleast_2d(np.asarray(V, dtype=np.int64))
-    dig = tower.digit_table()
-    per = max(1, _RANK_CHUNK // max(1, V.shape[1] * tower.m))
+    per = max(1, _RANK_CHUNK // max(1, V.shape[1]))
     # an empty V still makes one (empty) chunk
-    return np.concatenate([fqlinalg.echelon(dig[V[i:i + per]], tower.base)[2]
+    return np.concatenate([fqlinalg.fq_basis_batch(V[i:i + per], tower)[2]
                            for i in range(0, max(len(V), 1), per)])
 
 
@@ -173,7 +172,9 @@ class RankCode:
             self._parity = H
             if self.k and H.shape[0]:
                 prod = ext_matmul(self.generator, H.T, self.tower)
-                assert not prod.any(), "generator * parity^T != 0"
+                if prod.any():
+                    raise RuntimeError(
+                        "generator * parity^T != 0 (unreachable)")
         return self._parity
 
     def dual(self) -> "RankCode":

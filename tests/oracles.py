@@ -10,8 +10,10 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from ranksat.gftower import FieldTower, _poly_mulmod, _poly_trim, add_digits
-from ranksat.linalg import ext_rank, rank_weight
+from ranksat import fqlinalg
+from ranksat.gftower import (FieldTower, _poly_mulmod, _poly_trim, add_digits,
+                             expand)
+from ranksat.linalg import ext_matmul, ext_rank
 from ranksat.qsystem import PointIndexer
 
 
@@ -61,6 +63,39 @@ def digit_table_sub(tower, A, B):
     return tower.base._add[dig[A], tower.base._neg[dig[B]]] @ tower._qpow
 
 
+def digit_rank_weight(v, tower):
+    """`linalg.rank_weight` before the F_q-span kernel: the F_q-rank of
+    the digit matrix of v."""
+    v = np.asarray(v, dtype=np.int64).ravel()
+    if not v.size or not v.any():
+        return 0
+    return fqlinalg.rank(expand(v, tower), tower.base)
+
+
+def echelon_rank_weight_batch(V, tower):
+    """`linalg.rank_weight_batch` before the F_q-span kernel: the ranks
+    of the rows' digit matrices, by one batched `echelon` over F_q."""
+    V = np.atleast_2d(np.asarray(V, dtype=np.int64))
+    return fqlinalg.echelon(tower.digit_table()[V], tower.base)[2]
+
+
+def rank_greedy_complement(tower, t):
+    """`FieldTower.complement_basis(t)` before the F_q-span kernel: each
+    power of alpha in turn joins the betas when the F_q-rank of the
+    digits of the subfield basis and the betas so far grows by it."""
+    emb = tower.subfield(t)
+    rows = [tower.digits(int(c)) for c in emb.embed_table[tower.base.q
+                                                          ** np.arange(t)]]
+    betas, cand = [], 1
+    while len(betas) < tower.m - t:
+        if fqlinalg.rank(np.array(rows + [tower.digits(cand)]),
+                         tower.base) == len(rows) + 1:
+            betas.append(cand)
+            rows.append(tower.digits(cand))
+        cand = tower.mul(cand, tower.alpha)
+    return betas
+
+
 def numpy_rref(M, field):
     """`fqlinalg.rref` before it ran on Python rows: per pivot, one array
     op normalises the pivot row and one clears its column."""
@@ -97,7 +132,8 @@ def brute_rank_covering_radius(code):
     worst = 0
     for x in product(range(Q), repeat=code.n):
         xv = np.array(x, dtype=np.int64)
-        best = min(rank_weight(tower.sub_arr(xv, c), tower) for c in words)
+        best = min(digit_rank_weight(tower.sub_arr(xv, c), tower)
+                   for c in words)
         worst = max(worst, best)
     return worst
 
@@ -117,7 +153,7 @@ def brute_min_coefficient_rank(G, tower):
             for j in range(n):
                 entry = tower.add(entry, tower.mul(int(G[i, j]), lam[j]))
             target = target * Q + entry
-        least[target] = min(least[target], rank_weight(lam, tower))
+        least[target] = min(least[target], digit_rank_weight(lam, tower))
     return least
 
 
@@ -180,7 +216,7 @@ def brute_is_maximal(code):
     words = code.codewords()
     for x in product(range(tower.order), repeat=code.n):
         xv = np.array(x, dtype=np.int64)
-        if min(rank_weight(tower.sub_arr(xv, c), tower)
+        if min(digit_rank_weight(tower.sub_arr(xv, c), tower)
                for c in words) >= d:
             return False
     return True
@@ -255,6 +291,28 @@ def brute_cutting(sysm):
                 members.append(u)
         M = np.array(members, dtype=np.int64)
         if ext_rank(M, tower) != sysm.k - 1:
+            return False
+    return True
+
+
+def echelon_cutting(sysm, chunk=1 << 14):
+    """`covering.is_linear_cutting_blocking_set` before the F_q-span
+    kernel: per chunk of normals h, the digits of h G form the
+    F_q-constraints C c = 0; their RREF rows, placed at their pivot rows,
+    form an idempotent S with kernel ker C, and G (I - S), which spans
+    H intersect U, must have rank k - 1 over F_{q^m}."""
+    tower, G, k, n = sysm.tower, sysm.generator, sysm.k, sysm.n
+    indexer = PointIndexer(tower, k)
+    per = max(1, chunk // max(1, k * n))
+    for start in range(0, indexer.total, per):
+        h = indexer.decode(np.arange(start, min(start + per, indexer.total)))
+        C = tower.digit_table()[ext_matmul(h, G, tower)].transpose(0, 2, 1)
+        R, pivot_col, _ = fqlinalg.echelon(C, tower.base)
+        S = np.zeros((len(h), n + 1, n), dtype=np.int64)
+        S[np.arange(len(h))[:, None], pivot_col] = R
+        I_S = tower.base.sub_arr(np.eye(n, dtype=np.int64), S[:, :n])
+        if (fqlinalg.echelon(ext_matmul(G, I_S, tower), tower)[2]
+                != k - 1).any():
             return False
     return True
 
@@ -367,6 +425,59 @@ def decompose_by_solves(sysm, v, basis=None):
             lams_out.append(g)
             vecs_out.append(u)
     return Decomposition(v.copy(), lams_out, vecs_out)
+
+
+def digit_matrix_decompose(sysm, v, basis=None):
+    """`constructions.decompose` before the F_q-span kernel: its three
+    eliminations row-reduce the digit matrices of the codes with
+    `fqlinalg.rref_rows`.  Returns the same Decomposition, lams and
+    vectors alike."""
+    from ranksat.constructions import Decomposition
+    s, t, h = sysm.meta["box"]
+    tower = sysm.tower
+    q = tower.base.q
+    v = np.asarray(v, dtype=np.int64).ravel()
+    emb = tower.subfield(t)
+    D = tower.digit_table()
+    sub_basis = emb.embed_table[emb.sub_tower._qpow]
+    alphas = [tower.pow(tower.alpha, j) for j in range(tower.m)]
+    alpha_rows = D[alphas].T.tolist()
+    top, bottom = v[:s], v[s:]
+    if (top < q).all() and emb.member_mask[bottom].all():
+        if not v.any():
+            return Decomposition(v, [], [])
+        return Decomposition(v, [1], [v.copy()])
+
+    T = D[top].T.tolist()
+    lams = [int(top[c]) for c in fqlinalg.rref_rows(T, tower.base)]
+    nu = len(lams)
+    gens = list(lams)
+    candidates, candidate_rows = alphas, alpha_rows
+    if basis is not None and basis.t == t:
+        candidates = list(basis.betas) + alphas
+        candidate_rows = [b + a for b, a in
+                          zip(D[basis.betas].T.tolist(), alpha_rows)]
+    bottom_rows = D[bottom].T.tolist()
+    while True:
+        A = D[[tower.mul(g, b) for g in gens for b in sub_basis]].T.tolist()
+        c = len(gens) * t
+        R = [a + b for a, b in zip(A, bottom_rows)]
+        pivots = fqlinalg.rref_rows(R, tower.base)
+        if not pivots or pivots[-1] < c:
+            break
+        found = fqlinalg.rref_rows([a + b for a, b in zip(A, candidate_rows)],
+                                   tower.base)
+        gens.append(candidates[[p - c for p in found if p >= c][0]])
+
+    X = np.zeros((c, h), dtype=np.int64)
+    X[pivots] = np.array(R, dtype=np.int64).reshape(len(pivots), c + h)[:, c:]
+    bottoms = emb.embed_table[emb.sub_tower._qpow
+                              @ X.reshape(len(gens), t, h)]
+    U = np.zeros((len(gens), sysm.k), dtype=np.int64)
+    U[:nu, :s] = np.array(T, dtype=np.int64).reshape(nu, s)
+    U[:, s:] = bottoms
+    keep = np.flatnonzero(np.array(gens, dtype=bool) & U.any(axis=1))
+    return Decomposition(v.copy(), [gens[j] for j in keep], list(U[keep]))
 
 
 def _packing(Q, k):

@@ -18,7 +18,8 @@ from ranksat.linalg import ext_matmul
 from ranksat.qsystem import SystemError_
 
 from oracles import (brute_min_terms, brute_saturation_radius,
-                     decompose_by_solves, rank_membership)
+                     decompose_by_solves, digit_matrix_decompose,
+                     rank_membership)
 
 
 # ------------------------------------------------------------------ rho1
@@ -254,14 +255,16 @@ def test_decomposition_verify_rejects_malformed(tower16, malform):
 
 
 # (construction, q, m, parameters): subgeometry (r, t, h) and identity
-# block (k, rho) systems over base fields F_2, F_3 and F_4
+# block (k, rho) systems over base fields F_2, F_3, F_4 and F_5
 BOX_SYSTEMS = ([("subgeometry", q, m, rth)
                 for q, m, rth in [(2, 4, (2, 2, 1)), (2, 4, (2, 2, 2)),
                                   (3, 4, (2, 2, 1)), (4, 4, (2, 2, 1)),
-                                  (2, 6, (3, 2, 1)), (2, 6, (2, 3, 1))]]
+                                  (5, 4, (2, 2, 1)), (2, 6, (3, 2, 1)),
+                                  (2, 6, (2, 3, 1))]]
                + [("identity", q, m, krho)
                   for q, m, krho in [(2, 3, (3, 2)), (3, 2, (3, 2)),
-                                     (4, 2, (3, 2)), (2, 4, (4, 3))]])
+                                     (4, 2, (3, 2)), (5, 2, (3, 2)),
+                                     (2, 4, (4, 3))]])
 BOX_TOWERS = {(q, m): make_tower(q, m) for _, q, m, _ in BOX_SYSTEMS}
 
 
@@ -269,20 +272,28 @@ BOX_TOWERS = {(q, m): make_tower(q, m) for _, q, m, _ in BOX_SYSTEMS}
 @given(st.sampled_from(BOX_SYSTEMS), st.integers(0, 2 ** 32 - 1),
        st.booleans())
 def test_decompose_matches_oracle(box, seed, with_basis):
-    """The eliminations of `decompose` give the same terms as one solve
-    per coordinate.  Zeroed top prefixes leave fewer independent top
-    values than s, so the module extension runs."""
+    """`decompose` gives the same terms as one solve per coordinate, and
+    the same Decomposition, lams (Python ints) and int64 vectors alike,
+    as its digit-matrix eliminations before the F_q-span kernel.  Zeroed
+    top prefixes leave fewer independent top values than s, so the
+    module extension runs; every third target has F_q-dependent top
+    values and its bottom in the subfield."""
     kind, q, m, params = box
     tower = BOX_TOWERS[(q, m)]
     construct = (construct_subgeometry if kind == "subgeometry"
                  else construct_identity_block)
     sysm = construct(tower, *params)
     s, t, _ = sysm.meta["box"]
+    embed = tower.subfield(t).embed_table
     rng = random.Random(seed)
     basis = tower.random_complement_basis(t, rng) if with_basis else None
-    for _ in range(10):
+    for i in range(12):
         v = np.array([tower.random_element(rng) for _ in range(sysm.k)],
                      dtype=np.int64)
+        if i % 3 == 1:
+            x = tower.random_element(rng)
+            v[:s] = [tower.mul(rng.randrange(q), x) for _ in range(s)]
+            v[s:] = embed[[rng.randrange(q ** t) for _ in range(sysm.k - s)]]
         v[:rng.randrange(s + 1)] = 0
         dec = decompose(sysm, v, basis)
         ref = decompose_by_solves(sysm, v, basis)
@@ -291,6 +302,13 @@ def test_decompose_matches_oracle(box, seed, with_basis):
         assert all(np.array_equal(a, b)
                    for a, b in zip(dec.vectors, ref.vectors))
         assert dec.verify(sysm) == ref.verify(sysm)
+        old = digit_matrix_decompose(sysm, v, basis)
+        assert [(type(x), x) for x in dec.lams] == [(type(x), x)
+                                                    for x in old.lams]
+        assert [(a.dtype, a.shape, a.tolist()) for a in dec.vectors] == [
+            (a.dtype, a.shape, a.tolist()) for a in old.vectors]
+        assert np.array_equal(dec.target, old.target)
+        assert dec.target.dtype == old.target.dtype
 
 
 # random non-box systems over F_2, F_3, F_4 and F_9 bases

@@ -398,6 +398,38 @@ def test_cutting_refuses_above_budget(tower16):
     assert is_linear_cutting_blocking_set(sysm, budget=total)
 
 
+def test_cutting_chunks_stay_within_their_bound(monkeypatch, tower16):
+    """Every array that the cutting test makes or passes per chunk of
+    hyperplanes (the normals, h G, the kernel's and `echelon`'s inputs
+    and outputs, and each tower op inside them) holds at most _CUT_CHUNK
+    entries: at the default bound on the [8,4] system, whose chunks fill
+    it, and at a bound of 64 on the [6,3]."""
+    sizes = []
+
+    def spy(f):
+        def wrapped(*args, **kwargs):
+            out = f(*args, **kwargs)
+            sizes.extend(a.size for a in (*args, *kwargs.values(), *(
+                out if isinstance(out, tuple) else (out,)))
+                if isinstance(a, np.ndarray))
+            return out
+        return wrapped
+
+    from ranksat import covering, fqlinalg
+    from ranksat.qsystem import PointIndexer
+    for name in ("mul_arr", "sub_arr", "add_arr", "neg_arr", "inv_arr"):
+        monkeypatch.setattr(tower16, name, spy(getattr(tower16, name)))
+    for owner, name in ((covering, "ext_matmul"), (PointIndexer, "decode"),
+                        (fqlinalg, "fq_basis_batch"), (fqlinalg, "echelon")):
+        monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    for sysm, chunk in ((cutting_system_8_4(tower16), covering._CUT_CHUNK),
+                        (cutting_system_6_3(tower16), 64)):
+        monkeypatch.setattr(covering, "_CUT_CHUNK", chunk)
+        sizes.clear()
+        assert is_linear_cutting_blocking_set(sysm)
+        assert chunk // 2 < max(sizes) <= chunk
+
+
 def test_8_4_system_is_cutting_at_q2(tower16):
     assert is_linear_cutting_blocking_set(cutting_system_8_4(tower16))
 
@@ -474,6 +506,24 @@ def test_puncture_radius_growth_bounded(tower4, rng):
         out = puncture_nonscattered(sysm)
         rho_new, _ = saturation_radius(out)
         assert rho_new <= rho_old + 1
+
+
+def test_puncture_check_raises_when_the_radius_grows(monkeypatch, tower4):
+    """With verify_budget, a punctured radius above the old one plus 1
+    raises ConsistencyError (here a faked radius of the new system)."""
+    from ranksat import covering
+    t = tower4
+    sysm = QSystem(t, np.array([[1, t.alpha, 0], [0, 0, 1]], dtype=np.int64))
+    radius = covering.saturation_radius
+
+    def inflated(s, budget):
+        rho, cert = radius(s, budget)
+        return (rho + 2 if s is not sysm else rho), cert
+
+    monkeypatch.setattr(covering, "saturation_radius", inflated)
+    with pytest.raises(covering.ConsistencyError, match="puncturing bound"):
+        puncture_nonscattered(sysm, verify_budget=1 << 20)
+    assert puncture_nonscattered(sysm).n == sysm.n - 1
 
 
 def test_puncture_rejects_scattered(tower16):

@@ -77,12 +77,51 @@ def test_rref_needs_no_array_op(monkeypatch):
     assert R.tolist() == [[1, 2, 0], [0, 0, 1]]
 
 
+# towers over q = 2, 3, 4, 5 and 9, with m = 1 among them
+SPAN_TOWERS = {f"F{q}^{m}": make_tower(q, m)
+               for q, m in [(2, 1), (2, 4), (2, 8), (3, 3), (4, 2), (5, 2),
+                            (9, 2)]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SPAN_TOWERS)), st.integers(1, 4),
+       st.integers(0, 9), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_fq_basis_matches_rref_rows_on_digits(name, b, n, span, seed):
+    """The kernel's pivots are the pivot columns of the RREF of the digit
+    matrix whose column j holds the digits of code j, and its packed
+    coordinates are that RREF's columns, digit i from row i, in the
+    scalar form and in each row of the batched form.  The codes are drawn
+    from the F_q-span of `span` random elements (all of F_{q^m} when it
+    is 0), so that many depend on the ones before, and a third are 0."""
+    tower = SPAN_TOWERS[name]
+    q, m = tower.base.q, tower.m
+    rng = np.random.default_rng(seed)
+    if span:
+        gens = rng.integers(0, tower.order, (span, 1))
+        X = ext_matmul(rng.integers(0, q, (b, n, span)), gens, tower)[..., 0]
+    else:
+        X = rng.integers(0, tower.order, (b, n))
+    X = X * (rng.random((b, n)) >= 1 / 3)
+    coords, pivots, rank = fqlinalg.fq_basis_batch(X, tower)
+    assert coords.shape == (b, n) and pivots.shape == (b, min(n, m))
+    for s in range(b):
+        R = tower.digit_table()[X[s]].T.astype(np.int64).reshape(m, n).tolist()
+        ref = fqlinalg.rref_rows(R, tower.base)
+        packed = [sum(R[i][j] * q ** i for i in range(len(ref)))
+                  for j in range(n)]
+        assert fqlinalg.fq_basis(X[s].tolist(), tower) == (ref, packed)
+        assert rank[s] == len(ref)
+        assert pivots[s].tolist() == ref + [n] * (min(n, m) - len(ref))
+        assert coords[s].tolist() == packed
+
+
 @pytest.mark.parametrize("with_basis", [False, True],
                          ids=["default", "basis"])
 def test_decompose_runs_no_rref_after_warm_up(monkeypatch, with_basis):
-    """decompose eliminates on Python rows (`fqlinalg.rref_rows`); only
-    the first calls, which build the system's constants and the parity
-    check of `verify`, may reach `rref`."""
+    """decompose eliminates on the codes themselves (`fqlinalg.fq_basis`),
+    with no digit matrix; only the first calls, which build the system's
+    constants and the parity check of `verify`, may reach `rref` or
+    `rref_rows`."""
     tower = make_tower(2, 4)
     sysm = construct_subgeometry(tower, 2, 2, 2)
     rng = random.Random(5)
@@ -91,6 +130,7 @@ def test_decompose_runs_no_rref_after_warm_up(monkeypatch, with_basis):
                for _ in range(30)]
     assert decompose(sysm, targets[0], basis).verify(sysm)
     monkeypatch.setattr(fqlinalg, "rref", _refuse)
+    monkeypatch.setattr(fqlinalg, "rref_rows", _refuse)
     for v in targets:
         assert decompose(sysm, v, basis).verify(sysm)
 

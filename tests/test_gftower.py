@@ -8,7 +8,7 @@ import ranksat
 from ranksat import FieldError, collapse, expand, make_tower, project
 from ranksat.gftower import TOWER_CACHE_SIZE, SmallField, _cached_tower
 
-from oracles import schoolbook_mul
+from oracles import rank_greedy_complement, schoolbook_mul
 
 
 def test_default_modulus_is_golden(tower16):
@@ -152,6 +152,15 @@ def test_complement_basis_projection_roundtrip(tower16, rng):
         co, sub_part = cb.decompose(w)
         assert emb.contains(sub_part)
         assert cb.reconstruct(co, sub_part) == w
+
+
+@pytest.mark.parametrize("q, m", [(2, 4), (2, 6), (3, 4), (4, 4), (5, 4),
+                                  (2, 8), (3, 6), (3, 2), (2, 1)])
+def test_default_complement_matches_rank_greedy_oracle(q, m):
+    tower = make_tower(q, m)
+    for t in (d for d in range(1, m + 1) if m % d == 0):
+        assert tower.complement_basis(t).betas == rank_greedy_complement(
+            tower, t)
 
 
 def test_complement_basis_random_bases(tower16, rng):

@@ -1,10 +1,13 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ranksat
 from ranksat import (FieldError, QSystem, construct_identity_block,
                      cutting_system_6_3, gabidulin, linear_set, make_tower,
                      saturation_radius, tower_from_json, weight_spectrum)
@@ -363,3 +366,13 @@ def test_cli_main_reuses_its_parser(tmp_path, tower4, capsys):
     assert [code for code, _, _ in runs] == [0, 2, 0]
     assert runs[0] == runs[2]
     assert build_parser() is build_parser()
+
+
+def test_package_has_no_assert_statements():
+    """`python -O` strips `assert`, so no check in the package may be one:
+    every result guard raises explicitly."""
+    found = [(path.name, node.lineno)
+             for path in sorted(Path(ranksat.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ranksat import (BudgetExceeded, RankCode, dual, gabidulin, make_tower,
-                     min_rank_distance, rank_support, rank_weight,
-                     weight_spectrum)
+from ranksat import (BudgetExceeded, FieldError, RankCode, dual, gabidulin,
+                     linalg, make_tower, min_rank_distance, rank_support,
+                     rank_weight, weight_spectrum)
 from ranksat.linalg import ext_matmul, ext_rref, rank_weight_batch
 from ranksat import fqlinalg
+
+from oracles import digit_rank_weight, echelon_rank_weight_batch
 
 
 def test_rank_weight_zero(tower16):
@@ -43,6 +48,37 @@ def test_rank_weight_batch_matches_scalar(tower16, tower9, rng):
         batch = rank_weight_batch(V, t)
         for i in range(100):
             assert int(batch[i]) == rank_weight(V[i], t)
+
+
+# F_9/F_3 (the small-call case), F_16/F_2, F_25/F_5, F_64/F_4, F_3^5
+RANK_TOWERS = [make_tower(q, m) for q, m in [(3, 2), (2, 4), (5, 2), (4, 3),
+                                             (3, 5)]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(RANK_TOWERS), st.integers(0, 30), st.integers(0, 7),
+       st.integers(0, 2 ** 32 - 1))
+def test_rank_weights_match_digit_rank_oracles(tower, N, n, seed):
+    """`rank_weight` and `rank_weight_batch`, on the greedy F_q-basis
+    kernel, give the ranks of the digit matrices that `rref` and the
+    batched `echelon` over F_q gave before it; the batch also in chunks
+    of 8 entries."""
+    rng = np.random.default_rng(seed)
+    V = rng.integers(0, tower.order, (N, n)) * (rng.random((N, n)) < 0.7)
+    want = echelon_rank_weight_batch(V, tower)
+    got = rank_weight_batch(V, tower)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    with mock.patch.object(linalg, "_RANK_CHUNK", 8):
+        assert rank_weight_batch(V, tower).tolist() == want.tolist()
+    assert ([rank_weight(v, tower) for v in V]
+            == [digit_rank_weight(v, tower) for v in V] == want.tolist())
+
+
+def test_rank_weight_rejects_codes_outside_the_field(tower16):
+    with pytest.raises(FieldError, match="outside"):
+        rank_weight([1, 16], tower16)
+    with pytest.raises(FieldError, match="outside"):
+        rank_weight([-1, 0], tower16)
 
 
 def test_rank_weight_bounded_by_hamming_and_m(tower16, rng):
