@@ -117,7 +117,7 @@ def fq_basis_batch(X, tower):
     (coords, pivots, rank), coords (b, n) the packed coordinates, and
     pivots (b, min(n, m)) the pivot indices of each row, then n.  One
     step of the elimination runs on a column of X at once, through the
-    tower's array ops; every array holds b x n or fewer entries."""
+    tower's array ops; no array holds more than n entries per row."""
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
     (b, n), q = X.shape, tower.base.q
     top = min(n, tower.m)
