@@ -218,28 +218,35 @@ class Decomposition:
         return reduce(tower.add_arr, scaled)
 
     def verify(self, sysm: QSystem) -> bool:
-        """Exact reconstruction plus membership of every u in U, tested by
-        `QSystem.contains` (one product with U's cached parity check over
-        F_p, not the box shape; no elimination once it is built).  False
-        when a lambda lacks its vector or is not a field element, or when
-        the target or a vector is not in F_{q^m}^k."""
+        """Exact reconstruction plus membership of every u in U, on Python
+        ints: the sum of the lams times the vectors through `tower.mul`
+        and `tower.add`, and a zero `QSystem.syndrome` for each vector
+        (table lookups, not the box shape; no elimination and no array op
+        once the tables are built).  False when a lambda lacks its vector
+        or is not a field element (a bool is not), or when the target or
+        a vector is not in F_{q^m}^k: not an integer array of shape (k,)
+        with codes in 0..Q-1."""
         tower, k, Q = sysm.tower, sysm.k, sysm.tower.order
-        vectors = [np.asarray(u) for u in self.vectors]
-        if (np.shape(self.target) != (k,)
-                or len(self.lams) != len(vectors)
+        lams = self.lams
+        if (len(lams) != len(self.vectors)
                 or not all(isinstance(lam, (int, np.integer))
-                           and 0 <= lam < Q for lam in self.lams)
-                or not all(u.shape == (k,) and u.dtype.kind in "iu"
-                           for u in vectors)):
+                           and not isinstance(lam, bool) and 0 <= lam < Q
+                           for lam in lams)):
             return False
-        # one range test for every entry: a negative int64 read as uint64
-        # is at least 2^63 > Q
-        V = np.array(vectors, dtype=np.int64).reshape(-1, k)
-        if (V.view(np.uint64) >= Q).any():
+        rows = []
+        for u in (self.target, *self.vectors):
+            u = np.asarray(u)
+            if u.shape != (k,) or u.dtype.kind not in "iu":
+                return False
+            rows.append(u.tolist())
+        if not all(0 <= x < Q for row in rows for x in row):
             return False
-        if not np.array_equal(self.reconstruct(tower), self.target):
+        target, *rows = rows
+        mul, add = tower.mul, tower.add
+        if target != ([reduce(add, map(mul, lams, col)) for col in zip(*rows)]
+                      if rows else [0] * k):
             return False
-        return bool(sysm.contains(V).all())
+        return not any(map(sysm.syndrome, rows))
 
 
 def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
@@ -256,36 +263,40 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     adding each time the first candidate outside it, drawn from the
     complement basis first.  The greedy basis of [module | bottoms] that
     finds every bottom coordinate inside the module also holds their
-    F_{q^t}-coordinates.  The eliminations run on the codes, as Python
-    ints, and the arrays of the result are built once, after the last of
-    them.  The constants of the system (the subfield embedding, its basis
-    and the default candidates) are built on the first call and kept in
-    `sysm.meta["decompose"]`.
+    F_{q^t}-coordinates.  The input checks, the eliminations and the
+    digit reads run on the codes as Python ints, and the arrays of the
+    result (int64 vectors of shape (k,); the lams are Python ints) are
+    built once, after the last of them.  The constants of the system (the
+    subfield's membership list, embedding and basis, the default
+    candidates and the powers of q) are built on the first call and kept
+    in `sysm.meta["decompose"]`.
     """
     if "box" not in sysm.meta:
         raise SystemError_(
             "decompose needs a box-structured system (identity-block or "
             "subgeometry construction)")
     s, t, h = sysm.meta["box"]
-    tower = sysm.tower
+    tower, Q = sysm.tower, sysm.tower.order
     q = tower.base.q
-    v = np.asarray(v, dtype=np.int64).ravel()
-    if v.shape != (sysm.k,):
+    v = np.array(v, dtype=np.int64).ravel()     # the result's own target
+    vals = v.tolist()
+    if len(vals) != sysm.k:
         raise SystemError_(f"target must have length {sysm.k}")
-    if (v.view(np.uint64) >= tower.order).any():    # negatives wrap high
-        raise SystemError_(f"target codes must lie in 0..{tower.order - 1}")
+    if not all(0 <= x < Q for x in vals):
+        raise SystemError_(f"target codes must lie in 0..{Q - 1}")
     if "decompose" not in sysm.meta:
         emb = tower.subfield(t)
         sysm.meta["decompose"] = (
-            emb, emb.embed_table.tolist(),
+            emb.member_mask.tolist(), emb.embed_table.tolist(),
             emb.embed_table[emb.sub_tower._qpow].tolist(),
-            [tower.pow(tower.alpha, j) for j in range(tower.m)])
-    emb, embed, sub_basis, alphas = sysm.meta["decompose"]
-    top, bottom = v[:s].tolist(), v[s:].tolist()
+            [tower.pow(tower.alpha, j) for j in range(tower.m)],
+            tower._qpow.tolist())
+    member, embed, sub_basis, alphas, qpow = sysm.meta["decompose"]
+    top, bottom = vals[:s], vals[s:]
 
     # direct membership: one term suffices
-    if max(top) < q and emb.member_mask[v[s:]].all():
-        if not v.any():
+    if max(top) < q and all(member[x] for x in bottom):
+        if not any(vals):
             return Decomposition(v, [], [])
         return Decomposition(v, [1], [v.copy()])
 
@@ -322,18 +333,22 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     # the other entries 0; each t-digit block is one subfield code
     sub = [[0] * h for _ in gens]
     for col, x in enumerate(coords[c:]):
-        for i, p in enumerate(pivots):
-            if d := x // q ** i % q:
-                sub[p // t][col] += d * q ** (p % t)
+        for p in pivots:
+            if not x:
+                break
+            if d := x % q:
+                sub[p // t][col] += d * qpow[p % t]
+            x //= q
 
     # 4. assemble terms and drop the vacuous ones
-    rows = [([x // q ** j % q for x in top_coords] if j < nu else [0] * s)
-            + [embed[a] for a in sub[j]] for j in range(len(gens))]
+    tops = [[x // qj % q for x in top_coords] for qj in qpow[:nu]]
+    rows = [(tops[j] if j < nu else [0] * s) + [embed[a] for a in sub[j]]
+            for j in range(len(gens))]
     keep = [j for j, row in enumerate(rows) if gens[j] and any(row)]
     lams, rows = [gens[j] for j in keep], [rows[j] for j in keep]
     # sum lams[j] rows[j] = v, one coordinate at a time in Python ints
     if [reduce(tower.add, map(tower.mul, lams, col), 0)
             for col in zip(*rows)] != top + bottom:
         raise RuntimeError("reconstruction failed (unreachable)")
-    return Decomposition(v.copy(), lams, list(
+    return Decomposition(v, lams, list(
         np.array(rows, dtype=np.int64).reshape(-1, sysm.k)))

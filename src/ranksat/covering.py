@@ -577,6 +577,7 @@ def is_linear_cutting_blocking_set(sys: QSystem,
     tower = sys.tower
     G = sys.generator
     k, n, q = sys.k, sys.n, tower.base.q
+    e = tower.base.e if tower.base.p == 2 else 0     # digits by shift
     indexer = PointIndexer(tower, k)
     if indexer.total > budget:
         raise BudgetExceeded(
@@ -590,7 +591,7 @@ def is_linear_cutting_blocking_set(sys: QSystem,
         coords, pivots, rank = fqlinalg.fq_basis_batch(X, tower)
         V = np.broadcast_to(G.T, (len(h), n, k))
         for i in range(rank.max()):
-            c = coords // q ** i % q
+            c = (coords >> e * i & (q - 1) if e else coords // q ** i % q)
             V = tower.sub_arr(V, tower.mul_arr(c[:, :, None],
                                                cols[pivots[:, i], None]))
         if (fqlinalg.echelon(V, tower)[2] != k - 1).any():

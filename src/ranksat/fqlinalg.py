@@ -22,8 +22,8 @@ F_q-coordinates of every code on it, by reducing each code against the
 basis found so far, with no digit matrix; `fq_basis_batch` does the same for
 each row of an array at once.  `decompose`, the cutting-set test and the
 rank weights run on them.  `Decomposition.verify` makes no elimination:
-`QSystem.contains` tests membership in U by one product with a parity
-check that `kernel` builds once per system.
+`QSystem.syndrome` reads membership in U from lookup tables built once
+per system from the parity check that `kernel` finds.
 
 `rref_subspaces` is the one enumerator of F_q-subspaces: the rank sweep
 and the exhaustive search read its stacks of at most `per` RREF bases,
@@ -82,30 +82,37 @@ def fq_basis(codes, tower) -> tuple[list[int], list[int]]:
     digits of codes[j]; coords at pivot i is q^i.
 
     No digit matrix is built: each code is reduced against the basis
-    found so far by sub(x, mul(d, b)), d = x // q^l % q its digit at
-    b's leading digit l, through the tower's scalar ops, and the packed
-    coordinates are updated by the same two ops."""
+    found so far by sub(x, mul(d, b)), d the digit of x at b's leading
+    digit l (x >> e l & (q - 1) when q = 2^e, else x // q^l % q),
+    through the tower's scalar ops, and the packed coordinates are
+    updated by the same two ops."""
     q, mul, sub, inv = tower.base.q, tower.mul, tower.sub, tower.inv
-    # (q^l, b, -coords of b): b has digit 1 at l, and 0 at the leading
+    # digit l is read at `at`, the shift e l when q = 2^e, else q^l
+    e, mask = (tower.base.e if tower.base.p == 2 else 0), q - 1
+    # (at, b, -coords of b): b has digit 1 at l, and 0 at the leading
     # digits of the rows before it
     basis, pivots, coords = [], [], []
     for j, x in enumerate(codes):
         c = 0
-        for ql, b, nc in basis:
-            if (d := x // ql % q) == 1:
+        for at, b, nc in basis:
+            if (d := x >> at & mask if e else x // at % q) == 1:
                 x, c = sub(x, b), sub(c, nc)
             elif d:
                 x, c = sub(x, mul(d, b)), sub(c, mul(d, nc))
         if x:
-            ql = 1
-            while not (d := x // ql % q):
-                ql *= q
+            if e:       # the lowest set bit lies in the leading digit
+                at = ((x & -x).bit_length() - 1) // e * e
+                d = x >> at & mask
+            else:
+                at = 1
+                while not (d := x // at % q):
+                    at *= q
             unit = q ** len(pivots)
             nc = sub(c, unit)
             if d != 1:
                 d = inv(d)
                 x, nc = mul(d, x), mul(d, nc)
-            basis.append((ql, x, nc))
+            basis.append((at, x, nc))
             pivots.append(j)
             c = unit
         coords.append(c)
@@ -117,14 +124,17 @@ def fq_basis_batch(X, tower):
     (coords, pivots, rank), coords (b, n) the packed coordinates, and
     pivots (b, min(n, m)) the pivot indices of each row, then n.  One
     step of the elimination runs on a column of X at once, through the
-    tower's array ops; no array holds more than n entries per row."""
+    tower's array ops; no array holds more than n entries per row, and
+    digits are read by shift and mask when q = 2^e."""
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
     (b, n), q = X.shape, tower.base.q
+    e = tower.base.e if tower.base.p == 2 else 0
     top = min(n, tower.m)
     qpow = q ** np.arange(tower.m)
-    # leading digit q^l, row and minus coordinates of each basis slot;
-    # an empty slot is zero, so a reduction by it does nothing.  A new
-    # row leads at its highest digit, found by one sorted search
+    # leading digit (read at the shift e l when q = 2^e, else at q^l),
+    # row and minus coordinates of each basis slot; an empty slot is
+    # zero, so a reduction by it does nothing.  A new row leads at its
+    # highest digit, found by one sorted search
     lead = np.ones((b, top), dtype=np.int64)
     B = np.zeros((b, top), dtype=np.int64)
     NC = np.zeros((b, top), dtype=np.int64)
@@ -134,16 +144,18 @@ def fq_basis_batch(X, tower):
     for j in range(n):
         x, c = X[:, j], np.zeros(b, dtype=np.int64)
         for i in range(rank.max(initial=0)):
-            d = x // lead[:, i] % q
+            d = (x >> lead[:, i] & (q - 1) if e
+                 else x // lead[:, i] % q)
             x = tower.sub_arr(x, tower.mul_arr(d, B[:, i]))
             c = tower.sub_arr(c, tower.mul_arr(d, NC[:, i]))
         coords[:, j] = c
         new = np.flatnonzero(x)
         if new.size:
             x, c, r = x[new], c[new], rank[new]
-            ql = qpow[np.searchsorted(qpow, x, "right") - 1]
-            d = tower.inv_arr(x // ql)
-            lead[new, r], pivots[new, r], coords[new, j] = ql, j, qpow[r]
+            l = np.searchsorted(qpow, x, "right") - 1
+            at = l * e if e else qpow[l]
+            d = tower.inv_arr(x >> at if e else x // at)
+            lead[new, r], pivots[new, r], coords[new, j] = at, j, qpow[r]
             B[new, r] = tower.mul_arr(d, x)
             NC[new, r] = tower.mul_arr(d, tower.sub_arr(c, qpow[r]))
             rank[new] += 1

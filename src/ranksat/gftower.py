@@ -100,28 +100,32 @@ def _scalar_blocks(p: int):
 @cache
 def _code_ops(p: int):
     """Scalar (add, sub, neg) of integers packing base-p digits, digit by
-    digit mod p: XOR when p = 2, else two `_scalar_blocks` lookups per
-    block of digits for a - b, and a + b = a - (0 - b); operands of one
-    block (below P) take one lookup for a + b.  No numpy array is
-    built."""
+    digit mod p: XOR when p = 2, else `_scalar_blocks` lookups, one per
+    block of digits for a + b and two for a - b = a + (-b).  No numpy
+    array is built, and the lookup lists are made on the first call, not
+    with the tower."""
     if p == 2:
         return operator.xor, operator.xor, operator.pos
-
-    def sub(a, b):
-        P, add, neg = _scalar_blocks(p)
-        if a < P and b < P:
-            return add(a * P + neg(b))
-        out, pw = 0, 1
-        while a or b:
-            out += add(a % P * P + neg(b % P)) * pw
-            a, b, pw = a // P, b // P, pw * P
-        return out
 
     def add(a, b):
         P, block_add, _ = _scalar_blocks(p)
         if a < P and b < P:
             return block_add(a * P + b)
-        return sub(a, neg(b))
+        out, pw = 0, 1
+        while a or b:
+            out += block_add(a % P * P + b % P) * pw
+            a, b, pw = a // P, b // P, pw * P
+        return out
+
+    def sub(a, b):
+        P, block_add, block_neg = _scalar_blocks(p)
+        if a < P and b < P:
+            return block_add(a * P + block_neg(b))
+        out, pw = 0, 1
+        while a or b:
+            out += block_add(a % P * P + block_neg(b % P)) * pw
+            a, b, pw = a // P, b // P, pw * P
+        return out
 
     neg = partial(sub, 0)
     return add, sub, neg

@@ -9,10 +9,12 @@ mark them in flat bitmaps.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from . import fqlinalg
-from .gftower import FieldTower, SmallField, expand
+from .gftower import FieldTower, SmallField, _block_tables, expand
 from .linalg import (DEFAULT_BUDGET, MatrixExt, RankCode, as_matrix,
                      fq_span_vectors)
 
@@ -32,9 +34,9 @@ def expanded_columns(G, tower: FieldTower) -> np.ndarray:
 class QSystem:
     """An [n, k]_{q^m/q} system with validated generator matrix.
 
-    `generator` is a read-only copy of the caller's matrix, so the parity
-    check of U over F_p that `contains` builds on its first call and
-    keeps cannot go stale.
+    `generator` is a read-only copy of the caller's matrix, so the
+    syndrome tables of U over F_p that `syndrome` builds on its first
+    call and keeps cannot go stale.
     """
 
     def __init__(self, tower: FieldTower, generator):
@@ -56,34 +58,71 @@ class QSystem:
         self.k = k
         self.n = n
         self.meta: dict = {}
-        self._parity = None
+        self._tables = None
 
     @property
     def generator(self) -> np.ndarray:
         return self._generator
 
-    def _pdigits(self, V) -> np.ndarray:
-        """The k m e base-p digits of each row of V (codes of F_{q^m}^k);
-        addition of codes is digit-wise mod p, so this map is F_p-linear."""
+    def _syndrome_tables(self) -> tuple[int, list[list[list[int]]]]:
+        """(P, tables): tables[j][i][x] is the packed syndrome of the
+        vector whose only nonzero base-p digits are the value x of block i
+        of coordinate j, for the blocks of P = p^b of `_block_tables(p)`,
+        lowest first.
+
+        The rows of H (one `fqlinalg.kernel`) span the annihilator of U
+        in F_p^(kme), with digit l of coordinate j at column j m e + l;
+        U's F_p-span is spanned by c g_j, c = p^i the F_p-basis codes of
+        F_q (i < e) and g_j the generator columns.  A syndrome H d packs
+        its entries base p, entry l at p^l, as a Python int of any
+        length."""
         t = self.tower
-        V = np.asarray(V, dtype=np.int64)
-        ppow = t.base.p ** np.arange(t.m * t.base.e)
-        return (V[..., None] // ppow % t.base.p).reshape(
-            V.shape[:-1] + (self.k * ppow.size,))
+        p, me = t.base.p, t.m * t.base.e
+        P = _block_tables(p)[0]
+        c = p ** np.arange(t.base.e)
+        span = t.mul_arr(c[:, None, None], self.generator.T)
+        digits = (span.reshape(c.size * self.n, self.k, 1)
+                  // p ** np.arange(me) % p)
+        H = fqlinalg.kernel(digits.reshape(c.size * self.n, self.k * me),
+                            SmallField(p))
+        pack = np.array([p ** l for l in range(len(H))], dtype=object)
+        b = 1                                   # digits per block, P = p^b
+        while p ** (b + 1) <= P:
+            b += 1
+        tables = []
+        for j in range(self.k):
+            blocks = []
+            for lo in range(j * me, (j + 1) * me, b):
+                w = min(b, (j + 1) * me - lo)
+                D = np.arange(p ** w)[:, None] // p ** np.arange(w) % p
+                S = D @ H[:, lo:lo + w].T % p
+                blocks.append((S.astype(object) @ pack).tolist())
+            tables.append(blocks)
+        return P, tables
+
+    def syndrome(self, row) -> int:
+        """The packed F_p-syndrome of one row of codes in 0..Q-1 (Python
+        ints), zero iff the row lies in U: the sum, digit-wise mod p (XOR
+        when p = 2), of one table lookup per nonzero block of base-p
+        digits.  The tables are built on the first call and kept."""
+        if self._tables is None:
+            self._tables = self._syndrome_tables()
+        (P, tables), add, s = self._tables, self.tower.add, 0
+        for x, blocks in zip(row, tables):
+            for table in blocks:
+                if not x:
+                    break
+                s = add(s, table[x % P])
+                x //= P
+        return s
 
     def contains(self, V) -> np.ndarray:
-        """Membership in U of each row of V (codes in 0..Q-1): P d(v) = 0
-        mod p, where d is `_pdigits` and the rows of P span the annihilator
-        of U in F_p^(kme).  U's F_p-span is spanned by c g_j, c = p^i the
-        F_p-basis codes of F_q (i < e) and g_j the generator columns."""
-        p = self.tower.base.p
-        if self._parity is None:
-            c = p ** np.arange(self.tower.base.e)
-            span = self.tower.mul_arr(c[:, None, None], self.generator.T)
-            self._parity = fqlinalg.kernel(
-                self._pdigits(span.reshape(c.size * self.n, self.k)),
-                SmallField(p))
-        return ~(self._pdigits(V) @ self._parity.T % p).any(axis=-1)
+        """Membership in U of each row of V (codes in 0..Q-1): a zero
+        `syndrome`, one per row, on the rows as Python ints."""
+        V = np.asarray(V, dtype=np.int64)
+        rows = V.reshape(prod(V.shape[:-1]), self.k).tolist()
+        return np.array([not self.syndrome(r) for r in rows],
+                        dtype=bool).reshape(V.shape[:-1])
 
     def vectors(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """All q^n elements of U as a (q^n, k) array."""

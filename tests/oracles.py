@@ -11,8 +11,8 @@ from itertools import combinations, islice, product
 import numpy as np
 
 from ranksat import fqlinalg
-from ranksat.gftower import (FieldTower, _poly_mulmod, _poly_trim, add_digits,
-                             expand)
+from ranksat.gftower import (FieldTower, SmallField, _poly_mulmod, _poly_trim,
+                             add_digits, expand)
 from ranksat.linalg import ext_matmul, ext_rank
 from ranksat.qsystem import PointIndexer
 
@@ -355,6 +355,27 @@ def rank_membership(sysm, vectors):
     cols = expanded_columns(np.column_stack([sysm.generator] + list(vectors)),
                             sysm.tower)
     return fqlinalg.rank(cols, sysm.tower.base) == sysm.n
+
+
+def parity_contains(sysm, V):
+    """`QSystem.contains` before the syndrome tables: membership in U of
+    each row of V as one product of its k m e base-p digits with a parity
+    check P of U over F_p, built afresh, P d(v) = 0 mod p.  U's F_p-span
+    is spanned by c g_j, c = p^i (i < e) and g_j the generator columns."""
+    tower, k = sysm.tower, sysm.k
+    p = tower.base.p
+    ppow = p ** np.arange(tower.m * tower.base.e)
+
+    def pdigits(X):
+        X = np.asarray(X, dtype=np.int64)
+        return (X[..., None] // ppow % p).reshape(X.shape[:-1]
+                                                  + (k * ppow.size,))
+
+    c = p ** np.arange(tower.base.e)
+    span = tower.mul_arr(c[:, None, None], sysm.generator.T)
+    parity = fqlinalg.kernel(pdigits(span.reshape(c.size * sysm.n, k)),
+                             SmallField(p))
+    return ~(pdigits(V) @ parity.T % p).any(axis=-1)
 
 
 def decompose_by_solves(sysm, v, basis=None):

@@ -19,7 +19,7 @@ from ranksat.qsystem import SystemError_
 
 from oracles import (brute_min_terms, brute_saturation_radius,
                      decompose_by_solves, digit_matrix_decompose,
-                     rank_membership)
+                     parity_contains, rank_membership)
 
 
 # ------------------------------------------------------------------ rho1
@@ -240,6 +240,16 @@ MALFORMED = {
         lambda d, Q: _replace_vector(d, np.full_like(d.vectors[0], Q)),
     "short-target":
         lambda d, Q: Decomposition(d.target[:3], d.lams, d.vectors),
+    "float-target":
+        lambda d, Q: Decomposition(d.target.astype(np.float64), d.lams,
+                                   d.vectors),
+    "target-outside-field":
+        lambda d, Q: Decomposition(np.full_like(d.target, Q), d.lams,
+                                   d.vectors),
+    # an extra term True * 0 leaves the sum, and 0 is in U
+    "bool-lambda":
+        lambda d, Q: Decomposition(d.target, d.lams + [True],
+                                   d.vectors + [np.zeros_like(d.target)]),
     "rescaled-term": _rescale_first_term,
 }
 
@@ -301,7 +311,7 @@ def test_decompose_matches_oracle(box, seed, with_basis):
         assert len(dec.vectors) == len(ref.vectors)
         assert all(np.array_equal(a, b)
                    for a, b in zip(dec.vectors, ref.vectors))
-        assert dec.verify(sysm) == ref.verify(sysm)
+        assert dec.verify(sysm) is True and ref.verify(sysm) is True
         old = digit_matrix_decompose(sysm, v, basis)
         assert [(type(x), x) for x in dec.lams] == [(type(x), x)
                                                     for x in old.lams]
@@ -311,27 +321,38 @@ def test_decompose_matches_oracle(box, seed, with_basis):
         assert dec.target.dtype == old.target.dtype
 
 
-# random non-box systems over F_2, F_3, F_4 and F_9 bases
+# random non-box systems over F_2, F_3, F_4 and F_9 bases, k in 1..3
 MEMBER_TOWERS = [BOX_TOWERS[(2, 4)], BOX_TOWERS[(3, 2)],
                  BOX_TOWERS[(4, 2)], make_tower(9, 2)]
+# (tower, k): random [n, 4] systems over F_81/F_3, whose syndromes of
+# 16 - n base-3 digits span two or three blocks of 5, and [n, 3] systems
+# over F_289/F_17 (p > 16: one digit per block, sums mod 17; n = 6 has
+# an empty parity check)
+WIDE_MEMBER_SYSTEMS = [(make_tower(3, 4), 4), (make_tower(17, 2), 3)]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.sampled_from(BOX_SYSTEMS), st.sampled_from(MEMBER_TOWERS)),
-       st.integers(0, 2 ** 32 - 1))
-def test_membership_matches_rank_oracle(system, seed):
-    """`QSystem.contains` (U's parity check over F_p) agrees with the rank
-    of the expanded [G | u], on members of U, on members scaled by some
-    c in F_{q^m} and on random vectors."""
-    rng = random.Random(seed)
-    if isinstance(system, tuple):
+def _membership_system(system, rng):
+    if isinstance(system, tuple) and len(system) == 4:
         kind, q, m, params = system
         construct = (construct_subgeometry if kind == "subgeometry"
                      else construct_identity_block)
-        sysm = construct(BOX_TOWERS[(q, m)], *params)
-    else:
-        k = rng.randrange(1, 4)
-        sysm = random_system(system, k, rng.randrange(k, 2 * k + 1), rng)
+        return construct(BOX_TOWERS[(q, m)], *params)
+    tower, k = (system if isinstance(system, tuple)
+                else (system, rng.randrange(1, 4)))
+    return random_system(tower, k, rng.randrange(k, 2 * k + 1), rng)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(BOX_SYSTEMS), st.sampled_from(MEMBER_TOWERS),
+                 st.sampled_from(WIDE_MEMBER_SYSTEMS)),
+       st.integers(0, 2 ** 32 - 1))
+def test_membership_matches_rank_oracle(system, seed):
+    """`QSystem.contains` (U's syndrome tables) agrees with the parity
+    product it replaced and with the rank of the expanded [G | u], on
+    members of U, on members scaled by some c in F_{q^m} and on random
+    vectors."""
+    rng = random.Random(seed)
+    sysm = _membership_system(system, rng)
     tower = sysm.tower
     coeffs = np.array([[rng.randrange(tower.base.q) for _ in range(sysm.n)]
                        for _ in range(8)], dtype=np.int64)
@@ -344,6 +365,8 @@ def test_membership_matches_rank_oracle(system, seed):
     expect = [rank_membership(sysm, [u]) for u in V]
     assert all(expect[:8])
     assert sysm.contains(V).tolist() == expect
+    assert parity_contains(sysm, V).tolist() == expect
+    assert [not sysm.syndrome(u) for u in V.tolist()] == expect
     assert sysm.contains(V[:0]).shape == (0,)
 
 
@@ -353,12 +376,14 @@ def test_verify_runs_no_elimination_once_warm(tower16, monkeypatch):
     decs = [decompose(sysm, [tower16.random_element(rng) for _ in range(5)])
             for _ in range(20)]
     bad = _rescale_first_term(decs[0], tower16.order)
-    assert decs[0].verify(sysm)     # builds the parity check
+    assert decs[0].verify(sysm)     # builds the syndrome tables
 
     def refuse(*args, **kwargs):
-        raise AssertionError("verify ran an elimination")
+        raise AssertionError("verify ran an elimination or an array op")
 
-    monkeypatch.setattr(fqlinalg, "rref", refuse)
+    for owner, name in ((fqlinalg, "rref"), (fqlinalg, "kernel"),
+                        (tower16, "mul_arr"), (tower16, "add_arr")):
+        monkeypatch.setattr(owner, name, refuse)
     assert all(dec.verify(sysm) for dec in decs)
     assert bad.verify(sysm) is False
 
