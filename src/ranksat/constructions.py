@@ -278,12 +278,12 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     s, t, h = sysm.meta["box"]
     tower, Q = sysm.tower, sysm.tower.order
     q = tower.base.q
-    v = np.array(v, dtype=np.int64).ravel()     # the result's own target
-    vals = v.tolist()
+    vals = np.asarray(v).ravel().tolist()
     if len(vals) != sysm.k:
         raise SystemError_(f"target must have length {sysm.k}")
-    if not all(0 <= x < Q for x in vals):
-        raise SystemError_(f"target codes must lie in 0..{Q - 1}")
+    if not all(type(x) is int and 0 <= x < Q for x in vals):  # no float, bool
+        raise SystemError_(f"target codes must lie in 0..{Q - 1}, as ints")
+    v = np.array(vals, dtype=np.int64)          # the result's own target
     if "decompose" not in sysm.meta:
         emb = tower.subfield(t)
         sysm.meta["decompose"] = (

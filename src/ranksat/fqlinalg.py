@@ -4,9 +4,9 @@ extension F_{q^m}.
 Matrices are numpy integer arrays of element codes.  A SmallField and a
 FieldTower both provide scalar ops (`mul`, `sub`, `inv` on Python ints)
 and array ops (`mul_arr`, `sub_arr`, `inv_arr`, `neg_arr`), so every
-function that takes a `field` works over F_q and over F_{q^m} alike.
-Reduced row echelon form is the canonical representative of a row
-space: equal subspaces produce equal arrays.
+function that takes a `field` works over F_q and over F_{q^m} alike; it
+reaches the field through them alone, and imports nothing from the
+package.  Reduced row echelon form is canonical for a row space.
 
 Two eliminations serve matrices, one per input shape.  `rref_rows`
 reduces one matrix held as Python lists of ints, through the scalar ops:
@@ -19,11 +19,11 @@ towers only.
 A third elimination serves F_{q^m} elements read as vectors over F_q:
 `fq_basis` finds the greedy F_q-basis of a list of codes, and the
 F_q-coordinates of every code on it, by reducing each code against the
-basis found so far, with no digit matrix; `fq_basis_batch` does the same for
-each row of an array at once.  `decompose`, the cutting-set test and the
-rank weights run on them.  `Decomposition.verify` makes no elimination:
-`QSystem.syndrome` reads membership in U from lookup tables built once
-per system from the parity check that `kernel` finds.
+basis found so far, with no digit matrix; `fq_basis_batch` does the same
+for each row of an array.  `decompose`, `ComplementBasis`, the
+cutting-set test and the rank weights run on them.  `Decomposition.verify`
+makes no elimination: `QSystem.syndrome` reads membership in U from
+lookup tables built once per system from the parity check `kernel` finds.
 
 `rref_subspaces` is the one enumerator of F_q-subspaces: the rank sweep
 and the exhaustive search read its stacks of at most `per` RREF bases,
@@ -35,8 +35,6 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
-
-from .gftower import SmallField
 
 
 def rref_rows(R, field) -> list[int]:
@@ -246,17 +244,6 @@ def solve(M, b, field):
     return x
 
 
-def all_vectors(n: int, field: SmallField) -> np.ndarray:
-    """(q^n, n) array of all coordinate vectors, code order ascending."""
-    q = field.q
-    total = q ** n
-    out = np.zeros((total, n), dtype=np.int16)
-    r = np.arange(total)
-    for i in range(n):
-        out[:, i] = (r // (q ** i)) % q
-    return out
-
-
 def gaussian_binomial(a: int, b: int, q: int) -> int:
     """Number of b-dimensional subspaces of F_q^a (exact big integer).
 
@@ -274,7 +261,7 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     return num // den
 
 
-def rref_subspaces(n: int, w: int, field: SmallField, per: int):
+def rref_subspaces(n: int, w: int, field, per: int):
     """Yield all w-dimensional subspaces of F_q^n, one RREF basis each.
 
     Yields (start, stack): stack has shape (count, w, n), int16, and holds

@@ -12,9 +12,10 @@ Multiplication uses log/exp tables, and one builder makes them for every
 field (`FieldTower._build_tables`): it finds the first code g of
 multiplicative order q^m - 1 by an order test, forms the map v -> x v on
 all codes at once, derives v -> g v from it, and steps that map from 1.
-A non-prime base field SmallField(p^e) takes its product table from the
-tower F_p <= F_{p^e}.  log(0) is a sentinel that indexes the zero padding
-of exp, so the array kernels multiply with one gather and no zero test.
+log(0) is a sentinel that indexes the zero padding of exp, so the array
+kernels multiply with one gather and no zero test.  The base field
+SmallField(p^e) holds no table: it multiplies mod p when e = 1 and
+borrows the ops of the tower F_p <= F_{p^e} when e > 1.
 
 `make_tower` is the one factory for towers: it builds each (q, m,
 modulus) once per process and hands every caller the same read-only
@@ -28,6 +29,8 @@ import operator
 from functools import cache, lru_cache, partial, reduce
 
 import numpy as np
+
+from . import fqlinalg
 
 # Tables are built eagerly; beyond this the sweeps this library exists
 # for are infeasible anyway, so we refuse rather than degrade silently.
@@ -257,18 +260,14 @@ def _first_irreducible(F, m: int) -> list[int]:
 
 
 class SmallField:
-    """The base field F_q, q = p^e <= 1024, with dense op tables.
+    """The base field F_q, q = p^e <= 1024, with no tables of its own.
 
-    Elements are integer codes 0 .. q-1.  For e > 1 the code packs the
-    F_p-coordinates of the element in base p, and the tables are those of
-    make_tower(p, e): the modulus is the lexicographically first
-    irreducible monic polynomial of degree e over F_p.
-
-    The scalar ops take and return Python ints and build no numpy array:
-    arithmetic mod q for prime q (so a numpy scalar narrower than int64
-    can overflow in `mul`), and for e > 1 the scalar ops of
-    make_tower(p, e), bound in the constructor.  `fqlinalg.rref` runs on
-    them; the array ops (`add_arr` ...) serve `echelon` and the kernels.
+    Elements are integer codes 0 .. q-1, packing the e F_p-coordinates of
+    an element in base p.  Sums are digit-wise mod p, as in every tower
+    (`_code_ops(p)`, `add_digits`, `neg_digits`).  Products are arithmetic
+    mod p when e = 1, and the ops of make_tower(p, e), bound in the
+    constructor, when e > 1 (modulus: the first irreducible of degree e).
+    Scalar ops take and return Python ints; array ops return int64.
     """
 
     def __init__(self, q: int):
@@ -278,30 +277,13 @@ class SmallField:
         self.q = q
         self.p = p
         self.e = e
-        a, b = np.arange(q)[:, None], np.arange(q)[None, :]
-        if e == 1:
-            mul = a * b % q
-        else:
+        self.add, self.sub, self.neg = _code_ops(p)
+        if e > 1:
             t = make_tower(p, e)
-            mul = t.mul_arr(a, b)
-            self.add, self.sub, self.neg, self.mul, self.inv = (
-                t.add, t.sub, t.neg, t.mul, t.inv)
-        self._add = add_digits(a, b, p, e).astype(np.int16)
-        self._mul = mul.astype(np.int16)
-        self._neg = neg_digits(np.arange(q), p, e).astype(np.int16)
-        # row 0 holds no 1, so its argmax leaves inv(0) = 0
-        self._inv = np.argmax(self._mul == 1, axis=1).astype(np.int16)
+            self.mul, self.inv, self.mul_arr, self.inv_arr = (
+                t.mul, t.inv, t.mul_arr, t.inv_arr)
 
-    # scalar ops (prime q; see __init__ for e > 1) ----------------------
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
+    # products mod p (see __init__ for e > 1) ---------------------------
     def mul(self, a: int, b: int) -> int:
         return a * b % self.q
 
@@ -315,19 +297,25 @@ class SmallField:
 
     # array ops ----------------------------------------------------------
     def add_arr(self, A, B):
-        return self._add[A, B]
+        return add_digits(np.asarray(A, dtype=np.int64), B, self.p, self.e)
 
-    def sub_arr(self, A, B):
-        return self._add[A, self._neg[B]]
+    def sub_arr(self, A, B):     # -B is B in characteristic 2
+        return self.add_arr(A, B if self.p == 2 else self.neg_arr(B))
 
     def neg_arr(self, A):
-        return self._neg[A]
+        return neg_digits(np.asarray(A, dtype=np.int64), self.p, self.e)
 
     def mul_arr(self, A, B):
-        return self._mul[A, B]
+        return np.asarray(A, dtype=np.int64) * B % self.q
 
     def inv_arr(self, A):
-        return self._inv[A]
+        # a^(2p-3) is 1/a for a != 0, and 0 for a = 0 (2p - 3 >= 1)
+        A, out, n = np.asarray(A, dtype=np.int64), 1, 2 * self.q - 3
+        while n:
+            if n & 1:
+                out = out * A % self.q
+            A, n = A * A % self.q, n >> 1
+        return out
 
     def elements(self):
         return range(self.q)
@@ -340,42 +328,42 @@ class ComplementBasis:
     """A direct-sum decomposition F_{q^m} = <beta_1..beta_s>_{F_q} + F_{q^t}.
 
     s = (r-1)t where m = r*t.  Together with an F_q-basis of the embedded
-    subfield, the betas form an F_q-basis of F_{q^m}; `decompose` returns
-    the beta-coordinates (F_q scalars) and the subfield component (as an
+    subfield, the betas (int codes in 1..Q-1) form an F_q-basis of
+    F_{q^m}, which `fqlinalg.fq_basis` checks; `decompose` returns the
+    beta-coordinates (F_q scalars) and the subfield component (as an
     embedded element of the big field).
     """
 
     def __init__(self, tower: "FieldTower", t: int, betas: list[int]):
-        m, q = tower.m, tower.base.q
+        m, q, Q = tower.m, tower.base.q, tower.order
         if m % t != 0:
             raise FieldError(f"t={t} does not divide m={m}")
         r = m // t
         if len(betas) != (r - 1) * t:
             raise FieldError(
                 f"need {(r - 1) * t} complement elements, got {len(betas)}")
+        if any(type(b) is not int or not 0 < b < Q for b in betas):
+            raise FieldError(f"complement elements must be int codes in "
+                             f"1..{Q - 1}, got {list(betas)}")
         self.tower = tower
         self.t = t
         self.r = r
         self.betas = list(betas)
         sub = tower.subfield(t)
         self.subfield = sub
-        # columns: digits of beta_1..beta_s, then embedded subfield basis
         self.sub_basis_embedded = sub.embed_table[q ** np.arange(t)].tolist()
-        cols = [tower.digits(b) for b in self.betas + self.sub_basis_embedded]
-        B = np.array(cols, dtype=np.int16).T  # m x m over F_q
-        from . import fqlinalg
-        Binv = fqlinalg.inv(B, tower.base)
-        if Binv is None:
+        self.basis = self.betas + self.sub_basis_embedded
+        if len(fqlinalg.fq_basis(self.basis, tower)[0]) < m:
             raise FieldError("complement elements do not complete a basis "
                              "of the extension over F_q")
-        self.matrix = B
-        self.matrix_inv = Binv
 
     def coordinates(self, w: int) -> np.ndarray:
-        """All m F_q-coordinates of w: betas first, subfield basis last."""
-        from .linalg import ext_matmul
-        d = self.tower.digit_table()[w]
-        return ext_matmul(self.matrix_inv, d[:, None], self.tower.base)[:, 0]
+        """All m F_q-coordinates of the code w: betas first, subfield basis
+        last, the digits of w's packed coordinates on the codes of `basis`."""
+        if not 0 <= operator.index(w) < self.tower.order:
+            raise FieldError(f"{w} is not a code in 0..{self.tower.order - 1}")
+        co = fqlinalg.fq_basis(self.basis + [int(w)], self.tower)[1]
+        return np.array(self.tower.digits(co[-1]), dtype=np.int64)
 
     def decompose(self, w: int) -> tuple[np.ndarray, int]:
         """Return (beta coordinates in F_q, subfield part embedded)."""
@@ -487,7 +475,7 @@ class FieldTower:
         c = np.arange(self.base.q)[:, None]
         out = np.zeros(1, dtype=np.int64)
         for im in images:
-            scaled = self.base._mul[c, self.digits(im)] @ self._qpow
+            scaled = self.base.mul_arr(c, self.digits(im)) @ self._qpow
             out = self.add_arr(out[None, :], scaled[:, None]).ravel()
         return out
 
@@ -612,8 +600,7 @@ class FieldTower:
     def mul_arr(self, A, B):
         return self._exp[self._log[A] + self._log[B]]
 
-    def mul_scalar(self, lam: int, A):
-        return self._exp[self._log[A] + self._log[lam]]
+    mul_scalar = mul_arr
 
     def inv_arr(self, A):
         return self._inv_table[A]
@@ -682,7 +669,6 @@ class FieldTower:
         taking each one outside the F_q-span of those before it."""
         if betas is not None:
             return ComplementBasis(self, t, list(betas))
-        from . import fqlinalg
         sub = self.subfield(t).embed_table[self.base.q ** np.arange(t)]
         powers = [self.pow(self.alpha, j) for j in range(self.m)]
         pivots = fqlinalg.fq_basis(sub.tolist() + powers, self)[0]

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bounds as bnd, fqlinalg
+from . import bounds as bnd
 from .constructions import (construct_identity_block, construct_rho1,
                             construct_subgeometry, cutting_system_6_3,
                             cutting_system_8_4, decompose, direct_sum,
@@ -25,7 +25,7 @@ from .constructions import (construct_identity_block, construct_rho1,
 from .covering import (is_linear_cutting_blocking_set, rank_covering_radius,
                        saturation_radius, saturation_radius_geometric)
 from .gftower import make_tower
-from .linalg import DEFAULT_BUDGET, ext_matmul
+from .linalg import DEFAULT_BUDGET, ext_matmul, fq_span_vectors
 from .qsystem import QSystem, associated_code, linear_set, is_scattered, \
     lift_system
 
@@ -108,7 +108,7 @@ def _experiment_5_9_q4(budget):
     code = associated_code(sysm)
     # rank-1 codewords are lambda * v with v over F_q, and v is a codeword
     # iff the parity check annihilates it: test all such v at once
-    V = fqlinalg.all_vectors(sysm.n, tower.base)[1:].astype(np.int64)
+    V = fq_span_vectors(np.eye(sysm.n, dtype=np.int64), tower, budget)[1:]
     syndromes = ext_matmul(code.parity_check, V.T, tower)
     d_lower = 2 if syndromes.any(axis=0).all() else 1
     bound = min(sysm.n, tower.m) - d_lower + 1

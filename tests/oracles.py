@@ -13,7 +13,7 @@ import numpy as np
 from ranksat import fqlinalg
 from ranksat.gftower import (FieldTower, SmallField, _poly_mulmod, _poly_trim,
                              add_digits, expand)
-from ranksat.linalg import ext_matmul, ext_rank
+from ranksat.linalg import _combinations, ext_matmul, ext_rank
 from ranksat.qsystem import PointIndexer
 
 
@@ -36,31 +36,33 @@ def schoolbook_pow(tower, a, n):
     return result
 
 
+def _digits(tower, A):
+    """The m e base-p digits of each code of A, lowest first, on a new
+    last axis."""
+    p, n = tower.base.p, tower.m * tower.base.e
+    return np.asarray(A, dtype=np.int64)[..., None] // p ** np.arange(n)
+
+
+def _pack(tower, D):
+    """Codes of the digit arrays D (last axis), each digit taken mod p."""
+    p = tower.base.p
+    return D % p @ p ** np.arange(D.shape[-1])
+
+
 def digit_table_add(tower, A, B):
-    """`FieldTower.add_arr` before the block-table kernel: gather both
-    operands' digit rows, add them through the base field's table and
-    repack with a matmul."""
-    if tower.base.p == 2:
-        return np.bitwise_xor(A, B)
-    dig = tower.digit_table()
-    s = tower.base._add[dig[A], dig[B]].astype(np.int64)
-    return s @ tower._qpow
+    """`FieldTower.add_arr` by definition: the base-p digits of both
+    operands added mod p, one by one."""
+    return _pack(tower, _digits(tower, A) + _digits(tower, B))
 
 
 def digit_table_neg(tower, A):
-    """`FieldTower.neg_arr` before the block-table kernel."""
-    if tower.base.p == 2:
-        return np.asarray(A).copy()
-    d = tower.base._neg[tower.digit_table()[A]].astype(np.int64)
-    return d @ tower._qpow
+    """`FieldTower.neg_arr` by definition: each base-p digit negated."""
+    return _pack(tower, -_digits(tower, A))
 
 
 def digit_table_sub(tower, A, B):
-    """`FieldTower.sub_arr` before the block-table kernel."""
-    if tower.base.p == 2:
-        return np.bitwise_xor(A, B)
-    dig = tower.digit_table()
-    return tower.base._add[dig[A], tower.base._neg[dig[B]]] @ tower._qpow
+    """`FieldTower.sub_arr` by definition: digit-wise differences mod p."""
+    return _pack(tower, _digits(tower, A) - _digits(tower, B))
 
 
 def digit_rank_weight(v, tower):
@@ -255,21 +257,20 @@ def pivot_batch_subspaces(n, w, field):
 
 def brute_subspace_count(n, w, q, field):
     """Number of w-dimensional subspaces of F_q^n, counted by listing
-    the span of every independent w-tuple (no RREF involved)."""
-    from ranksat import fqlinalg
-    vectors = [tuple(v) for v in fqlinalg.all_vectors(n, field)]
+    the span of every independent w-tuple (no RREF basis involved)."""
+    vectors = [tuple(v) for v in _combinations(np.eye(n, dtype=np.int64),
+                                               np.arange(q), field)]
     spans = set()
     for combo in combinations(vectors[1:], w):
-        M = np.array(combo, dtype=np.int16)
+        M = np.array(combo, dtype=np.int64)
         if fqlinalg.rank(M, field) != w:
             continue
         # span = all F_q-combinations
-        members = {tuple(np.zeros(n, dtype=np.int16))}
+        members = set()
         for coeffs in product(range(q), repeat=w):
-            acc = np.zeros(n, dtype=np.int16)
+            acc = np.zeros(n, dtype=np.int64)
             for c, row in zip(coeffs, M):
-                acc = field._add[acc, field._mul[np.full(n, c,
-                                                 dtype=np.int16), row]]
+                acc = field.add_arr(acc, field.mul_arr(c, row))
             members.add(tuple(int(x) for x in acc))
         spans.add(frozenset(members))
     return len(spans)

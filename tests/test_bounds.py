@@ -1,3 +1,6 @@
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 
 from oracles import full_subspace_s
@@ -6,6 +9,7 @@ from ranksat import (BudgetExceeded, bounds_table, brute_force_s,
                      saturation_radius, saturation_radius_geometric,
                      upper_bound, verify_published_rows)
 from ranksat.bounds import brute_force_witness, upper_bound_table
+from ranksat.cli import main as cli_main
 
 
 def test_gaussian_binomial_basics():
@@ -134,6 +138,23 @@ def test_bounds_table_rejects_invalid_field(q, m, match):
 
 def test_verify_published_rows_clean_grid():
     assert verify_published_rows(5, 12, 12) == []
+
+
+def test_verify_published_rows_reports_a_broken_sandwich(capsys):
+    """A lower bound above the upper bound at one cell is one diff naming
+    that cell, and `bounds --verify-paper` prints it and fails."""
+    def raised(q, m, k, rho):
+        lo = lower_bound(q, m, k, rho)
+        return (replace(lo, value=lo.value + 100)
+                if (q, m, k, rho) == (2, 4, 3, 2) else lo)
+
+    with mock.patch("ranksat.bounds.lower_bound", raised):
+        diffs = verify_published_rows(5, 12, 12)
+        assert cli_main(["bounds", "--verify-paper"]) == 1
+    cell = "bound sandwich violated at (q=2,m=4,k=3,rho=2): 104 > 6"
+    assert diffs == [cell]
+    out = capsys.readouterr().out
+    assert f"DIFF {cell}" in out and "FAIL (1 diffs)" in out
 
 
 def test_brute_force_s_small():

@@ -183,14 +183,19 @@ def test_decompose_rejects_unstructured_system(tower4):
         decompose(sysm, np.array([1, 0], dtype=np.int64))
 
 
+# an int64 cast would read the float and bool targets as the codes
+# [1, 2, 0, 3, 0] and 0/1
 @pytest.mark.parametrize("v", [[-1, 0, 0, 0, 0], [0, 0, 0, 0, -3],
-                               [16, 0, 0, 0, 0], [0, 0, 0, 0, 16]],
+                               [16, 0, 0, 0, 0], [0, 0, 0, 0, 16],
+                               [1.7, 2.2, 0, 3.9, 0],
+                               [True, False, True, True, False]],
                          ids=["negative-top", "negative-bottom",
-                              "top-outside-field", "bottom-outside-field"])
+                              "top-outside-field", "bottom-outside-field",
+                              "float", "bool"])
 def test_decompose_rejects_codes_outside_field(tower16, v):
     sysm = construct_subgeometry(tower16, 2, 2, 2)
     with pytest.raises(SystemError_, match=r"codes must lie in 0\.\.15"):
-        decompose(sysm, np.array(v, dtype=np.int64))
+        decompose(sysm, np.asarray(v))
 
 
 def _shift_first_nonzero(u, by):

@@ -156,22 +156,50 @@ def test_add_kernel_matches_digit_table(case, k, seed):
         digit_table_add(t, u, v) @ qpow)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 1021, 4, 8, 9, 16, 25, 27, 32])
 def test_small_field_tables_match_schoolbook(q):
-    # SmallField(p^e) takes its product table from FieldTower(p, e) and
-    # its sums from add_digits; the reference multiplies F_p-polynomials
-    # mod the same default modulus and adds digit by digit
+    # SmallField(p) computes mod p, and SmallField(p^e) takes its products
+    # from FieldTower(p, e) and its sums from add_digits; the reference is
+    # Python arithmetic mod p, or F_p-polynomials multiplied mod the same
+    # default modulus and added digit by digit.  The array ops are checked
+    # on int64 and on int16 codes, all pairs or a seeded sample for q > 64
     F = SmallField(q)
-    t = make_tower(F.p, F.e)
-    for x in range(q):
-        dx = t.digits(x)
-        for y in range(q):
-            assert F.mul(x, y) == schoolbook_mul(t, x, y)
-            dy = t.digits(y)
-            assert F.add(x, y) == t.from_digits(
-                [(u + v) % F.p for u, v in zip(dx, dy)])
-    assert (F._add[np.arange(q), F._neg] == 0).all()
-    assert (F._mul[np.arange(1, q), F._inv[1:]] == 1).all()
+    p, e = F.p, F.e
+    if q <= 64:
+        x, y = np.divmod(np.arange(q * q), q)
+    else:
+        x, y = np.random.default_rng(q).integers(0, q, (2, 4000))
+    x[:2], y[1:3] = 0, 0
+
+    def digits(a):
+        return [a // p ** i % p for i in range(e)]
+
+    def digitwise(f, *codes):
+        return sum(f(*d) % p * p ** i
+                   for i, d in enumerate(zip(*map(digits, codes))))
+
+    def mul(a, b):
+        return a * b % p if e == 1 else schoolbook_mul(make_tower(p, e), a, b)
+
+    pairs = list(zip(x.tolist(), y.tolist()))
+    add = [digitwise(int.__add__, a, b) for a, b in pairs]
+    sub = [digitwise(int.__sub__, a, b) for a, b in pairs]
+    neg = [digitwise(int.__neg__, a) for a, _ in pairs]
+    prod = [mul(a, b) for a, b in pairs]
+    inv = ({b: pow(b, -1, p) for b in range(1, q)} if e == 1 else
+           {b: a for (a, b), c in zip(pairs, prod) if c == 1})
+    assert [F.add(a, b) for a, b in pairs] == add
+    assert [F.mul(a, b) for a, b in pairs] == prod
+    for dtype in (np.int64, np.int16):
+        X, Y = x.astype(dtype), y.astype(dtype)
+        assert F.add_arr(X, Y).tolist() == add
+        assert F.sub_arr(X, Y).tolist() == sub
+        assert F.neg_arr(X).tolist() == neg
+        assert F.mul_arr(X, Y).tolist() == prod
+        assert F.inv_arr(Y).tolist() == [inv.get(b, 0) for b in y.tolist()]
+    a = np.arange(q)
+    assert (F.add_arr(a, F.neg_arr(a)) == 0).all()
+    assert (F.mul_arr(a[1:], F.inv_arr(a[1:])) == 1).all()
 
 
 # fields for the scalar ops: towers over p = 2, odd p with one block and

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ranksat import (construct_subgeometry, decompose, fqlinalg,
                      gaussian_binomial, make_tower)
 from ranksat.gftower import SmallField
-from ranksat.linalg import ext_matmul
+from ranksat.linalg import _combinations, ext_matmul, fq_span_vectors
 
 from oracles import brute_subspace_count, numpy_rref, pivot_batch_subspaces
 
@@ -231,6 +231,12 @@ def test_gaussian_binomial_against_brute_span_count():
 
 
 def test_all_vectors():
-    V = fqlinalg.all_vectors(3, F3)
+    """The span enumerator lists F_q^n in code order (row c holds the
+    base-q digits of c, first coordinate least significant), over a
+    SmallField and over a tower's F_q-span."""
+    V = _combinations(np.eye(3, dtype=np.int64), np.arange(3), F3)
     assert V.shape == (27, 3)
     assert len({tuple(r) for r in V}) == 27
+    assert np.array_equal(V @ 3 ** np.arange(3), np.arange(27))
+    W = fq_span_vectors(np.eye(4, dtype=np.int64), make_tower(4, 4))
+    assert np.array_equal(W @ 4 ** np.arange(4), np.arange(256))

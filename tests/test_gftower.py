@@ -195,6 +195,23 @@ def test_invalid_complement_rejected(tower16):
         tower16.complement_basis(2, betas=[inside, 1])
 
 
+@pytest.mark.parametrize("betas", [[18, 8], [-14, 8], [2.0, 8], [True, 8]],
+                         ids=["above-field", "negative", "float", "bool"])
+def test_complement_outside_field_rejected(tower16, betas):
+    # [2, 8] completes a basis; digits() reads 18 and -14 as 2 modulo 16
+    tower16.complement_basis(2, betas=[2, 8])
+    with pytest.raises(FieldError, match=r"codes in 1\.\.15"):
+        tower16.complement_basis(2, betas=betas)
+
+
+@pytest.mark.parametrize("q,m,w", [(2, 4, 16), (2, 4, -1), (3, 4, -1)])
+def test_coordinates_reject_codes_outside_field(q, m, w):
+    # fq_basis reads 16 as a fifth pivot, whose digits on the basis are 0
+    cb = make_tower(q, m).complement_basis(2)
+    with pytest.raises(FieldError, match="is not a code"):
+        cb.coordinates(w)
+
+
 def test_tower_json_roundtrip(tower9):
     from ranksat import tower_from_json
     assert tower_from_json(tower9.to_json()) == tower9
@@ -303,3 +320,23 @@ def test_field_tower_is_built_only_by_make_tower():
     assert factory is not None and len(calls) == 1
     (name, line), = calls
     assert name == factory[0] and factory[1] <= line <= factory[2], calls
+
+
+def test_package_imports_only_at_module_level():
+    """No function in the package holds an import statement, and
+    `fqlinalg` imports nothing from the package, so the modules import
+    one another at the top with no cycle to defer."""
+    local, cyclic = set(), []
+    for path in sorted(Path(ranksat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local |= {(path.name, node.lineno) for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+        if path.name == "fqlinalg.py":
+            cyclic = [node.lineno for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and (
+                          node.level or node.module.startswith("ranksat"))
+                      or isinstance(node, ast.Import) and any(
+                          a.name.startswith("ranksat") for a in node.names)]
+    assert not local and not cyclic, (sorted(local), cyclic)
