@@ -254,8 +254,9 @@ def bounds_table(q: int, m: int, kmax: int, rhomax: int | None = None
 def verify_published_rows(qmax: int = 5, mmax: int = 12, kmax: int = 12
                           ) -> list[str]:
     """Re-derive every published exact row on the grid and check the
-    sandwich everywhere, a broken one as one diff for its (q, m); returns
-    a list of discrepancies (empty = pass)."""
+    sandwich everywhere; returns a list of discrepancies (empty = pass).
+    A (q, m) whose table `bounds_table` refuses (a broken sandwich, or a
+    bad kmax) is one diff, and its row checks are not made."""
     diffs: list[str] = []
     qs = [q for q in range(2, qmax + 1) if len(_factor(q)) == 1]
     for q in qs:

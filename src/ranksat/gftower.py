@@ -111,6 +111,7 @@ def _code_ops(p: int):
         return operator.xor, operator.xor, operator.pos
 
     def add(a, b):
+        a, b = operator.index(a), operator.index(b)   # no numpy overflow
         P, block_add, _ = _scalar_blocks(p)
         if a < P and b < P:
             return block_add(a * P + b)
@@ -121,6 +122,7 @@ def _code_ops(p: int):
         return out
 
     def sub(a, b):
+        a, b = operator.index(a), operator.index(b)   # no numpy overflow
         P, block_add, block_neg = _scalar_blocks(p)
         if a < P and b < P:
             return block_add(a * P + block_neg(b))
@@ -285,7 +287,7 @@ class SmallField:
 
     # products mod p (see __init__ for e > 1) ---------------------------
     def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
+        return operator.index(a) * operator.index(b) % self.q
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -342,13 +344,14 @@ class ComplementBasis:
         if len(betas) != (r - 1) * t:
             raise FieldError(
                 f"need {(r - 1) * t} complement elements, got {len(betas)}")
-        if any(type(b) is not int or not 0 < b < Q for b in betas):
+        if not all(isinstance(b, (int, np.integer)) and not isinstance(
+                b, bool) and 0 < b < Q for b in betas):    # no float, bool
             raise FieldError(f"complement elements must be int codes in "
                              f"1..{Q - 1}, got {list(betas)}")
         self.tower = tower
         self.t = t
         self.r = r
-        self.betas = list(betas)
+        self.betas = [int(b) for b in betas]
         sub = tower.subfield(t)
         self.subfield = sub
         self.sub_basis_embedded = sub.embed_table[q ** np.arange(t)].tolist()
@@ -372,13 +375,6 @@ class ComplementBasis:
         return co[:s], int(reduce(tw.add_arr, tw.mul_arr(
             co[s:], self.sub_basis_embedded), 0))
 
-    def project_beta(self, w: int, j: int) -> int:
-        """F_q-coefficient of beta_j (1-based) in the decomposition of w."""
-        return int(self.coordinates(w)[j - 1])
-
-    def project_subfield(self, w: int) -> int:
-        return self.decompose(w)[1]
-
     def reconstruct(self, beta_coords, sub_part: int) -> int:
         tw = self.tower
         return int(reduce(tw.add_arr, tw.mul_arr(
@@ -393,8 +389,8 @@ def project(w: int, target, basis: ComplementBasis):
     as an embedded element of the big field).
     """
     if target == "subfield":
-        return basis.project_subfield(w)
-    return basis.project_beta(w, int(target))
+        return basis.decompose(w)[1]
+    return int(basis.coordinates(w)[int(target) - 1])
 
 
 class SubfieldEmbedding:

@@ -169,7 +169,7 @@ def test_small_field_tables_match_schoolbook(q):
         x, y = np.divmod(np.arange(q * q), q)
     else:
         x, y = np.random.default_rng(q).integers(0, q, (2, 4000))
-    x[:2], y[1:3] = 0, 0
+        x[:2], y[1:3] = 0, 0      # zero operands, alone and paired
 
     def digits(a):
         return [a // p ** i % p for i in range(e)]
@@ -237,6 +237,10 @@ def test_scalar_ops_match_array_ops(case, seed):
             want += [F.inv_arr(y), F.mul_arr(x, F.inv_arr(y))]
         assert all(type(g) is int for g in got)
         assert got == [int(w) for w in want]
+        # numpy scalars give the same codes, with no int16 overflow
+        dt = np.int16 if Q <= 1 << 15 else np.int32
+        X, Y = dt(x), dt(y)
+        assert [F.add(X, Y), F.sub(X, Y), F.neg(X), F.mul(X, Y)] == got[:4]
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
     with pytest.raises(ZeroDivisionError):

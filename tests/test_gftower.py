@@ -195,11 +195,16 @@ def test_invalid_complement_rejected(tower16):
         tower16.complement_basis(2, betas=[inside, 1])
 
 
-@pytest.mark.parametrize("betas", [[18, 8], [-14, 8], [2.0, 8], [True, 8]],
-                         ids=["above-field", "negative", "float", "bool"])
+@pytest.mark.parametrize("betas", [[18, 8], [-14, 8], [2.0, 8], [True, 8],
+                                   np.array([2.0, 8.0]),
+                                   np.array([True, True])],
+                         ids=["above-field", "negative", "float", "bool",
+                              "float-array", "bool-array"])
 def test_complement_outside_field_rejected(tower16, betas):
-    # [2, 8] completes a basis; digits() reads 18 and -14 as 2 modulo 16
-    tower16.complement_basis(2, betas=[2, 8])
+    # [2, 8] completes a basis, as numpy ints too; digits() reads 18 and
+    # -14 as 2 modulo 16
+    for ok in ([2, 8], np.array([2, 8]), np.array([2, 8], dtype=np.int16)):
+        assert tower16.complement_basis(2, betas=ok).betas == [2, 8]
     with pytest.raises(FieldError, match=r"codes in 1\.\.15"):
         tower16.complement_basis(2, betas=betas)
 
