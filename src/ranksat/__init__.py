@@ -19,11 +19,10 @@ from .covering import (BudgetExceeded, ConsistencyError,
                        is_maximal, is_minimal_rank_code, puncture_nonscattered,
                        rank_covering_radius, saturation_radius,
                        saturation_radius_geometric)
-from .gftower import (ComplementBasis, FieldError, FieldTower, SmallField,
-                      collapse, expand, make_tower, project, tower_from_json)
-from .linalg import (DEFAULT_BUDGET, MatrixExt, RankCode, SubspaceFq, dual,
-                     min_rank_distance, rank_support, rank_weight,
-                     weight_spectrum)
+from .gftower import (FieldError, FieldTower, SmallField, collapse, expand,
+                      make_tower, tower_from_json)
+from .linalg import (DEFAULT_BUDGET, MatrixExt, RankCode, min_rank_distance,
+                     rank_weight, weight_spectrum)
 from .qsystem import (LinearSet, QSystem, associated_code, associated_system,
                       is_nondegenerate, is_scattered, lift_system, linear_set,
                       projective_hamming_code, random_system)
@@ -31,20 +30,20 @@ from .qsystem import (LinearSet, QSystem, associated_code, associated_system,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsEntry", "BudgetExceeded", "ComplementBasis", "ConsistencyError",
-    "Decomposition", "DEFAULT_BUDGET", "FieldError", "FieldTower",
-    "LinearSet", "MatrixExt", "QSystem", "RankCode", "SaturationCertificate",
-    "SmallField", "SubspaceFq", "associated_code", "associated_system",
-    "bounds_table", "brute_force_s", "check_bound_consistency", "collapse",
-    "construct_identity_block", "construct_rho1", "construct_subgeometry",
-    "cutting_system_6_3", "cutting_system_8_4", "decompose", "direct_sum",
-    "dual", "exact_values", "expand", "f_sum", "gabidulin",
-    "gaussian_binomial", "hamming_covering_radius", "is_linear_cutting_blocking_set",
+    "BoundsEntry", "BudgetExceeded", "ConsistencyError", "Decomposition",
+    "DEFAULT_BUDGET", "FieldError", "FieldTower", "LinearSet", "MatrixExt",
+    "QSystem", "RankCode", "SaturationCertificate", "SmallField",
+    "associated_code", "associated_system", "bounds_table", "brute_force_s",
+    "check_bound_consistency", "collapse", "construct_identity_block",
+    "construct_rho1", "construct_subgeometry", "cutting_system_6_3",
+    "cutting_system_8_4", "decompose", "direct_sum", "exact_values",
+    "expand", "f_sum", "gabidulin", "gaussian_binomial",
+    "hamming_covering_radius", "is_linear_cutting_blocking_set",
     "is_maximal", "is_minimal_rank_code", "is_nondegenerate", "is_scattered",
     "lift_system", "linear_set", "lower_bound", "make_tower",
-    "min_rank_distance", "plotkin_sum", "project", "projective_hamming_code",
+    "min_rank_distance", "plotkin_sum", "projective_hamming_code",
     "puncture_nonscattered", "random_system", "rank_covering_radius",
-    "rank_support", "rank_weight", "saturation_radius",
-    "saturation_radius_geometric", "tower_from_json", "upper_bound",
-    "verify_published_rows", "weight_spectrum",
+    "rank_weight", "saturation_radius", "saturation_radius_geometric",
+    "tower_from_json", "upper_bound", "verify_published_rows",
+    "weight_spectrum",
 ]

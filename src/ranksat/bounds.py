@@ -1,11 +1,13 @@
 """Bounds and exact values for the minimal dimension s_{q^m/q}(k, rho)
 of a rank-rho-saturating system in F_{q^m}^k.
 
-Everything here is exact integer arithmetic.  The exact-value table is
-data driven: each published row is a predicate plus a value, so new
-rows can be added without touching the closure logic.  The exhaustive
-search finds s itself, with a least witness, over the systems
-F_q^k + W to which every system is equivalent (`brute_force_witness`).
+Everything here is exact integer arithmetic.  `exact_values` is a
+chain of `if` tests, one per published row: rho = 1, rho = k and
+rho = m; k = 3, rho = 2 under the conditions on q and r = m/2 of
+`_row_3_2_conditions`; and k = m = 2r, rho = m - 1.  A new row is one
+more test there.  The exhaustive search finds s itself, with a least
+witness, over the systems F_q^k + W to which every system is equivalent
+(`brute_force_witness`).
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def lower_bound(q: int, m: int, k: int, rho: int) -> BoundValue:
 
 
 # ----------------------------------------------------------------------
-# Exact values (published condition rows, data driven)
+# Exact values (published condition rows)
 # ----------------------------------------------------------------------
 
 def _row_3_2_conditions(q: int, r: int) -> str | None:

@@ -16,7 +16,7 @@ from math import gcd
 import numpy as np
 
 from . import fqlinalg
-from .gftower import ComplementBasis, FieldTower, make_tower
+from .gftower import FieldTower, make_tower
 from .linalg import RankCode, ext_matmul, rank_weight
 from .qsystem import QSystem, SystemError_
 
@@ -39,7 +39,7 @@ def construct_rho1(tower: FieldTower, k: int, v, v_prime) -> QSystem:
     cols = [v_prime]
     for w in perp:
         for l in range(tower.m):
-            cols.append(tower.mul_scalar(tower.pow(tower.alpha, l), w))
+            cols.append(tower.mul_arr(tower.pow(tower.alpha, l), w))
     G = np.stack(cols, axis=1)
     return QSystem(tower, G)
 
@@ -51,18 +51,7 @@ def construct_identity_block(tower: FieldTower, k: int, rho: int) -> QSystem:
     if not 1 <= rho <= min(k, m):
         raise SystemError_(
             f"need 1 <= rho <= min(k, m) = {min(k, m)}, got rho={rho}")
-    n = m * (k - rho) + rho
-    G = np.zeros((k, n), dtype=np.int64)
-    G[:rho, :rho] = np.eye(rho, dtype=np.int64)
-    col = rho
-    for l in range(m):
-        pw = tower.pow(tower.alpha, l)
-        for i in range(k - rho):
-            G[rho + i, col] = pw
-            col += 1
-    sysm = QSystem(tower, G)
-    sysm.meta["box"] = (rho, m, k - rho)
-    return sysm
+    return _box_system(tower, rho, m, k - rho, tower.alpha)
 
 
 def construct_subgeometry(tower: FieldTower, r: int, t: int, h: int) -> QSystem:
@@ -74,19 +63,21 @@ def construct_subgeometry(tower: FieldTower, r: int, t: int, h: int) -> QSystem:
         raise SystemError_(f"need h >= 0, got h={h}")
     if tower.m != r * t:
         raise SystemError_(f"tower degree m={tower.m} != r*t = {r * t}")
-    s = (r - 1) * t + 1
-    k = s + h
-    n = t * h + s
     emb = tower.subfield(t)
-    beta = int(emb.embed_table[emb.sub_tower.alpha])
-    G = np.zeros((k, n), dtype=np.int64)
+    return _box_system(tower, (r - 1) * t + 1, t, h,
+                       int(emb.embed_table[emb.sub_tower.alpha]))
+
+
+def _box_system(tower: FieldTower, s: int, t: int, h: int,
+                beta: int) -> QSystem:
+    """The box system F_q^s x F_q(beta)^h, beta of degree t over F_q:
+    the generator [I_s | B] with B = [I_h | beta I_h | .. | beta^(t-1)
+    I_h] below the identity, and meta["box"] = (s, t, h)."""
+    G = np.zeros((s + h, s + t * h), dtype=np.int64)
     G[:s, :s] = np.eye(s, dtype=np.int64)
-    col = s
     for l in range(t):
-        pw = tower.pow(beta, l)
-        for i in range(h):
-            G[s + i, col] = pw
-            col += 1
+        G[s:, s + l * h:s + (l + 1) * h] = (tower.pow(beta, l)
+                                           * np.eye(h, dtype=np.int64))
     sysm = QSystem(tower, G)
     sysm.meta["box"] = (s, t, h)
     return sysm
@@ -249,8 +240,7 @@ class Decomposition:
         return not any(map(sysm.syndrome, rows))
 
 
-def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
-              ) -> Decomposition:
+def decompose(sysm: QSystem, v) -> Decomposition:
     """Write v as a combination of at most s elements of a box system
     U = F_q^s x F_{q^t}^h.
 
@@ -260,15 +250,15 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
     coefficient, and the coordinates of every top value on them are the
     top blocks of the terms; then extend the chosen coefficients until
     the F_{q^t}-module they generate contains every bottom coordinate,
-    adding each time the first candidate outside it, drawn from the
-    complement basis first.  The greedy basis of [module | bottoms] that
+    adding each time the first of the powers 1, alpha, .., alpha^(m-1)
+    outside it.  The greedy basis of [module | bottoms] that
     finds every bottom coordinate inside the module also holds their
     F_{q^t}-coordinates.  The input checks, the eliminations and the
     digit reads run on the codes as Python ints, and the arrays of the
     result (int64 vectors of shape (k,); the lams are Python ints) are
     built once, after the last of them.  The constants of the system (the
-    subfield's membership list, embedding and basis, the default
-    candidates and the powers of q) are built on the first call and kept
+    subfield's membership list, embedding and basis, the candidates and
+    the powers of q) are built on the first call and kept
     in `sysm.meta["decompose"]`.
     """
     if "box" not in sysm.meta:
@@ -308,23 +298,20 @@ def decompose(sysm: QSystem, v, basis: ComplementBasis | None = None
 
     # 2. extend until the F_{q^t}-module of the gens holds every bottom
     # value.  Entry j*t + i of A is gens[j] * sub_basis[i]; the first
-    # pivot past A in [A | candidates] is the first candidate outside
+    # pivot past A in [A | alphas] is the first power of alpha outside
     # the module.
-    candidates = alphas
-    if basis is not None and basis.t == t:
-        candidates = list(basis.betas) + alphas
     while True:
         A = [tower.mul(g, b) for g in gens for b in sub_basis]
         c = len(A)
         pivots, coords = fqlinalg.fq_basis(A + bottom, tower)
         if not pivots or pivots[-1] < c:
             break
-        found = next((p - c for p in fqlinalg.fq_basis(A + candidates,
+        found = next((p - c for p in fqlinalg.fq_basis(A + alphas,
                                                        tower)[0] if p >= c),
                      None)
         if found is None:
             raise RuntimeError("module extension stalled (unreachable)")
-        gens.append(candidates[found])
+        gens.append(alphas[found])
     if len(gens) > s:
         raise RuntimeError(f"needed {len(gens)} > {s} coefficients "
                            "(unreachable)")

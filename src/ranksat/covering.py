@@ -641,7 +641,7 @@ def puncture_nonscattered(sys: QSystem, budget: int = DEFAULT_BUDGET,
     u_a = fibre[0]
     # F_q-dependent on u_a iff cand = c u_a with c in F_q
     u_b = next((cand for cand in fibre[1:]
-                if not any(np.array_equal(cand, tower.mul_scalar(c, u_a))
+                if not any(np.array_equal(cand, tower.mul_arr(c, u_a))
                            for c in range(1, tower.base.q))), None)
     if u_b is None:
         raise RuntimeError("a point of weight >= 2 carries no two independent "

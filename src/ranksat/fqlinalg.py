@@ -12,7 +12,7 @@ Two eliminations serve matrices, one per input shape.  `rref_rows`
 reduces one matrix held as Python lists of ints, through the scalar ops:
 on the small matrices its callers reduce, a dozen numpy calls per pivot
 cost more than the arithmetic.  `rref` wraps it for arrays, and `rank`,
-`kernel`, `inv` and `solve` run on `rref`.  `echelon` reduces a stack of
+`kernel` and `solve` run on `rref`.  `echelon` reduces a stack of
 matrices at once through the array ops; the package calls it over
 towers only.
 
@@ -20,8 +20,8 @@ A third elimination serves F_{q^m} elements read as vectors over F_q:
 `fq_basis` finds the greedy F_q-basis of a list of codes, and the
 F_q-coordinates of every code on it, by reducing each code against the
 basis found so far, with no digit matrix; `fq_basis_batch` does the same
-for each row of an array.  `decompose`, `ComplementBasis`, the
-cutting-set test and the rank weights run on them.  `Decomposition.verify`
+for each row of an array.  `decompose`, the cutting-set test and the
+rank weights run on them.  `Decomposition.verify`
 makes no elimination: `QSystem.syndrome` reads membership in U from
 lookup tables built once per system from the parity check `kernel` finds.
 
@@ -219,17 +219,6 @@ def kernel(M, field) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = field.neg_arr(R[:, free].T)
     return rref(basis, field)[0]
-
-
-def inv(M, field):
-    """Inverse of a square matrix, or None if singular."""
-    M = np.atleast_2d(M)
-    n = M.shape[0]
-    R, pivots = rref(np.concatenate([M, np.eye(n, dtype=np.int64)], axis=1),
-                     field)
-    if pivots != list(range(n)):
-        return None
-    return R[:, n:]
 
 
 def solve(M, b, field):

@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import json
 import operator
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, lru_cache, partial
 
 import numpy as np
-
-from . import fqlinalg
 
 # Tables are built eagerly; beyond this the sweeps this library exists
 # for are infeasible anyway, so we refuse rather than degrade silently.
@@ -326,73 +324,6 @@ class SmallField:
         return f"SmallField(q={self.q})"
 
 
-class ComplementBasis:
-    """A direct-sum decomposition F_{q^m} = <beta_1..beta_s>_{F_q} + F_{q^t}.
-
-    s = (r-1)t where m = r*t.  Together with an F_q-basis of the embedded
-    subfield, the betas (int codes in 1..Q-1) form an F_q-basis of
-    F_{q^m}, which `fqlinalg.fq_basis` checks; `decompose` returns the
-    beta-coordinates (F_q scalars) and the subfield component (as an
-    embedded element of the big field).
-    """
-
-    def __init__(self, tower: "FieldTower", t: int, betas: list[int]):
-        m, q, Q = tower.m, tower.base.q, tower.order
-        if m % t != 0:
-            raise FieldError(f"t={t} does not divide m={m}")
-        r = m // t
-        if len(betas) != (r - 1) * t:
-            raise FieldError(
-                f"need {(r - 1) * t} complement elements, got {len(betas)}")
-        if not all(isinstance(b, (int, np.integer)) and not isinstance(
-                b, bool) and 0 < b < Q for b in betas):    # no float, bool
-            raise FieldError(f"complement elements must be int codes in "
-                             f"1..{Q - 1}, got {list(betas)}")
-        self.tower = tower
-        self.t = t
-        self.r = r
-        self.betas = [int(b) for b in betas]
-        sub = tower.subfield(t)
-        self.subfield = sub
-        self.sub_basis_embedded = sub.embed_table[q ** np.arange(t)].tolist()
-        self.basis = self.betas + self.sub_basis_embedded
-        if len(fqlinalg.fq_basis(self.basis, tower)[0]) < m:
-            raise FieldError("complement elements do not complete a basis "
-                             "of the extension over F_q")
-
-    def coordinates(self, w: int) -> np.ndarray:
-        """All m F_q-coordinates of the code w: betas first, subfield basis
-        last, the digits of w's packed coordinates on the codes of `basis`."""
-        if not 0 <= operator.index(w) < self.tower.order:
-            raise FieldError(f"{w} is not a code in 0..{self.tower.order - 1}")
-        co = fqlinalg.fq_basis(self.basis + [int(w)], self.tower)[1]
-        return np.array(self.tower.digits(co[-1]), dtype=np.int64)
-
-    def decompose(self, w: int) -> tuple[np.ndarray, int]:
-        """Return (beta coordinates in F_q, subfield part embedded)."""
-        co, tw = self.coordinates(w), self.tower
-        s = (self.r - 1) * self.t
-        return co[:s], int(reduce(tw.add_arr, tw.mul_arr(
-            co[s:], self.sub_basis_embedded), 0))
-
-    def reconstruct(self, beta_coords, sub_part: int) -> int:
-        tw = self.tower
-        return int(reduce(tw.add_arr, tw.mul_arr(
-            np.asarray(beta_coords, dtype=np.int64), self.betas), sub_part))
-
-
-def project(w: int, target, basis: ComplementBasis):
-    """Component of w in the decomposition defined by `basis`.
-
-    target: 1-based beta index (int) for the F_q-coefficient of that
-    beta, or the string "subfield" for the F_{q^t}-component (returned
-    as an embedded element of the big field).
-    """
-    if target == "subfield":
-        return basis.decompose(w)[1]
-    return int(basis.coordinates(w)[int(target) - 1])
-
-
 class SubfieldEmbedding:
     """Embedding of F_{q^t} (its own tower) into F_{q^m}, t | m."""
 
@@ -444,7 +375,7 @@ class FieldTower:
             raise FieldError(
                 f"q^m = {self.order} exceeds table limit {MAX_TABLE_ORDER}")
         if modulus is None:
-            modulus = _first_irreducible(self.base, m)
+            modulus = _default_modulus(q, m)
         modulus = [int(c) for c in modulus]
         if len(_poly_trim(modulus)) - 1 != m:
             raise FieldError(f"modulus must have degree {m}")
@@ -596,6 +527,8 @@ class FieldTower:
     def mul_arr(self, A, B):
         return self._exp[self._log[A] + self._log[B]]
 
+    # The benchmark's tracer (`perfbench/tracer.py` TARGETS) names this
+    # alias; the package calls mul_arr.
     mul_scalar = mul_arr
 
     def inv_arr(self, A):
@@ -621,7 +554,7 @@ class FieldTower:
             self._digit_table = dig
         return self._digit_table
 
-    # -- subfields and complement bases -------------------------------------
+    # -- subfields -----------------------------------------------------------
     def subfield(self, t: int, modulus=None) -> SubfieldEmbedding:
         """Embedding of F_{q^t} into this field, for t | m.
 
@@ -659,26 +592,6 @@ class FieldTower:
             self._subfields[t] = emb
         return emb
 
-    def complement_basis(self, t: int, betas=None) -> ComplementBasis:
-        """Complement of the embedded F_{q^t}: default greedily extends an
-        F_q-basis of the subfield by the powers 1, alpha, .., alpha^(m-1),
-        taking each one outside the F_q-span of those before it."""
-        if betas is not None:
-            return ComplementBasis(self, t, list(betas))
-        sub = self.subfield(t).embed_table[self.base.q ** np.arange(t)]
-        powers = [self.pow(self.alpha, j) for j in range(self.m)]
-        pivots = fqlinalg.fq_basis(sub.tolist() + powers, self)[0]
-        return ComplementBasis(self, t, [powers[p - t] for p in pivots[t:]])
-
-    def random_complement_basis(self, t: int, rng) -> ComplementBasis:
-        need = self.m - t
-        while True:
-            betas = [rng.randrange(1, self.order) for _ in range(need)]
-            try:
-                return ComplementBasis(self, t, betas)
-            except FieldError:
-                continue
-
     # -- serialization -------------------------------------------------------
     def to_json(self) -> dict:
         return {"q": self.base.q, "m": self.m,
@@ -701,12 +614,21 @@ def make_tower(q: int, m: int, modulus=None) -> FieldTower:
     The one factory for towers.  It keeps the TOWER_CACHE_SIZE most
     recently used ones, keyed on (q, m, modulus) with the modulus as a
     tuple of ints (a list, tuple or array of the same coefficients is one
-    key; None, the first irreducible, is a key of its own), so a field is
-    built once per process and shared.  Failures are not kept: a bad
-    modulus raises FieldError on every call.
+    key, and None is first resolved to the first irreducible, so it is the
+    key of the default modulus too), so a field is built once per process
+    and shared.  Failures are not kept: a bad modulus raises FieldError on
+    every call.
     """
+    q, m = operator.index(q), operator.index(m)
+    if modulus is None and m >= 1 and q ** m <= MAX_TABLE_ORDER:
+        modulus = _default_modulus(q, m)    # else FieldTower refuses (q, m)
     key = None if modulus is None else tuple(int(c) for c in modulus)
-    return _cached_tower(operator.index(q), operator.index(m), key)
+    return _cached_tower(q, m, key)
+
+
+@cache
+def _default_modulus(q: int, m: int) -> tuple[int, ...]:
+    return tuple(_first_irreducible(SmallField(q), m))
 
 
 @lru_cache(maxsize=TOWER_CACHE_SIZE)

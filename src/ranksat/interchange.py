@@ -65,10 +65,6 @@ def matrix_from_json(data) -> tuple[FieldTower, np.ndarray]:
     return tower, A
 
 
-def linear_set_to_json(ls) -> list[dict]:
-    return ls.to_json()
-
-
 def spectrum_to_csv(spectrum: set[int]) -> str:
     lines = ["rank_weight"]
     lines += [str(w) for w in sorted(spectrum)]

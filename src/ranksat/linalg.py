@@ -1,4 +1,4 @@
-"""Matrices, subspaces and rank-metric codes over F_{q^m}.
+"""Matrices, rank weights and rank-metric codes over F_{q^m}.
 
 Entries are packed element codes (see gftower); matrices are numpy
 int64 arrays.  Exhaustive codeword sweeps take an explicit budget and
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fqlinalg
-from .gftower import FieldError, FieldTower, expand
+from .gftower import FieldError, FieldTower
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -83,7 +83,7 @@ def ext_matmul(A, B, tower: FieldTower) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Rank weight and rank supports
+# Rank weights
 # ----------------------------------------------------------------------
 
 def rank_weight(v, tower: FieldTower) -> int:
@@ -106,46 +106,6 @@ def rank_weight_batch(V, tower: FieldTower) -> np.ndarray:
     # an empty V still makes one (empty) chunk
     return np.concatenate([fqlinalg.fq_basis_batch(V[i:i + per], tower)[2]
                            for i in range(0, max(len(V), 1), per)])
-
-
-class SubspaceFq:
-    """A subspace of F_q^N in canonical RREF form (hashable, comparable)."""
-
-    def __init__(self, q: int, N: int, basis):
-        self.q = q
-        self.N = N
-        self.basis = np.asarray(basis, dtype=np.int16).reshape(-1, N)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def contains(self, other: "SubspaceFq", field) -> bool:
-        if other.dim > self.dim:
-            return False
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        return fqlinalg.rank(stacked, field) == self.dim
-
-    def __eq__(self, other):
-        return (isinstance(other, SubspaceFq) and self.q == other.q
-                and self.N == other.N
-                and self.basis.shape == other.basis.shape
-                and bool(np.all(self.basis == other.basis)))
-
-    def __hash__(self):
-        return hash((self.q, self.N, self.basis.shape, self.basis.tobytes()))
-
-    def __repr__(self):
-        return f"SubspaceFq(dim={self.dim}, N={self.N}, q={self.q})"
-
-
-def rank_support(v, tower: FieldTower) -> SubspaceFq:
-    """Column space of the expansion of v, as a subspace of F_q^n."""
-    v = np.asarray(v, dtype=np.int64).ravel()
-    n = v.size
-    mat = expand(v, tower)          # n x m over F_q
-    R, _ = fqlinalg.rref(mat.T, tower.base)
-    return SubspaceFq(tower.base.q, n, R)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +197,3 @@ def weight_spectrum(code: RankCode, budget: int = DEFAULT_BUDGET) -> set[int]:
     weights = rank_weight_batch(words, code.tower)
     nz = weights[np.any(words != 0, axis=1)]
     return {int(w) for w in np.unique(nz)}
-
-
-def dual(code: RankCode) -> RankCode:
-    return code.dual()

@@ -81,23 +81,6 @@ def echelon_rank_weight_batch(V, tower):
     return fqlinalg.echelon(tower.digit_table()[V], tower.base)[2]
 
 
-def rank_greedy_complement(tower, t):
-    """`FieldTower.complement_basis(t)` before the F_q-span kernel: each
-    power of alpha in turn joins the betas when the F_q-rank of the
-    digits of the subfield basis and the betas so far grows by it."""
-    emb = tower.subfield(t)
-    rows = [tower.digits(int(c)) for c in emb.embed_table[tower.base.q
-                                                          ** np.arange(t)]]
-    betas, cand = [], 1
-    while len(betas) < tower.m - t:
-        if fqlinalg.rank(np.array(rows + [tower.digits(cand)]),
-                         tower.base) == len(rows) + 1:
-            betas.append(cand)
-            rows.append(tower.digits(cand))
-        cand = tower.mul(cand, tower.alpha)
-    return betas
-
-
 def numpy_rref(M, field):
     """`fqlinalg.rref` before it ran on Python rows: per pivot, one array
     op normalises the pivot row and one clears its column."""
@@ -320,17 +303,20 @@ def echelon_cutting(sysm, chunk=1 << 14):
 
 def brute_is_minimal(code, budget=1 << 26):
     """No two projectively distinct codewords have nested rank supports:
-    every pair of supports compared, from the codeword list."""
-    from ranksat.linalg import rank_support
+    every pair of supports compared, from the codeword list.  The rank
+    support of v is the row space of the RREF of expand(v)^T over F_q,
+    and one support holds another iff stacking them keeps its rank."""
     tower = code.tower
     words = code.codewords(budget)
     reps, idx, _ = PointIndexer(tower, code.n).canonicalize(words)
     _, first = np.unique(idx, return_index=True)
-    supports = [rank_support(r, tower) for r in reps[first]]
-    if len(set(supports)) < len(supports):
+    supports = [fqlinalg.rref(expand(r, tower).T, tower.base)[0]
+                for r in reps[first]]
+    if len({(len(S), S.tobytes()) for S in supports}) < len(supports):
         return False
-    return not any(big.contains(small, tower.base) for small in supports
-                   for big in supports if small.dim < big.dim)
+    return not any(fqlinalg.rank(np.concatenate([big, small]), tower.base)
+                   == len(big) for small in supports for big in supports
+                   if len(small) < len(big))
 
 
 def degenerate_code(sysm, extra, rng):
@@ -379,7 +365,7 @@ def parity_contains(sysm, V):
     return ~(pdigits(V) @ parity.T % p).any(axis=-1)
 
 
-def decompose_by_solves(sysm, v, basis=None):
+def decompose_by_solves(sysm, v):
     """`decompose` with one `fqlinalg.solve` per bottom coordinate and per
     extension candidate: the module grows by the first candidate outside
     it while some bottom coordinate is outside it, and every bottom
@@ -418,10 +404,7 @@ def decompose_by_solves(sysm, v, basis=None):
                               tower.base)
 
     gens = list(lams)
-    candidates = []
-    if basis is not None and basis.t == t:
-        candidates.extend(basis.betas)
-    candidates.extend(tower.pow(tower.alpha, j) for j in range(tower.m))
+    candidates = [tower.pow(tower.alpha, j) for j in range(tower.m)]
     A = module_matrix(gens)
     for w in bottom:
         while solvable(A, w) is None:
@@ -449,7 +432,7 @@ def decompose_by_solves(sysm, v, basis=None):
     return Decomposition(v.copy(), lams_out, vecs_out)
 
 
-def digit_matrix_decompose(sysm, v, basis=None):
+def digit_matrix_decompose(sysm, v):
     """`constructions.decompose` before the F_q-span kernel: its three
     eliminations row-reduce the digit matrices of the codes with
     `fqlinalg.rref_rows`.  Returns the same Decomposition, lams and
@@ -474,11 +457,6 @@ def digit_matrix_decompose(sysm, v, basis=None):
     lams = [int(top[c]) for c in fqlinalg.rref_rows(T, tower.base)]
     nu = len(lams)
     gens = list(lams)
-    candidates, candidate_rows = alphas, alpha_rows
-    if basis is not None and basis.t == t:
-        candidates = list(basis.betas) + alphas
-        candidate_rows = [b + a for b, a in
-                          zip(D[basis.betas].T.tolist(), alpha_rows)]
     bottom_rows = D[bottom].T.tolist()
     while True:
         A = D[[tower.mul(g, b) for g in gens for b in sub_basis]].T.tolist()
@@ -487,9 +465,9 @@ def digit_matrix_decompose(sysm, v, basis=None):
         pivots = fqlinalg.rref_rows(R, tower.base)
         if not pivots or pivots[-1] < c:
             break
-        found = fqlinalg.rref_rows([a + b for a, b in zip(A, candidate_rows)],
+        found = fqlinalg.rref_rows([a + b for a, b in zip(A, alpha_rows)],
                                    tower.base)
-        gens.append(candidates[[p - c for p in found if p >= c][0]])
+        gens.append(alphas[[p - c for p in found if p >= c][0]])
 
     X = np.zeros((c, h), dtype=np.int64)
     X[pivots] = np.array(R, dtype=np.int64).reshape(len(pivots), c + h)[:, c:]

@@ -45,7 +45,7 @@ def _matrix(field, rows, cols, kind, seed):
 def test_rref_matches_numpy_oracle(name, rows, cols, kind, seed):
     """The elimination on Python rows gives the same R and pivots as the
     per-pivot numpy loop it replaced, and so do the functions built on
-    it: kernel, solve and inv, run once more with the oracle as rref."""
+    it: kernel and solve, run once more with the oracle as rref."""
     field = RREF_FIELDS[name]
     M = _matrix(field, rows, cols, kind, seed)
     R, pivots = fqlinalg.rref(M, field)
@@ -55,12 +55,9 @@ def test_rref_matches_numpy_oracle(name, rows, cols, kind, seed):
     assert np.array_equal(R, R_ref)
     b = np.random.default_rng(seed + 1).integers(
         0, len(field.elements()), rows)
-    square = M[:min(rows, cols), :min(rows, cols)]
-    got = [fqlinalg.kernel(M, field), fqlinalg.solve(M, b, field),
-           fqlinalg.inv(square, field)]
+    got = [fqlinalg.kernel(M, field), fqlinalg.solve(M, b, field)]
     with mock.patch.object(fqlinalg, "rref", numpy_rref):
-        want = [fqlinalg.kernel(M, field), fqlinalg.solve(M, b, field),
-                fqlinalg.inv(square, field)]
+        want = [fqlinalg.kernel(M, field), fqlinalg.solve(M, b, field)]
     for x, y in zip(got, want):
         assert (x is None and y is None) or np.array_equal(x, y)
 
@@ -115,9 +112,7 @@ def test_fq_basis_matches_rref_rows_on_digits(name, b, n, span, seed):
         assert coords[s].tolist() == packed
 
 
-@pytest.mark.parametrize("with_basis", [False, True],
-                         ids=["default", "basis"])
-def test_decompose_runs_no_rref_after_warm_up(monkeypatch, with_basis):
+def test_decompose_runs_no_rref_after_warm_up(monkeypatch):
     """decompose eliminates on the codes themselves (`fqlinalg.fq_basis`),
     with no digit matrix; only the first calls, which build the system's
     constants and the parity check of `verify`, may reach `rref` or
@@ -125,14 +120,13 @@ def test_decompose_runs_no_rref_after_warm_up(monkeypatch, with_basis):
     tower = make_tower(2, 4)
     sysm = construct_subgeometry(tower, 2, 2, 2)
     rng = random.Random(5)
-    basis = tower.random_complement_basis(2, rng) if with_basis else None
     targets = [np.array([tower.random_element(rng) for _ in range(sysm.k)])
                for _ in range(30)]
-    assert decompose(sysm, targets[0], basis).verify(sysm)
+    assert decompose(sysm, targets[0]).verify(sysm)
     monkeypatch.setattr(fqlinalg, "rref", _refuse)
     monkeypatch.setattr(fqlinalg, "rref_rows", _refuse)
     for v in targets:
-        assert decompose(sysm, v, basis).verify(sysm)
+        assert decompose(sysm, v).verify(sysm)
 
 
 def test_rref_canonical_for_equal_spaces():
@@ -157,13 +151,6 @@ def test_kernel_annihilates():
     K = fqlinalg.kernel(M, F2)
     assert K.shape == (2, 4)
     assert not ext_matmul(M, K.T, F2).any()
-
-
-def test_inverse_and_matmul():
-    M = np.array([[1, 2], [1, 1]])
-    Minv = fqlinalg.inv(M, F3)
-    assert np.array_equal(ext_matmul(M, Minv, F3), np.eye(2))
-    assert fqlinalg.inv(np.array([[1, 2], [2, 1]]), F3) is None  # singular
 
 
 def test_solve():

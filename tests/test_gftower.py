@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import ranksat
-from ranksat import FieldError, collapse, expand, make_tower, project
+from ranksat import FieldError, collapse, expand, make_tower
 from ranksat.gftower import TOWER_CACHE_SIZE, SmallField, _cached_tower
 
-from oracles import rank_greedy_complement, schoolbook_mul
+from oracles import schoolbook_mul
 
 
 def test_default_modulus_is_golden(tower16):
@@ -144,79 +144,6 @@ def test_subfield_closed_under_operations(tower256):
             assert tower256.mul(a, b) in mem
 
 
-def test_complement_basis_projection_roundtrip(tower16, rng):
-    cb = tower16.complement_basis(2)
-    emb = tower16.subfield(2)
-    for _ in range(1000):
-        w = tower16.random_element(rng)
-        co, sub_part = cb.decompose(w)
-        assert emb.contains(sub_part)
-        assert cb.reconstruct(co, sub_part) == w
-
-
-@pytest.mark.parametrize("q, m", [(2, 4), (2, 6), (3, 4), (4, 4), (5, 4),
-                                  (2, 8), (3, 6), (3, 2), (2, 1)])
-def test_default_complement_matches_rank_greedy_oracle(q, m):
-    tower = make_tower(q, m)
-    for t in (d for d in range(1, m + 1) if m % d == 0):
-        assert tower.complement_basis(t).betas == rank_greedy_complement(
-            tower, t)
-
-
-def test_complement_basis_random_bases(tower16, rng):
-    for _ in range(5):
-        cb = tower16.random_complement_basis(2, rng)
-        for _ in range(200):
-            w = tower16.random_element(rng)
-            co, sub_part = cb.decompose(w)
-            assert cb.reconstruct(co, sub_part) == w
-
-
-def test_project_beta_components(tower16):
-    cb = tower16.complement_basis(2)
-    b1 = cb.betas[0]
-    assert project(b1, 1, cb) == 1
-    assert project(b1, 2, cb) == 0
-    assert project(b1, "subfield", cb) == 0
-
-
-def test_project_subfield_element(tower16):
-    cb = tower16.complement_basis(2)
-    w = int(tower16.subfield(2).embed_table[3])
-    assert project(w, 1, cb) == 0
-    assert project(w, 2, cb) == 0
-    assert project(w, "subfield", cb) == w
-
-
-def test_invalid_complement_rejected(tower16):
-    emb = tower16.subfield(2)
-    inside = int(emb.embed_table[2])        # lies in the subfield
-    with pytest.raises(FieldError):
-        tower16.complement_basis(2, betas=[inside, 1])
-
-
-@pytest.mark.parametrize("betas", [[18, 8], [-14, 8], [2.0, 8], [True, 8],
-                                   np.array([2.0, 8.0]),
-                                   np.array([True, True])],
-                         ids=["above-field", "negative", "float", "bool",
-                              "float-array", "bool-array"])
-def test_complement_outside_field_rejected(tower16, betas):
-    # [2, 8] completes a basis, as numpy ints too; digits() reads 18 and
-    # -14 as 2 modulo 16
-    for ok in ([2, 8], np.array([2, 8]), np.array([2, 8], dtype=np.int16)):
-        assert tower16.complement_basis(2, betas=ok).betas == [2, 8]
-    with pytest.raises(FieldError, match=r"codes in 1\.\.15"):
-        tower16.complement_basis(2, betas=betas)
-
-
-@pytest.mark.parametrize("q,m,w", [(2, 4, 16), (2, 4, -1), (3, 4, -1)])
-def test_coordinates_reject_codes_outside_field(q, m, w):
-    # fq_basis reads 16 as a fifth pivot, whose digits on the basis are 0
-    cb = make_tower(q, m).complement_basis(2)
-    with pytest.raises(FieldError, match="is not a code"):
-        cb.coordinates(w)
-
-
 def test_tower_json_roundtrip(tower9):
     from ranksat import tower_from_json
     assert tower_from_json(tower9.to_json()) == tower9
@@ -272,6 +199,27 @@ def test_make_tower_shares_one_object_per_modulus():
     other = make_tower(2, 4, [1, 0, 0, 1, 1])       # x^4 + x^3 + 1
     assert other is not t and other != t
     assert other.modulus == (1, 0, 0, 1, 1)
+
+
+def test_default_modulus_is_the_same_cache_entry():
+    """None resolves to the first irreducible before the cache, so
+    make_tower(q, m) and make_tower(q, m, <that modulus>) are one entry,
+    built once, and a subfield's tower is the tower make_tower returns."""
+    before = _cached_tower.cache_info()
+    t = make_tower(7, 3)
+    assert make_tower(7, 3, list(t.modulus)) is t
+    after = _cached_tower.cache_info()
+    assert after.misses - before.misses <= 1
+    sub = make_tower(2, 6).subfield(3).sub_tower
+    assert sub is make_tower(2, 3) is make_tower(2, 3, sub.modulus)
+    # (q, m) that FieldTower refuses reach it unresolved, and refuse as
+    # before
+    with pytest.raises(FieldError, match="extension degree must be >= 1"):
+        make_tower(2, 0)
+    with pytest.raises(FieldError, match="field order must be >= 2"):
+        make_tower(1, 3)
+    with pytest.raises(FieldError, match="exceeds table limit"):
+        make_tower(1021, 3)
 
 
 def test_make_tower_caches_no_failure():

@@ -70,7 +70,7 @@ def test_matrix_json_rejects_bad_digits(digits):
 
 def test_linear_set_export_sorted(tower16):
     ls = linear_set(cutting_system_6_3(tower16))
-    doc = io.linear_set_to_json(ls)
+    doc = ls.to_json()
     assert len(doc) == 63
     assert all(entry["weight"] == 1 for entry in doc)
     # stable order: lexicographic on the packed coordinate codes
@@ -125,7 +125,7 @@ def test_json_round_trips(qm, random_modulus, seed):
     assert t2 == tower and np.array_equal(G, sysm.generator)
     # linear sets are written only: each point reads back from its digits
     ls = linear_set(sysm)
-    doc = _via_text(io.linear_set_to_json(ls))
+    doc = _via_text(ls.to_json())
     assert [[tower.from_digits(d) for d in e["point"]] for e in doc] == \
         ls.points.tolist()
     assert [e["weight"] for e in doc] == ls.weights.tolist()
@@ -376,3 +376,21 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+# the public names deleted because only tests reached them, by module
+DELETED = {"gftower": ["ComplementBasis", "project"],
+           "linalg": ["SubspaceFq", "rank_support", "dual"],
+           "fqlinalg": ["inv"], "interchange": ["linear_set_to_json"]}
+
+
+def test_exports_resolve_once_and_omit_deleted_names():
+    names = ranksat.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(ranksat, name) for name in names)
+    for module, deleted in DELETED.items():
+        for name in deleted:
+            assert name not in names
+            assert not hasattr(getattr(ranksat, module), name), name
+    for method in ("complement_basis", "random_complement_basis"):
+        assert not hasattr(ranksat.FieldTower, method)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranksat import (BudgetExceeded, FieldError, RankCode, dual, gabidulin,
-                     linalg, make_tower, min_rank_distance, rank_support,
-                     rank_weight, weight_spectrum)
+from ranksat import (BudgetExceeded, FieldError, RankCode, gabidulin, linalg,
+                     make_tower, min_rank_distance, rank_weight,
+                     weight_spectrum)
 from ranksat.linalg import ext_matmul, ext_rref, rank_weight_batch
 from ranksat import fqlinalg
 
@@ -122,7 +122,7 @@ def test_dual_is_involutive_and_complementary(tower4, rng):
     from ranksat.qsystem import random_code
     for _ in range(5):
         code = random_code(tower4, 2, 4, rng)
-        dd = dual(dual(code))
+        dd = code.dual().dual()
         a, _ = ext_rref(code.generator, tower4)
         b, _ = ext_rref(dd.generator, tower4)
         assert np.array_equal(a, b)
@@ -131,28 +131,13 @@ def test_dual_is_involutive_and_complementary(tower4, rng):
 
 def test_dual_of_full_space_is_zero_code(tower4):
     code = RankCode(tower4, np.eye(2, dtype=np.int64))
-    assert dual(code).k == 0
+    assert code.dual().k == 0
 
 
 def test_gabidulin_dual_is_mrd(tower16):
     # the [4,2] dual must again have minimum distance k + 1 = 3
     code = gabidulin(tower16, 4, 2, 1)
-    assert min_rank_distance(dual(code)) == 3
-
-
-def test_rank_support_examples(tower16):
-    t = tower16
-    assert rank_support([0, 0], t).dim == 0
-    s = rank_support([1, 1, 0], t)
-    assert s.dim == 1
-    assert s.basis.tolist() == [[1, 1, 0]]
-
-
-def test_rank_support_dim_equals_rank_weight(tower16, rng):
-    t = tower16
-    for _ in range(100):
-        v = np.array([t.random_element(rng) for _ in range(5)])
-        assert rank_support(v, t).dim == rank_weight(v, t)
+    assert min_rank_distance(code.dual()) == 3
 
 
 def test_weight_spectrum_zero_code(tower4):
@@ -184,7 +169,7 @@ def test_rank_weight_glnq_invariance(tower16, rng):
         while True:
             A = np.array([[rng.randrange(2) for _ in range(n)]
                           for _ in range(n)], dtype=np.int64)
-            if fqlinalg.inv(A.astype(np.int16), t.base) is not None:
+            if fqlinalg.rank(A, t.base) == n:
                 break
         vA = ext_matmul(v.reshape(1, -1), A, t).ravel()
         assert rank_weight(vA, t) == rank_weight(v, t)
