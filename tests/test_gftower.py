@@ -212,8 +212,8 @@ def test_default_modulus_is_the_same_cache_entry():
     assert after.misses - before.misses <= 1
     sub = make_tower(2, 6).subfield(3).sub_tower
     assert sub is make_tower(2, 3) is make_tower(2, 3, sub.modulus)
-    # (q, m) that FieldTower refuses reach it unresolved, and refuse as
-    # before
+    # refusals as before: m < 1 and q^m past the table limit reach
+    # FieldTower unresolved, and a bad q fails in SmallField
     with pytest.raises(FieldError, match="extension degree must be >= 1"):
         make_tower(2, 0)
     with pytest.raises(FieldError, match="field order must be >= 2"):
