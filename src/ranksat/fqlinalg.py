@@ -212,11 +212,11 @@ def kernel(M, field) -> np.ndarray:
     M = np.atleast_2d(M)
     cols = M.shape[1]
     R, pivots = rref(M, field)
-    free = np.setdiff1d(np.arange(cols), pivots)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    if not free.size:
+    free = sorted(set(range(cols)).difference(pivots))
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    if not free:
         return basis
-    basis[np.arange(free.size), free] = 1
+    basis[range(len(free)), free] = 1
     basis[:, pivots] = field.neg_arr(R[:, free].T)
     return rref(basis, field)[0]
 

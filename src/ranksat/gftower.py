@@ -6,7 +6,11 @@ alpha^(m-1) in base q (digit i = coefficient of alpha^i, itself an
 integer code of an F_q element, q = p^e), so a code is also a base-p
 number of m e digits, added digit-wise mod p by `add_digits`.  All
 hot-path operations have numpy-vectorized variants that operate on
-integer arrays of element codes.
+integer arrays of element codes.  The scalar ops take and return Python
+ints.  In a tower of order up to LIST_TABLE_ORDER (256), `mul`, `inv`
+and `div` index Python lists, and for 2 < p <= 16 `add` and `sub` are
+one list lookup on codes of one block of digits (every code of F_27,
+F_81 and F_243); larger towers read their tables through memoryviews.
 
 Multiplication uses log/exp tables, and one builder makes them for every
 field (`FieldTower._build_tables`): it finds the first code g of
@@ -33,6 +37,12 @@ import numpy as np
 # Tables are built eagerly; beyond this the sweeps this library exists
 # for are infeasible anyway, so we refuse rather than degrade silently.
 MAX_TABLE_ORDER = 1 << 22
+
+# Fields and digit blocks of order up to this keep their scalar-op tables
+# as Python lists, at most 1,021 + 256 + 256 entries per tower and fewer
+# than 256^2 per block table; a list copy of a 2^20 tower's tables would
+# take ~170 MB, so larger towers read theirs through memoryviews.
+LIST_TABLE_ORDER = 256
 
 # Towers `make_tower` keeps alive: more than one `ranksat examples` run or
 # one perfbench worker builds, so neither evicts.
@@ -70,13 +80,14 @@ def _prime_power(q: int) -> tuple[int, int]:
 @cache
 def _block_tables(p: int):
     """(P, add, neg) for blocks of base-p digits, P the largest power of p
-    up to 256 (p itself, with no table, when p > 16): add(a, b) = a + b
-    and neg(a) = -a, digit by digit mod p, for a, b < P.  Built once."""
-    if p > 16:
+    up to LIST_TABLE_ORDER (p itself, with no table, when p^2 exceeds it:
+    p > 16): add(a, b) = a + b and neg(a) = -a, digit by digit mod p, for
+    a, b < P.  Built once."""
+    if p * p > LIST_TABLE_ORDER:
         return p, lambda a, b: (a + b) % p, lambda a: -a % p
     x = np.arange(p)
     T = N = np.zeros(1, dtype=np.int64)
-    while len(N) * p <= 256:     # append a low digit
+    while len(N) * p <= LIST_TABLE_ORDER:     # append a low digit
         T = (T.reshape(len(N), 1, len(N), 1) * p
              + ((x[:, None] + x) % p)[:, None]).ravel()
         N = (N[:, None] * p + (-x % p)).ravel()
@@ -85,53 +96,49 @@ def _block_tables(p: int):
 
 
 @cache
-def _scalar_blocks(p: int):
-    """(P, add, neg) for one block of a scalar code, as in
-    `_block_tables(p)` but with add(a * P + b) = a + b: bound lookups in
-    list copies of the tables (P^2 <= 65,536 entries, made on first use)
-    when p <= 16, arithmetic mod p above."""
-    if p > 16:
-        return p, (lambda i: (i // p + i % p) % p), (lambda a: -a % p)
-    P, add, neg = _block_tables(p)
-    x = np.arange(P)
-    return (P, add(x[:, None], x).ravel().tolist().__getitem__,
-            neg(x).tolist().__getitem__)
-
-
-@cache
 def _code_ops(p: int):
     """Scalar (add, sub, neg) of integers packing base-p digits, digit by
-    digit mod p: XOR when p = 2, else `_scalar_blocks` lookups, one per
-    block of digits for a + b and two for a - b = a + (-b).  No numpy
-    array is built, and the lookup lists are made on the first call, not
-    with the tower."""
+    digit mod p, on Python ints and with no numpy array: XOR when p = 2.
+    For 2 < p <= 16 they read the block table of `_block_tables(p)` as
+    row lists, made here, with the first field of characteristic p:
+    a + b = rows[a][b] and a - b = rows[a][neg[b]] when a, b < P, and one
+    such lookup per block of digits for longer codes.  Above 16 each
+    digit is a block, added mod p."""
     if p == 2:
         return operator.xor, operator.xor, operator.pos
+    P, block_add, block_neg = _block_tables(p)
+    if P == p:      # p > 16: one digit to a block, added mod p
+        def blocks(a, b, sign):
+            a, b = operator.index(a), operator.index(b)   # no numpy overflow
+            out, pw = 0, 1
+            while a or b:
+                out += (a % p + sign * (b % p)) % p * pw
+                a, b, pw = a // p, b // p, pw * p
+            return out
 
-    def add(a, b):
-        a, b = operator.index(a), operator.index(b)   # no numpy overflow
-        P, block_add, _ = _scalar_blocks(p)
-        if a < P and b < P:
-            return block_add(a * P + b)
-        out, pw = 0, 1
-        while a or b:
-            out += block_add(a % P * P + b % P) * pw
-            a, b, pw = a // P, b // P, pw * P
-        return out
+        add, sub = partial(blocks, sign=1), partial(blocks, sign=-1)
+    else:
+        x = np.arange(P)
+        rows, neg = block_add(x[:, None], x).tolist(), block_neg(x).tolist()
+        same = range(P)
 
-    def sub(a, b):
-        a, b = operator.index(a), operator.index(b)   # no numpy overflow
-        P, block_add, block_neg = _scalar_blocks(p)
-        if a < P and b < P:
-            return block_add(a * P + block_neg(b))
-        out, pw = 0, 1
-        while a or b:
-            out += block_add(a % P * P + block_neg(b % P)) * pw
-            a, b, pw = a // P, b // P, pw * P
-        return out
+        def blocks(a, b, nb):       # a + nb(b), one lookup per block
+            a, b = operator.index(a), operator.index(b)   # no numpy overflow
+            out, pw = 0, 1
+            while a or b:
+                out += rows[a % P][nb[b % P]] * pw
+                a, b, pw = a // P, b // P, pw * P
+            return out
 
-    neg = partial(sub, 0)
-    return add, sub, neg
+        # one lookup when both codes fit a block; it does no arithmetic,
+        # so narrow numpy scalars index the lists as they are
+        def add(a, b):
+            return rows[a][b] if a < P and b < P else blocks(a, b, same)
+
+        def sub(a, b):
+            return rows[a][neg[b]] if a < P and b < P else blocks(a, b, neg)
+
+    return add, sub, partial(sub, 0)
 
 
 def _by_blocks(f, p: int, n: int, *X):
@@ -266,8 +273,9 @@ class SmallField:
     an element in base p.  Sums are digit-wise mod p, as in every tower
     (`_code_ops(p)`, `add_digits`, `neg_digits`).  Products are arithmetic
     mod p when e = 1, and the ops of make_tower(p, e), bound in the
-    constructor, when e > 1 (modulus: the first irreducible of degree e).
-    Scalar ops take and return Python ints; array ops return int64.
+    constructor, when e > 1 (modulus: the first irreducible of degree e),
+    so that for q <= LIST_TABLE_ORDER they are list lookups too.  Scalar
+    ops take and return Python ints; array ops return int64.
     """
 
     def __init__(self, q: int):
@@ -355,8 +363,10 @@ class FieldTower:
 
     The scalar ops take and return Python ints and build no numpy array:
     `add`, `sub` and `neg` are XOR (and the identity) for p = 2 and list
-    lookups per block of base-p digits for odd p (`_code_ops`); `mul` and
-    `inv` read the log/exp tables through memoryviews.
+    lookups per block of base-p digits for 2 < p <= 16 (`_code_ops`);
+    `mul` and `inv` read list copies of the log/exp tables when
+    Q <= LIST_TABLE_ORDER, and the tables through memoryviews above, so a
+    large tower holds no copy.  A code >= Q raises IndexError.
 
     Build towers with `make_tower`, which shares one object per field
     and process.  The tables (`_exp`, `_log`, `_inv_table`, `_qpow`,
@@ -468,10 +478,11 @@ class FieldTower:
             table.flags.writeable = False
         self._windows = np.lib.stride_tricks.sliding_window_view(self._exp,
                                                                  Q - 1)
-        # the scalar ops read the tables through memoryviews, which return
-        # Python ints without a numpy scalar and copy nothing
-        self._exp_view, self._log_view, self._inv_view = map(
-            memoryview, (self._exp, self._log, self._inv_table))
+        # the scalar ops index Python lists, or memoryviews above
+        # LIST_TABLE_ORDER; both return Python ints and no numpy scalar
+        self._exp_s, self._log_s, self._inv_s = map(
+            np.ndarray.tolist if Q <= LIST_TABLE_ORDER else memoryview,
+            (self._exp, self._log, self._inv_table))
 
     # -- scalar operations -------------------------------------------------
     def digits(self, a: int) -> list[int]:
@@ -486,13 +497,13 @@ class FieldTower:
 
     def mul(self, a: int, b: int) -> int:
         # log(0) is the sentinel, so a zero factor reads exp's zero padding
-        log = self._log_view
-        return self._exp_view[log[a] + log[b]]
+        log = self._log_s
+        return self._exp_s[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return self._inv_view[a]
+        return self._inv_s[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

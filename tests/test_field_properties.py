@@ -204,11 +204,14 @@ def test_small_field_tables_match_schoolbook(q):
 
 # fields for the scalar ops: towers over p = 2, odd p with one block and
 # with several blocks of base-p digits (3^6 has two), p > 16 (one digit
-# to a block, no table) and non-prime bases; base fields prime and not
+# to a block, no table) and non-prime bases; base fields prime and not.
+# The boundaries of LIST_TABLE_ORDER: 2^8 is the largest tower on lists,
+# 3^5 fills one block, 2^9 reads memoryviews, and 251 is p > 16 on lists
 SCALAR_FIELDS = ([("tower", q, m) for q, m in [(2, 5), (3, 3), (3, 6),
                                                (257, 2), (1021, 1), (4, 2),
-                                               (9, 2)]]
-                 + [("base", q, 1) for q in (2, 3, 4, 9, 1021)])
+                                               (9, 2), (2, 8), (3, 5),
+                                               (2, 9), (251, 1)]]
+                 + [("base", q, 1) for q in (2, 3, 4, 9, 1021, 251)])
 
 
 def _scalar_field(kind, q, m):
@@ -245,3 +248,30 @@ def test_scalar_ops_match_array_ops(case, seed):
         F.inv(0)
     with pytest.raises(ZeroDivisionError):
         F.div(1, 0)
+    if case[0] == "tower":      # a code outside the field is refused
+        with pytest.raises(IndexError):
+            F.mul(Q, 1)
+        with pytest.raises(IndexError):
+            F.inv(Q)
+
+
+@pytest.mark.parametrize("q, m", [(3, 5), (2, 8)])
+def test_scalar_ops_match_array_ops_on_all_pairs(q, m):
+    """Every pair of codes of F_243 (one block of base-3 digits) and F_256
+    (the largest tower whose scalar ops index lists): the scalar ops
+    return Python ints equal to the array ops."""
+    t = make_tower(q, m)
+    a, b = np.divmod(np.arange(t.order ** 2), t.order)
+    nz = b != 0
+    pairs = list(zip(a.tolist(), b.tolist()))
+    codes = np.arange(t.order)
+    for got, want in [
+            ([t.add(x, y) for x, y in pairs], t.add_arr(a, b)),
+            ([t.sub(x, y) for x, y in pairs], t.sub_arr(a, b)),
+            ([t.mul(x, y) for x, y in pairs], t.mul_arr(a, b)),
+            ([t.div(x, y) for x, y in pairs if y],
+             t.mul_arr(a[nz], t.inv_arr(b[nz]))),
+            ([t.neg(x) for x in codes.tolist()], t.neg_arr(codes)),
+            ([t.inv(x) for x in codes[1:].tolist()], t.inv_arr(codes[1:]))]:
+        assert all(type(g) is int for g in got)
+        assert got == want.tolist()

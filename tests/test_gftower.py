@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 import ranksat
 from ranksat import FieldError, collapse, expand, make_tower
-from ranksat.gftower import TOWER_CACHE_SIZE, SmallField, _cached_tower
+from ranksat.gftower import (LIST_TABLE_ORDER, TOWER_CACHE_SIZE, FieldTower,
+                             SmallField, _cached_tower)
 
 from oracles import schoolbook_mul
 
@@ -239,6 +241,22 @@ def test_shared_tables_are_read_only(tower16):
         with pytest.raises(ValueError, match="read-only"):
             table[1] = 0
     assert tower16.mul(2, 3) == schoolbook_mul(tower16, 2, 3)
+
+
+def test_large_tower_scalar_ops_copy_no_table():
+    """Above LIST_TABLE_ORDER the scalar ops read the tables in place:
+    an F_{2^16} tower (3 MB of int64 tables) and one mul and one inv stay
+    under 4 MB, where list copies of its tables would add ~11 MB.  The
+    tower is built outside the cache, so it is measured whole."""
+    assert 2 ** 16 > LIST_TABLE_ORDER
+    tracemalloc.start()
+    try:
+        t = FieldTower(2, 16)
+        assert t.mul(t.inv(3), 3) == 1
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 4 << 20, current
 
 
 def test_tower_cache_stays_within_its_bound():
