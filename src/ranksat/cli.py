@@ -1,14 +1,15 @@
 """Command-line front end: verify, construct, bounds, search, examples.
 
 Exit codes for `verify`: 0 the claimed radius matches, 1 it does not,
-2 the input could not be parsed, 3 the budget refused the sweep (the
-refusal message includes the coverage reached).  `search` is exhaustive:
-it exits 0 with the least saturating system, or 3 when the budget
-refuses a dimension before one is found.  `construct`, `bounds` and
-`search` exit 2, with a one-line message, when the parameters name no
-field, no valid cell or no valid construction: q not a prime power, m, k,
-kmax or rhomax below 1, rho out of range, a malformed --v, or an
-unreadable or malformed --left/--right matrix.
+2 the input could not be parsed or the certificate written, 3 the budget
+refused the sweep (stderr names the last completed level and coverage).
+`search` is exhaustive: it exits 0 with the least saturating system, or
+3 when the budget refuses a dimension before one is found.  `construct`,
+`bounds` and `search` exit 2, with a one-line message, when the
+parameters name no field, no valid cell or no valid construction: q not
+a prime power, m, k, kmax or rhomax below 1, rho out of range, a modulus
+coefficient outside 0..q-1, a malformed --v, or an unreadable or
+malformed --left/--right matrix.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from .scenarios import SCENARIOS, get_scenarios
 
 
 def _parse_modulus(text):
-    if text is None:
-        return None
-    return [int(c) for c in text.split(",")]
+    return None if text is None else [int(c) for c in text.split(",")]
 
 
 def _parse_vector(text, k):
@@ -66,16 +65,19 @@ def cmd_verify(args) -> int:
         rho, cert = sweep(sysm, args.budget)
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
-        if exc.completed_level is not None:
-            print(f"largest completed level: {exc.completed_level}, "
-                  f"coverage: {exc.coverage}", file=sys.stderr)
+        print(f"largest completed level: {exc.completed_level}, "
+              f"coverage: {exc.coverage}", file=sys.stderr)
         return 3
     out = cert.to_json()
     out["claimed_rho"] = args.rho
     out["measured_rho"] = rho
     path = args.certificate or (args.matrix + ".cert.json")
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=1)
+    try:
+        with open(path, "w") as fh:
+            json.dump(out, fh, indent=1)
+    except OSError as exc:
+        print(f"cannot write certificate: {exc}", file=sys.stderr)
+        return 2
     print(f"measured rho = {rho}, claimed {args.rho}; certificate -> {path}")
     return 0 if rho == args.rho else 1
 

@@ -12,7 +12,7 @@ Three independent routes to the same number:
   parity-check matrix, so the radius of the dual code of an associated
   code can be compared with both of the above.
 * `hamming_covering_radius` runs that sweep in Hamming-weight layers,
-  M the selection matrices of the supports, for the projective
+  over the supports of the coordinates, for the projective
   Hamming-metric code bridge.
 
 All sweeps are exact and refuse (raising BudgetExceeded) instead of
@@ -29,8 +29,7 @@ from math import comb
 import numpy as np
 
 from . import fqlinalg
-from .gftower import FieldTower, add_digits, expand
-from .interchange import _is_int
+from .gftower import FieldTower, _is_int, add_digits, expand
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
                      ext_matmul, min_rank_distance, rank_weight_batch,
                      weight_spectrum)
@@ -110,11 +109,15 @@ def _flat_points(R, pivots, indexer: PointIndexer) -> np.ndarray:
 # Syndrome sweep: one loop for the rank and Hamming layers
 # ----------------------------------------------------------------------
 
-def _check_space(total: int, budget: int) -> None:
+def _check_space(total: int, budget: int, what="syndrome space q^(m r)"):
     if total > budget:
-        raise BudgetExceeded(
-            f"syndrome space q^(m r) = {total} exceeds budget {budget}",
-            completed_level=-1, coverage=0.0)
+        raise BudgetExceeded(f"{what} = {total} exceeds budget {budget}",
+                             completed_level=-1, coverage=0.0)
+
+
+def _coverage(covered: np.ndarray, Q: int) -> float:
+    """The share of the Q^r targets covered: 1, and Q - 1 per point."""
+    return (1 + (Q - 1) * int(covered.sum())) / (1 + (Q - 1) * covered.size)
 
 
 def _charge(work: int, level_work: int, budget: int, what: str, w: int,
@@ -167,9 +170,9 @@ def _subspace_level(H, points: PointIndexer, w: int, per: int):
 
 def _support_level(H, points: PointIndexer, w: int, per: int):
     """Level w of the Hamming sweep, or None past n: ("Hamming weight",
-    its charge C(n, w) (Q-1)^w, chunks (M, B, marks) over at most `per`
-    selection matrices M of the w-subsets S, B = H[:, S]), marking B gamma
-    for gamma with no zero coordinate, not the flat (1 point over F_2)."""
+    its charge C(n, w) (Q-1)^w, chunks (S, B, marks) over at most `per`
+    w-subsets S, B = H[:, S]), marking B gamma for gamma with no zero
+    coordinate, not the flat (1 point over F_2); no `first_touch` replay."""
     n = H.shape[1]
     if w > n:
         return None
@@ -183,8 +186,7 @@ def _support_level(H, points: PointIndexer, w: int, per: int):
             S = np.array(chunk)
             B = H[:, S].transpose(1, 0, 2)
             V = ext_matmul(B, gammas, points.tower).transpose(0, 2, 1)
-            yield (np.eye(n, dtype=np.int64)[S], B,
-                   points.canonicalize(V.reshape(-1, points.k))[1])
+            yield S, B, points.canonicalize(V.reshape(-1, points.k))[1]
     return "Hamming weight", comb(n, w) * (points.Q - 1) ** w, chunks()
 
 
@@ -194,15 +196,15 @@ def _rank_layers(H, tower: FieldTower, budget: int,
     level <= w} for w = 0, 1, ... until every syndrome is covered.  Level
     w is `level(H, points, w, per)`: its label, its charge and chunks
     (M, B, marks), B = H M^T, M over the RREF bases of the F_q-row spaces
-    of dimension w (x over rank weight <= w) or the w-subsets of the
-    coordinates (x over Hamming weight <= w).
+    of dimension w (x over rank weight <= w), or (S, H[:, S], marks) over
+    the w-subsets S of the coordinates (x over Hamming weight <= w).
 
     H (c x)^T = c H x^T, so `covered` is one bitmap over the points of
     PG(r-1, Q), updated in place; rank level w is the union of the column
     spans (flats) of B.  A level stops once the bitmap is full (its
-    charge does not depend on the stop).  When `first_touch` is a dict it
-    collects, for each syndrome (a tuple), the first x = gamma * M (M,
-    then gamma over F_{q^m}^w) of the rank sweep that reaches it: the
+    charge does not depend on the stop).  When `first_touch` is a dict
+    (rank levels only) it collects, for each syndrome (a tuple), the first
+    x = gamma * M (M, then gamma over F_{q^m}^w) that reaches it: the
     first M of a chunk whose flat holds a point reaches its multiples, so
     only those M are replayed over all gamma.
     """
@@ -223,8 +225,7 @@ def _rank_layers(H, tower: FieldTower, budget: int,
         if lvl is None:
             raise RuntimeError("sweep failed to terminate (unreachable)")
         what, charge, chunks = lvl
-        work = _charge(work, charge, budget, what, w,
-                       (1 + (Q - 1) * (points.total - left)) / Q ** r)
+        work = _charge(work, charge, budget, what, w, _coverage(covered, Q))
         fresh = 0      # bounds the points newly covered since `left`
         for Ms, B, marks in chunks:
             new = ~covered[marks]
@@ -387,7 +388,6 @@ def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET
 # ----------------------------------------------------------------------
 
 _FRONTIER_CHUNK = 1 << 14
-_WORK_HARD_CAP = 1 << 33
 
 
 def _geometric_layers(sys: QSystem, budget: int):
@@ -397,7 +397,9 @@ def _geometric_layers(sys: QSystem, budget: int):
     Level 1 marks L_U itself, and level w+1 marks every point on a line
     through a point of L_U and a point first covered at level w (which
     is exactly the union of spans of (w+1)-subsets).  `covered` is one
-    bitmap over the indices of a PointIndexer, updated in place.
+    bitmap over the indices of a PointIndexer, updated in place.  Level 1
+    is charged the q^n vectors of U, level 2 the C(|L_U|, 2) pairs of its
+    points, level w >= 3 the f |L_U| pairs of a frontier of f points with L_U.
     """
     tower, k = sys.tower, sys.k
     Q = tower.order
@@ -405,12 +407,12 @@ def _geometric_layers(sys: QSystem, budget: int):
         yield 0, np.zeros(0, dtype=bool)
         return
     indexer = PointIndexer(tower, k)
-    if indexer.total > budget:
-        raise BudgetExceeded(
-            f"PG(k-1, q^m) has {indexer.total} points > budget {budget}")
-    _, idx, _ = indexer.canonicalize(sys.vectors(budget))
+    _check_space(indexer.total, budget, "point count of PG(k-1, q^m)")
     covered = np.zeros(indexer.total, dtype=bool)
     yield 0, covered
+    work = _charge(0, tower.base.q ** sys.n, budget, "span level", 1,
+                   _coverage(covered, Q))
+    _, idx, _ = indexer.canonicalize(sys.vectors(budget))
     covered[idx] = True
     L = indexer.decode(np.unique(idx))
     ell = L.shape[0]
@@ -422,12 +424,8 @@ def _geometric_layers(sys: QSystem, budget: int):
         if level > k + 1:
             raise RuntimeError("span sweep failed to terminate (unreachable)")
         f = frontier.shape[0]
-        if f * ell * (Q - 1) > _WORK_HARD_CAP:
-            raise BudgetExceeded(
-                f"level-{level} span sweep too large "
-                f"({f} x {ell} x {Q - 1} candidates)",
-                completed_level=level - 1,
-                coverage=float(covered.sum()) / indexer.total)
+        work = _charge(work, ell * (ell - 1) // 2 if level == 2 else f * ell,
+                       budget, "span level", level, _coverage(covered, Q))
         before = covered.copy()
         # u-chunks double up to ~_FRONTIER_CHUNK pairs, so a sweep that
         # finishes early stops early; batches of at most _FRONTIER_CHUNK

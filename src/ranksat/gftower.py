@@ -616,6 +616,11 @@ class FieldTower:
         return hash((self.base.q, self.m, self.modulus))
 
 
+def _is_int(x) -> bool:
+    # bool is an int subclass; floats would be truncated
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def make_tower(q: int, m: int, modulus=None) -> FieldTower:
     """The tower F_q <= F_{q^m} = F_q[x]/(modulus); see FieldTower.
 
@@ -624,10 +629,16 @@ def make_tower(q: int, m: int, modulus=None) -> FieldTower:
     tuple of ints (a list, tuple or array of the same coefficients is one
     key, and None is first resolved to the first irreducible, so it is the
     key of the default modulus too), so a field is built once per process
-    and shared.  Failures are not kept: a bad modulus raises FieldError on
-    every call.
+    and shared.  A q, m or coefficient that is no int (or is a bool), a
+    coefficient outside 0..q-1 and a bad modulus raise FieldError on each call.
     """
-    q, m = operator.index(q), operator.index(m)
+    coeffs = () if modulus is None else modulus
+    if not (_is_int(q) and _is_int(m)
+            and isinstance(coeffs, (list, tuple, np.ndarray))
+            and all(_is_int(c) and 0 <= c < q for c in coeffs)):
+        raise FieldError(f"q = {q!r}, m = {m!r} and modulus = {modulus!r} "
+                         "must be integers, the coefficients in 0..q-1")
+    q, m = int(q), int(m)
     if modulus is None and m >= 1 and q ** m <= MAX_TABLE_ORDER:
         modulus = _default_modulus(q, m)    # else FieldTower refuses (q, m)
     key = None if modulus is None else tuple(int(c) for c in modulus)
@@ -647,8 +658,7 @@ def _cached_tower(q: int, m: int, modulus) -> FieldTower:
 def tower_from_json(data) -> FieldTower:
     if isinstance(data, str):
         data = json.loads(data)
-    return make_tower(int(data["q"]), int(data["m"]),
-                      data.get("modulus_coeffs"))
+    return make_tower(data["q"], data["m"], data.get("modulus_coeffs"))
 
 
 def expand(vec, tower: FieldTower) -> np.ndarray:

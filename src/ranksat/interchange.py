@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .gftower import FieldTower, make_tower
+from .gftower import FieldTower, _is_int, make_tower
 from .linalg import MatrixExt
 
 
@@ -30,11 +30,6 @@ def matrix_to_json(tower: FieldTower, entries) -> dict:
     }
 
 
-def _is_int(x) -> bool:
-    # bool is an int subclass; floats would be truncated
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def matrix_from_json(data) -> tuple[FieldTower, np.ndarray]:
     if isinstance(data, str):
         data = json.loads(data)
@@ -43,12 +38,7 @@ def matrix_from_json(data) -> tuple[FieldTower, np.ndarray]:
     q, m, rows, cols = data["q"], data["m"], data["rows"], data["cols"]
     if not all(_is_int(x) for x in (q, m, rows, cols)):
         raise ValueError("q, m, rows and cols must be integers")
-    modulus = data["modulus"]
-    if modulus is not None and (
-            not isinstance(modulus, list)
-            or not all(_is_int(c) and 0 <= c < q for c in modulus)):
-        raise ValueError(f"modulus must be a list of integers 0..{q - 1}")
-    tower = make_tower(q, m, modulus)
+    tower = make_tower(q, m, data["modulus"])
     A = np.zeros((rows, cols), dtype=np.int64)
     entries = data["entries"]
     if (not isinstance(entries, list) or len(entries) != rows

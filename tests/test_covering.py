@@ -217,17 +217,20 @@ def test_certificate_without_tightness_fails(tower4):
     assert not cert.verify(sysm)
 
 
-def test_geometric_sweep_refuses_above_hard_cap(monkeypatch):
-    # [9,4]/F_64 block: 449 points of L_U cover 449 of the 266,305 points
-    # of PG(3, 64); level 2 would pair 449 x 449 points with 63 scalars
-    from ranksat import covering
-    monkeypatch.setattr(covering, "_WORK_HARD_CAP", 1 << 20)
+@pytest.mark.parametrize("budget", [12_572_511, 12_572_512])
+def test_geometric_sweep_charges_pairs_to_the_budget(budget):
+    # [9,4]/F_64 block: 2^9 vectors of U, C(449, 2) pairs of its 449
+    # points at level 2, then 27,776 frontier points x 449 at level 3;
+    # 449 + 27,776 of the 266,305 points of PG(3, 64) are covered by then
     sysm = construct_identity_block(make_tower(2, 6), 4, 3)
-    with pytest.raises(BudgetExceeded, match=r"level-2 span sweep too large "
-                       r"\(449 x 449 x 63 candidates\)") as exc:
-        saturation_radius_geometric(sysm)
-    assert exc.value.completed_level == 1
-    assert exc.value.coverage == 449 / 266305
+    if budget >= 512 + 100_576 + 27_776 * 449:
+        assert saturation_radius_geometric(sysm, budget) == 3
+        return
+    with pytest.raises(BudgetExceeded, match=r"enumeration through span "
+                       r"level 3 needs 12572512 > budget 12572511") as exc:
+        saturation_radius_geometric(sysm, budget)
+    assert exc.value.completed_level == 2
+    assert exc.value.coverage == (1 + 63 * 28_225) / 64 ** 4
 
 
 def test_geometric_sweep_bounds_pair_batches(monkeypatch):
@@ -305,6 +308,22 @@ def test_hamming_radius_against_oracle(tower4, rng):
     gen = np.array([[1, tower4.alpha, 1]], dtype=np.int64)
     assert (hamming_covering_radius(gen, tower4)
             == brute_hamming_covering_radius(gen, tower4))
+
+
+def test_hamming_sweep_peak_memory():
+    # a chunk of supports is yielded as the supports, with no selection
+    # matrices (18.8 MiB peak with them, 10.4 MiB without)
+    import random
+    import tracemalloc
+    tower = make_tower(2, 1)
+    gen = random_code(tower, 5, 16, random.Random(1)).generator
+    tracemalloc.start()
+    try:
+        assert hamming_covering_radius(gen, tower) == 6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 << 20, peak
 
 
 def test_projective_code_bridge(tower4, rng):

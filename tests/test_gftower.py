@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ranksat
-from ranksat import FieldError, collapse, expand, make_tower
+from ranksat import FieldError, collapse, expand, make_tower, tower_from_json
 from ranksat.gftower import (LIST_TABLE_ORDER, TOWER_CACHE_SIZE, FieldTower,
                              SmallField, _cached_tower)
 
@@ -231,6 +231,20 @@ def test_make_tower_caches_no_failure():
             make_tower(2, 4, [1, 0, 0, 0, 1])
     after = _cached_tower.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+
+@pytest.mark.parametrize("q,m,modulus", [
+    (2.7, 4, None), (2, 4.9, None), (True, 4, None), (2, True, None),
+    (2, 4, [1, 1.5, 0, 0, 1]), (2, 4, [1, True, 0, 0, 1]), (2, 2, [2, 0, 1]),
+    (2, 4, "10011")])
+def test_make_tower_refuses_what_it_would_truncate(q, m, modulus):
+    # a float, a bool or a string would be read as another field, and a
+    # coefficient outside F_q is no polynomial over F_q (coefficients that
+    # loop the irreducibility test are in test_interfaces, in a child)
+    with pytest.raises(FieldError, match="must be integers"):
+        make_tower(q, m, modulus)
+    with pytest.raises(FieldError, match="must be integers"):
+        tower_from_json({"q": q, "m": m, "modulus_coeffs": modulus})
 
 
 def test_shared_tables_are_read_only(tower16):

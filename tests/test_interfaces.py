@@ -1,6 +1,10 @@
 import ast
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +49,13 @@ def test_matrix_json_shape_mismatch(tower16):
 # number in place of a vector, bool and float digits; a dict replaces
 # header fields instead: a float q, modulus coefficients that are a
 # float or lie outside F_2, entries that are a number or hold a row that
-# is not a list; a tuple holds a whole document: a top-level array
+# is not a list, a modulus that is no list; a tuple holds a whole
+# document: a top-level array
 BAD_DIGITS = [[3, 0, 0, 0], [1, 0], 1, [True, False, False, False],
               [1.0, 0, 0, 0], {"modulus": [1, 1.5, 0, 0, 1]}, {"q": 2.7},
               {"modulus": [1, 3, 0, 0, 1]}, {"modulus": [1, -1, 0, 0, 1]},
-              {"entries": 5}, {"entries": [7]}, ([1, 2],)]
+              {"entries": 5}, {"entries": [7]}, ([1, 2],),
+              {"modulus": "10011"}, {"modulus": 19}]
 
 
 def _one_entry_doc(digits):
@@ -178,6 +184,33 @@ def test_cli_verify_budget_refusal(tmp_path, tower4):
     p = tmp_path / "sys.json"
     _write_system(p, construct_identity_block(tower4, 3, 2))
     assert main(["verify", str(p), "--rho", "2", "--budget", "10"]) == 3
+
+
+@pytest.mark.parametrize("budget,level,coverage", [(10, -1, 0.0),
+                                                   (30, 1, 0.625)])
+def test_cli_verify_geometric_refusal_names_its_level(tmp_path, tower4,
+                                                      capsys, budget, level,
+                                                      coverage):
+    # PG(2, 4) has 21 points; level 1 is the 16 vectors of U and level 2
+    # the 78 pairs of its 13 points, 40 of the 64 targets covered by then
+    p = tmp_path / "sys.json"
+    _write_system(p, construct_identity_block(tower4, 3, 2))
+    assert main(["verify", str(p), "--rho", "2", "--method", "geometric",
+                 "--budget", str(budget)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[1] == f"largest completed level: {level}, coverage: {coverage}"
+
+
+def test_cli_verify_unwritable_certificate(tmp_path, tower4, capsys):
+    # a certificate that cannot be written is not a claim that fails (1)
+    p = tmp_path / "sys.json"
+    _write_system(p, construct_identity_block(tower4, 3, 2))
+    assert main(["verify", str(p), "--rho", "1", "--certificate",
+                 str(tmp_path / "missing" / "c.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (err.startswith("cannot write certificate: ")
+            and err.count("\n") == 1)
 
 
 def test_cli_geometric_certificate_verifies(tmp_path, tower4):
@@ -329,24 +362,36 @@ def test_cli_examples_full_suite(capsys):
     assert f"{len(SCENARIOS)}/{len(SCENARIOS)} scenarios passed" in out
 
 
-def test_console_script_entry_point():
-    # the installed console script, or the same entry point run as a
-    # module when the package is used from a source checkout; the child
-    # imports the package these tests import
-    import os
-    import shutil
-    import subprocess
-    import sys
-    import ranksat
-    exe = shutil.which("ranksat")
-    cmd = [exe] if exe else [sys.executable, "-m", "ranksat.cli"]
+def _child(cmd, timeout):
+    """Run `cmd` in a child process that imports the package these tests
+    import, and fail once it has run `timeout` seconds."""
     src = os.path.dirname(os.path.dirname(ranksat.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(cmd + ["examples", "gabidulin-4-2"],
-                         capture_output=True, text=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run(cmd, capture_output=True, text=True,
+                          timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_console_script_entry_point():
+    # the installed console script, or the same entry point run as a
+    # module when the package is used from a source checkout
+    exe = shutil.which("ranksat")
+    cmd = [exe] if exe else [sys.executable, "-m", "ranksat.cli"]
+    out = _child(cmd + ["examples", "gabidulin-4-2"], 120)
     assert out.returncode == 0
     assert "PASS gabidulin-4-2" in out.stdout
+
+
+@pytest.mark.parametrize("modulus", ["1,3,1", "1,-1,1"])
+def test_cli_construct_refuses_coefficients_outside_fq(modulus):
+    # make_tower(2, 2, [1, 3, 1]) looped forever in the irreducibility
+    # test, so the call runs in a child with a timeout
+    out = _child([sys.executable, "-m", "ranksat.cli", "construct",
+                  "--family", "identity-block", "--q", "2", "--m", "2",
+                  "--k", "2", "--rho", "1", "--modulus", modulus], 60)
+    assert out.returncode == 2 and out.stdout == ""
+    assert (out.stderr.startswith("invalid parameters: ")
+            and out.stderr.count("\n") == 1)
 
 
 def test_cli_main_reuses_its_parser(tmp_path, tower4, capsys):
