@@ -15,8 +15,9 @@ Three independent routes to the same number:
   over the supports of the coordinates, for the projective
   Hamming-metric code bridge.
 
-All sweeps are exact and refuse (raising BudgetExceeded) instead of
-sampling when the declared budget does not cover them.
+All sweeps, and the cutting-set test (one rank of support syndromes
+C_h H^T per hyperplane), are exact and refuse (raising BudgetExceeded)
+instead of sampling when the declared budget does not cover them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 
 from . import fqlinalg
 from .gftower import FieldTower, _is_int, add_digits, expand
-from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, as_matrix,
-                     ext_matmul, min_rank_distance, rank_weight_batch,
-                     weight_spectrum)
+from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, _combinations,
+                     as_matrix, ext_matmul, min_rank_distance,
+                     rank_weight_batch, weight_spectrum)
 from .qsystem import (PointIndexer, QSystem, SystemError_, expanded_columns,
                       linear_set, is_scattered)
 
@@ -67,13 +68,12 @@ def _line_bases(a, u, tower: FieldTower):
 
 def _distinct_flats(R, pivots, indexer: PointIndexer, seen=None):
     """(first, seen): the ascending first positions of the distinct flats
-    of the RREF bases R (b, w, k) (all b if a key, the indices of the
-    rows, overflows), less those keyed in `seen`, returned updated."""
-    b, w, _ = R.shape
+    of the RREF bases R (b, w, k), by the point indices of their rows,
+    less those keyed in `seen` (returned updated) if the key fits int64."""
+    rows, w = indexer.off[pivots] + R @ indexer.qpow, R.shape[1]
     if indexer.total ** w >= 1 << 63:
-        return np.arange(b), seen
-    key, first = np.unique((indexer.off[pivots] + R @ indexer.qpow)
-                           @ indexer.total ** np.arange(w - 1, -1, -1),
+        return np.sort(np.unique(rows, axis=0, return_index=True)[1]), seen
+    key, first = np.unique(rows @ indexer.total ** np.arange(w - 1, -1, -1),
                            return_index=True)
     if seen is not None:
         new = np.searchsorted(seen, key) == np.searchsorted(seen, key, "right")
@@ -558,53 +558,52 @@ def check_bound_consistency(code: RankCode, budget: int = DEFAULT_BUDGET,
 # Cutting blocking sets / minimal codes
 # ----------------------------------------------------------------------
 
-_CUT_CHUNK = 1 << 14     # entries b * k * n per chunk of b hyperplanes
+_CUT_CHUNK = 1 << 14     # entries per array of a chunk of normals
 
 
 def is_linear_cutting_blocking_set(sys: QSystem,
                                    budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff the span of H intersect U is H for every hyperplane H.
-
-    Per chunk of normals h, X = h G holds the values h . g_j, and G c lies
-    in H iff sum_j c_j X_j = 0 for c in F_q^n.  On the greedy F_q-basis
-    X_{p_1}, .., X_{p_r} of X (`fqlinalg.fq_basis_batch`), each X_j =
-    sum_i c_ij X_{p_i}, so the vectors g_j - sum_i c_ij g_{p_i} span
-    H intersect U (zero at j = p_i), and their rank over F_{q^m} must be
-    k - 1.
-    """
-    tower = sys.tower
-    G = sys.generator
+    """True iff the span of H intersect U is H for every hyperplane H: iff
+    for each x = h G the codewords supported in supp(x) span one dimension
+    (Alfarano, Borello, Neri and Ravagnani, JCTA 192, 2022).  The greedy
+    F_q-basis of x (`fqlinalg.fq_basis_batch`) writes x = (x_{p_1}, ..,
+    x_{p_r}) C_h, C_h the RREF of supp(x), and those codewords are z C_h
+    for z in the left kernel of C_h H^T, H the parity check.  It holds the
+    pivot values, none zero, so it is 1-dimensional iff the first r - 1
+    rows of C_h H^T are independent.  Each row adds one row of each of two
+    tables of F_q-combinations of rows of H^T, the first ceil(n/2) and the
+    rest: q^ceil(n/2) <= q^(m(k-1)) rows, under the hyperplanes if k > 1."""
+    tower, G = sys.tower, sys.generator
     k, n, q = sys.k, sys.n, tower.base.q
     e = tower.base.e if tower.base.p == 2 else 0     # digits by shift
     indexer = PointIndexer(tower, k)
     if indexer.total > budget:
         raise BudgetExceeded(
             f"{indexer.total} hyperplanes exceed budget {budget}")
-    # row n is zero: the pivot index of an empty basis slot
-    cols = np.concatenate([G.T, np.zeros((1, k), dtype=np.int64)])
-    per = max(1, _CUT_CHUNK // max(1, k * n))
+    HT, half = fqlinalg.kernel(G, tower).T, (n + 1) // 2
+    lo = _combinations(HT[:half], np.arange(q), tower)
+    hi = _combinations(HT[half:], np.arange(q), tower)
+    qpow, rows = q ** np.arange(n), min(n, tower.m) - 1    # r - 1 <= rows
+    per = max(1, _CUT_CHUNK // max(1, n, rows * (n - k)))
     for start in range(0, indexer.total, per):
         h = indexer.decode(np.arange(start, min(start + per, indexer.total)))
-        X = ext_matmul(h, G, tower)
-        coords, pivots, rank = fqlinalg.fq_basis_batch(X, tower)
-        V = np.broadcast_to(G.T, (len(h), n, k))
-        for i in range(rank.max()):
-            c = (coords >> e * i & (q - 1) if e else coords // q ** i % q)
-            V = tower.sub_arr(V, tower.mul_arr(c[:, :, None],
-                                               cols[pivots[:, i], None]))
-        if (fqlinalg.echelon(V, tower)[2] != k - 1).any():
+        coords, _, r = fqlinalg.fq_basis_batch(ext_matmul(h, G, tower), tower)
+        at = np.zeros((len(h), rows), dtype=np.int64)  # rows of C_h, base q
+        for i in range(r.max() - 1):
+            c = coords >> e * i & (q - 1) if e else coords // q ** i % q
+            at[:, i] = c @ qpow * (i < r - 1)
+        M = tower.add_arr(lo[at % q ** half], hi[at // q ** half])
+        if (fqlinalg.echelon(M.transpose(0, 2, 1), tower)[2] < r - 1).any():
             return False
     return True
 
 
 def is_minimal_rank_code(code: RankCode, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff no codeword's rank support contains that of a codeword
-    outside its F_{q^m}-multiples, by the cutting test (minimal codes are
-    the codes of cutting systems) on the columns at the pivots of G over
-    F_q.  G is those columns times an F_q-matrix of full row rank, which
-    keeps rank supports and their containments, so a degenerate code is
-    minimal iff its nondegenerate part is.  The hyperplane count is
-    charged against `budget`."""
+    outside its F_{q^m}-multiples: the cutting test on the columns at the
+    pivots of G over F_q.  G is those columns times an F_q-matrix of full
+    row rank, which keeps rank supports and their containments, so a
+    degenerate code is minimal iff its nondegenerate part is."""
     G = code.generator
     _, pivots = fqlinalg.rref(expanded_columns(G, code.tower), code.tower.base)
     return is_linear_cutting_blocking_set(QSystem(code.tower, G[:, pivots]),

@@ -480,7 +480,8 @@ class FieldTower:
         exp[Q - 1:S] = exp[:Q - 1]
         self._log = np.full(Q, S, dtype=np.int64)
         self._log[exp[:Q - 1]] = np.arange(Q - 1)
-        self._inv_table = np.concatenate(([0], exp[(Q - 1) - self._log[1:]]))
+        self._inv_table = np.zeros(Q, dtype=np.int64)    # 1/g^i = g^(Q-1-i)
+        self._inv_table[exp[:Q - 1]] = exp[Q - 1:0:-1]
         for table in (exp, self._log, self._inv_table):
             table.flags.writeable = False
         self._windows = np.lib.stride_tricks.sliding_window_view(exp, Q - 1)

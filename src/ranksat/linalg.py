@@ -159,8 +159,8 @@ def _combinations(rows, coeffs, tower: FieldTower) -> np.ndarray:
     the partial sums of the previous one."""
     acc = np.zeros((1, rows.shape[1]), dtype=np.int64)
     for row in rows:
-        scaled = tower.mul_arr(coeffs[:, None], row[None, :])
-        acc = tower.add_arr(acc[None], scaled[:, None]).reshape(-1, len(row))
+        acc = tower.add_arr(tower.mul_arr(coeffs[:, None], row)[:, None], acc)
+        acc = acc.reshape(len(coeffs) * acc.shape[1], len(row))
     return acc
 
 

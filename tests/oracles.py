@@ -301,6 +301,34 @@ def echelon_cutting(sysm, chunk=1 << 14):
     return True
 
 
+def span_rank_cutting(sysm, chunk=1 << 14):
+    """`covering.is_linear_cutting_blocking_set` before the support
+    syndromes: per chunk of normals h, X = h G, and on the greedy
+    F_q-basis X_{p_1}, .., X_{p_r} of X (`fqlinalg.fq_basis_batch`) each
+    X_j = sum_i c_ij X_{p_i}, so the vectors g_j - sum_i c_ij g_{p_i}
+    span H intersect U (zero at j = p_i), and their rank over F_{q^m}
+    must be k - 1."""
+    tower, G, k, n = sysm.tower, sysm.generator, sysm.k, sysm.n
+    q = tower.base.q
+    e = tower.base.e if tower.base.p == 2 else 0     # digits by shift
+    indexer = PointIndexer(tower, k)
+    # row n is zero: the pivot index of an empty basis slot
+    cols = np.concatenate([G.T, np.zeros((1, k), dtype=np.int64)])
+    per = max(1, chunk // max(1, k * n))
+    for start in range(0, indexer.total, per):
+        h = indexer.decode(np.arange(start, min(start + per, indexer.total)))
+        coords, pivots, rank = fqlinalg.fq_basis_batch(
+            ext_matmul(h, G, tower), tower)
+        V = np.broadcast_to(G.T, (len(h), n, k))
+        for i in range(rank.max()):
+            c = (coords >> e * i & (q - 1) if e else coords // q ** i % q)
+            V = tower.sub_arr(V, tower.mul_arr(c[:, :, None],
+                                               cols[pivots[:, i], None]))
+        if (fqlinalg.echelon(V, tower)[2] != k - 1).any():
+            return False
+    return True
+
+
 def brute_is_minimal(code, budget=1 << 26):
     """No two projectively distinct codewords have nested rank supports:
     every pair of supports compared, from the codeword list.  The rank

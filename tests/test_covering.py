@@ -18,7 +18,8 @@ from ranksat.qsystem import SystemError_, random_code
 from oracles import (brute_cutting, brute_hamming_covering_radius,
                      brute_is_maximal, brute_is_minimal,
                      brute_rank_covering_radius, brute_saturation_radius,
-                     coverage_through_level, degenerate_code)
+                     coverage_through_level, degenerate_code,
+                     echelon_cutting, span_rank_cutting)
 
 
 # ----------------------------------------------------------------- radii
@@ -262,6 +263,33 @@ def test_geometric_sweep_bounds_pair_batches(monkeypatch):
                                                               expected))
 
 
+def test_distinct_flats_dedupe_keys_past_int64():
+    """PG(3, 128) has 2,113,665 points, so the key of a plane, its three
+    row indices read base that count, passes 2^63: repeated RREF bases
+    still come back as one position per distinct plane, its first, and
+    they mark the same points as all the bases."""
+    from ranksat import covering
+    from ranksat.qsystem import PointIndexer
+    indexer = PointIndexer(make_tower(2, 7), 4)
+    assert indexer.total == 2_113_665 and indexer.total ** 3 >= 1 << 63
+    # six distinct planes: RREF 3 x 4 bases, free entries right of a pivot
+    planes = [((0, 1, 2), [[1, 0, 0, 5], [0, 1, 0, 0], [0, 0, 1, 127]]),
+              ((0, 1, 2), [[1, 0, 0, 5], [0, 1, 0, 9], [0, 0, 1, 127]]),
+              ((0, 1, 2), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]),
+              ((0, 1, 3), [[1, 0, 77, 0], [0, 1, 3, 0], [0, 0, 0, 1]]),
+              ((0, 2, 3), [[1, 64, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+              ((1, 2, 3), [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]
+    order = [3, 0, 3, 5, 1, 0, 2, 4, 5, 1, 2, 4, 3, 0]
+    R = np.array([planes[i][1] for i in order], dtype=np.int64)
+    pivots = np.array([planes[i][0] for i in order], dtype=np.int64)
+    first, seen = covering._distinct_flats(R, pivots, indexer)
+    assert seen is None
+    assert first.tolist() == sorted(order.index(i) for i in range(6))
+    assert np.array_equal(
+        np.unique(covering._flat_points(R[first], pivots[first], indexer)),
+        np.unique(covering._flat_points(R, pivots, indexer)))
+
+
 def test_basis_change_invariance(tower4, rng):
     from ranksat import fqlinalg
     from ranksat.linalg import ext_matmul
@@ -408,6 +436,37 @@ def test_single_coordinate_system_is_cutting(tower4):
     assert is_minimal_rank_code(associated_code(sysm))
 
 
+# (q, m), G, cutting, whether the code has words of rank 1
+CUT_FIXED = [
+    ((2, 2), np.eye(2, dtype=np.int64), False, True),    # n = k, m = 2
+    ((2, 1), np.eye(2, dtype=np.int64), True, True),     # n = k over F_2
+    ((3, 2), np.eye(2, dtype=np.int64), False, True),
+    ((3, 2), [[1, 3]], True, False),                     # k = 1
+    ((2, 2), [[1, 1, 0], [0, 2, 1]], True, True),
+    ((3, 2), [[6, 6, 0], [4, 8, 7]], True, True),
+    ((3, 2), [[6, 6, 0, 4], [8, 7, 6, 4], [7, 5, 3, 8]], False, True),
+    ((3, 3), [[12, 24, 13, 1], [8, 16, 15, 12]], True, False),
+    ((3, 3), [[4, 18, 25], [24, 2, 8]], False, True),
+    ((2, 4), [[12, 13, 1, 8], [15, 12, 9, 15], [11, 6, 4, 9]], False, True),
+]
+
+
+@pytest.mark.parametrize("qm, G, cutting, rank_one", CUT_FIXED)
+def test_cutting_test_fixed_cases(monkeypatch, qm, G, cutting, rank_one):
+    """Edge cases of the support-syndrome test (n = k, so H is empty;
+    k = 1; codes with words of rank 1, whose F_q-support is one row; odd
+    characteristic) give the verdict of every oracle, whole and one
+    hyperplane per chunk."""
+    from ranksat import covering
+    sysm = QSystem(make_tower(*qm), G)
+    assert (min_rank_distance(associated_code(sysm)) == 1) == rank_one
+    assert is_linear_cutting_blocking_set(sysm) == cutting
+    assert cutting == brute_cutting(sysm) == span_rank_cutting(sysm)
+    assert cutting == echelon_cutting(sysm)
+    monkeypatch.setattr(covering, "_CUT_CHUNK", 1)
+    assert is_linear_cutting_blocking_set(sysm) == cutting
+
+
 def test_cutting_refuses_above_budget(tower16):
     sysm = cutting_system_6_3(tower16)
     total = (16 ** 3 - 1) // 15
@@ -419,10 +478,11 @@ def test_cutting_refuses_above_budget(tower16):
 
 def test_cutting_chunks_stay_within_their_bound(monkeypatch, tower16):
     """Every array that the cutting test makes or passes per chunk of
-    hyperplanes (the normals, h G, the kernel's and `echelon`'s inputs
-    and outputs, and each tower op inside them) holds at most _CUT_CHUNK
-    entries: at the default bound on the [8,4] system, whose chunks fill
-    it, and at a bound of 64 on the [6,3]."""
+    hyperplanes (the normals, h G, the F_q-basis kernel's inputs and
+    outputs, the two table gathers and their sum C_h H^T, `echelon`'s
+    input and outputs, and each tower op inside them) holds at most
+    _CUT_CHUNK entries: at the default bound on the [8,4] system, whose
+    chunks fill it, and at a bound of 64 on the [6,3]."""
     sizes = []
 
     def spy(f):

@@ -33,7 +33,7 @@ from oracles import (affine_coverage, affine_hamming_covering_radius,
                      brute_hamming_covering_radius, brute_is_minimal,
                      brute_min_coefficient_rank, brute_rank_covering_radius,
                      coverage_through_level, degenerate_code,
-                     echelon_cutting, mu_digit_flat_points)
+                     echelon_cutting, mu_digit_flat_points, span_rank_cutting)
 
 TOWERS = {qm: make_tower(*qm) for qm in [(2, 2), (2, 3), (3, 2), (4, 2)]}
 
@@ -342,7 +342,10 @@ def test_cutting_test_matches_oracles(case, extra, seed):
     code = degenerate_code(sysm, extra, rng)
     cutting = is_linear_cutting_blocking_set(sysm)
     assert cutting == brute_cutting(sysm) == echelon_cutting(sysm)
+    assert cutting == span_rank_cutting(sysm)
     assert cutting == is_minimal_rank_code(code) == brute_is_minimal(code)
+    with mock.patch.object(covering, "_CUT_CHUNK", 1):
+        assert is_linear_cutting_blocking_set(sysm) == cutting
 
 
 # (q, m), k with at most 757 hyperplanes (PG(2, 27)); n runs through
@@ -354,15 +357,15 @@ CUT_ORACLE = [((2, 4), 2), ((2, 4), 3), ((4, 2), 3), ((3, 3), 2),
 @PROPERTY
 @given(st.sampled_from(CUT_ORACLE), st.data(), SEEDS)
 def test_cutting_test_matches_echelon_oracle(case, data, seed):
-    """The verdict of the F_q-span kernel's cutting test equals that of
-    the digit-matrix `echelon` pipeline it replaced, on random systems
-    too large for the brute-force oracle, whole and one hyperplane per
-    chunk."""
+    """The verdict of the support-syndrome cutting test equals those of
+    the F_q-span rank test it replaced and of the digit-matrix `echelon`
+    pipeline before that, on random systems too large for the
+    brute-force oracle, whole and one hyperplane per chunk."""
     (q, m), k = case
     n = data.draw(st.integers(k, m * k))
     sysm = random_system(make_tower(q, m), k, n, random.Random(seed))
     cutting = is_linear_cutting_blocking_set(sysm)
-    assert cutting == echelon_cutting(sysm)
+    assert cutting == echelon_cutting(sysm) == span_rank_cutting(sysm)
     with mock.patch.object(covering, "_CUT_CHUNK", 1):
         assert is_linear_cutting_blocking_set(sysm) == cutting
 
