@@ -54,16 +54,18 @@ _MARK_CHUNK = 1 << 16
 
 
 def _line_bases(a, u, tower: FieldTower):
-    """RREF bases (R, pivots) of lines through canonical points a != u."""
+    """RREF bases (R, pivots) of lines through canonical points a != u.
+    Each step rebinds `top` and `other`, so that no replaced array stays
+    alive: at 16K pairs this is the geometric sweep's largest transient."""
     rows = np.arange(a.shape[0])
     ja, ju = np.argmax(a != 0, axis=1), np.argmax(u != 0, axis=1)
     swap = (ju < ja)[:, None]
     top, other = np.where(swap, u, a), np.where(swap, a, u)
     other = np.where((ja == ju)[:, None], tower.sub_arr(other, top), other)
     j1, j2 = np.minimum(ja, ju), np.argmax(other != 0, axis=1)
-    R2 = tower.mul_arr(tower.inv_arr(other[rows, j2])[:, None], other)
-    R1 = tower.sub_arr(top, tower.mul_arr(top[rows, j2][:, None], R2))
-    return np.stack([R1, R2], axis=1), np.stack([j1, j2], axis=1)
+    other = tower.mul_arr(tower.inv_arr(other[rows, j2])[:, None], other)
+    top = tower.sub_arr(top, tower.mul_arr(top[rows, j2][:, None], other))
+    return np.stack([top, other], axis=1), np.stack([j1, j2], axis=1)
 
 
 def _distinct_flats(R, pivots, indexer: PointIndexer, seen=None):
@@ -400,9 +402,19 @@ def _geometric_layers(sys: QSystem, budget: int):
     bitmap over the indices of a PointIndexer, updated in place.  Level 1
     is charged the q^n vectors of U, level 2 the C(|L_U|, 2) pairs of its
     points, level w >= 3 the f |L_U| pairs of a frontier of f points with L_U.
+
+    Level 2 computes fewer line bases than it charges.  Two points a > u
+    of L_U of weight 1 lie on the F_q-subline of the q + 1 points <x>,
+    x in <x_a, x_u>_{F_q}, and every two of them span one line; the
+    other q - 1 are <x_a + y>, y in the fibre F_q^* x_u of u.  With the
+    heavier points first and the rest by position, the pair is kept iff
+    a comes before those q - 1, and a pair with a heavier point always:
+    a subline's first pair is kept, so every line is.  Vector i of U has
+    the base-p digits of i as F_q-coordinates, so x_a + y is one
+    `add_digits` of codes, looked up in a q^n-entry table of positions.
     """
     tower, k = sys.tower, sys.k
-    Q = tower.order
+    Q, q, p = tower.order, tower.base.q, tower.base.p
     if k == 0:
         yield 0, np.zeros(0, dtype=bool)
         return
@@ -410,11 +422,12 @@ def _geometric_layers(sys: QSystem, budget: int):
     _check_space(indexer.total, budget, "point count of PG(k-1, q^m)")
     covered = np.zeros(indexer.total, dtype=bool)
     yield 0, covered
-    work = _charge(0, tower.base.q ** sys.n, budget, "span level", 1,
+    work = _charge(0, q ** sys.n, budget, "span level", 1,
                    _coverage(covered, Q))
     _, idx, _ = indexer.canonicalize(sys.vectors(budget))
     covered[idx] = True
-    L = indexer.decode(np.unique(idx))
+    uniq = np.unique(idx)
+    L = indexer.decode(uniq)
     ell = L.shape[0]
     yield 1, covered
     frontier = L
@@ -433,6 +446,18 @@ def _geometric_layers(sys: QSystem, budget: int):
         # the frontier is L_U: i > j gives each pair once, and `seen` each
         # line once, as two points of L_U can span it; later it misses L_U.
         seen = np.zeros(0, dtype=np.int64) if level == 2 else None
+        if level == 2:
+            # key[i - 1]: the position of vector i's point, -1 if heavier
+            # than 1; fib[u]: the q - 1 vectors (codes i) over u, 0 if u is
+            # heavier; low[a]: a, -1 if heavier, so those pairs are kept
+            pos = np.searchsorted(uniq, idx)
+            size = np.bincount(pos, minlength=ell)
+            light = size == q - 1
+            key = np.where(light[pos], pos, -1)
+            fib = np.argsort(pos, kind="stable")[
+                (np.cumsum(size) - size)[:, None] + np.arange(q - 1)] + 1
+            fib[~light] = 0
+            low = np.where(light, np.arange(ell), -1)
         lo, per = 0, 1
         while lo < ell and not covered.all():
             hi = min(ell, lo + per)
@@ -441,6 +466,11 @@ def _geometric_layers(sys: QSystem, budget: int):
             ia, iu = np.nonzero(pairs)
             for c in range(0, ia.size, _FRONTIER_CHUNK):
                 a, u = ia[c:c + _FRONTIER_CHUNK], iu[c:c + _FRONTIER_CHUNK]
+                if level == 2:
+                    rest = key[add_digits(fib[a, :1], fib[lo + u], p,
+                                          sys.n * tower.base.e) - 1]
+                    keep = low[a] <= rest.min(axis=1)
+                    a, u = a[keep], u[keep]
                 R, pivots = _line_bases(frontier[a], L[lo + u], tower)
                 first, seen = _distinct_flats(R, pivots, indexer, seen)
                 for s in range(0, first.size, max(1, _MARK_CHUNK // Q)):
@@ -587,7 +617,7 @@ def is_linear_cutting_blocking_set(sys: QSystem,
     per = max(1, _CUT_CHUNK // max(1, n, rows * (n - k)))
     for start in range(0, indexer.total, per):
         h = indexer.decode(np.arange(start, min(start + per, indexer.total)))
-        coords, _, r = fqlinalg.fq_basis_batch(ext_matmul(h, G, tower), tower)
+        coords, r = fqlinalg.fq_basis_batch(ext_matmul(h, G, tower), tower)
         at = np.zeros((len(h), rows), dtype=np.int64)  # rows of C_h, base q
         for i in range(r.max() - 1):
             c = coords >> e * i & (q - 1) if e else coords // q ** i % q

@@ -119,11 +119,12 @@ def fq_basis(codes, tower) -> tuple[list[int], list[int]]:
 
 def fq_basis_batch(X, tower):
     """`fq_basis` of each row of X, a (b, n) array of F_{q^m} codes:
-    (coords, pivots, rank), coords (b, n) the packed coordinates, and
-    pivots (b, min(n, m)) the pivot indices of each row, then n.  One
-    step of the elimination runs on a column of X at once, through the
-    tower's array ops; no array holds more than n entries per row, and
-    digits are read by shift and mask when q = 2^e."""
+    (coords, rank), coords (b, n) the packed coordinates (pivot i of a
+    row is its first column whose coordinates are q^i) and rank (b,) the
+    size of each basis.  One step of the elimination runs on a column
+    of X at once, through the tower's array ops; no array holds more
+    than n entries per row, and digits are read by shift and mask when
+    q = 2^e."""
     X = np.atleast_2d(np.asarray(X, dtype=np.int64))
     (b, n), q = X.shape, tower.base.q
     e = tower.base.e if tower.base.p == 2 else 0
@@ -137,7 +138,6 @@ def fq_basis_batch(X, tower):
     B = np.zeros((b, top), dtype=np.int64)
     NC = np.zeros((b, top), dtype=np.int64)
     coords = np.zeros((b, n), dtype=np.int64)
-    pivots = np.full((b, top), n, dtype=np.int64)
     rank = np.zeros(b, dtype=np.int64)
     for j in range(n):
         x, c = X[:, j], np.zeros(b, dtype=np.int64)
@@ -153,11 +153,11 @@ def fq_basis_batch(X, tower):
             l = np.searchsorted(qpow, x, "right") - 1
             at = l * e if e else qpow[l]
             d = tower.inv_arr(x >> at if e else x // at)
-            lead[new, r], pivots[new, r], coords[new, j] = at, j, qpow[r]
+            lead[new, r], coords[new, j] = at, qpow[r]
             B[new, r] = tower.mul_arr(d, x)
             NC[new, r] = tower.mul_arr(d, tower.sub_arr(c, qpow[r]))
             rank[new] += 1
-    return coords, pivots, rank
+    return coords, rank
 
 
 def rref(M, field):

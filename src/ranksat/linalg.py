@@ -104,7 +104,7 @@ def rank_weight_batch(V, tower: FieldTower) -> np.ndarray:
     V = np.atleast_2d(np.asarray(V, dtype=np.int64))
     per = max(1, _RANK_CHUNK // max(1, V.shape[1]))
     # an empty V still makes one (empty) chunk
-    return np.concatenate([fqlinalg.fq_basis_batch(V[i:i + per], tower)[2]
+    return np.concatenate([fqlinalg.fq_basis_batch(V[i:i + per], tower)[1]
                            for i in range(0, max(len(V), 1), per)])
 
 

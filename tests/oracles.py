@@ -307,7 +307,7 @@ def span_rank_cutting(sysm, chunk=1 << 14):
     F_q-basis X_{p_1}, .., X_{p_r} of X (`fqlinalg.fq_basis_batch`) each
     X_j = sum_i c_ij X_{p_i}, so the vectors g_j - sum_i c_ij g_{p_i}
     span H intersect U (zero at j = p_i), and their rank over F_{q^m}
-    must be k - 1."""
+    must be k - 1.  Pivot p_i is the first j whose coordinates are q^i."""
     tower, G, k, n = sysm.tower, sysm.generator, sysm.k, sysm.n
     q = tower.base.q
     e = tower.base.e if tower.base.p == 2 else 0     # digits by shift
@@ -317,13 +317,15 @@ def span_rank_cutting(sysm, chunk=1 << 14):
     per = max(1, chunk // max(1, k * n))
     for start in range(0, indexer.total, per):
         h = indexer.decode(np.arange(start, min(start + per, indexer.total)))
-        coords, pivots, rank = fqlinalg.fq_basis_batch(
-            ext_matmul(h, G, tower), tower)
+        coords, rank = fqlinalg.fq_basis_batch(ext_matmul(h, G, tower),
+                                               tower)
         V = np.broadcast_to(G.T, (len(h), n, k))
         for i in range(rank.max()):
+            hit = coords == q ** i          # none past the rank: pivot n
+            pivot = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
             c = (coords >> e * i & (q - 1) if e else coords // q ** i % q)
             V = tower.sub_arr(V, tower.mul_arr(c[:, :, None],
-                                               cols[pivots[:, i], None]))
+                                               cols[pivot, None]))
         if (fqlinalg.echelon(V, tower)[2] != k - 1).any():
             return False
     return True
@@ -569,6 +571,37 @@ def mu_digit_flat_points(R, pivots, indexer: PointIndexer) -> np.ndarray:
                 span[:, None], mults[:, :, None], p, k * me).reshape(
                     b, mus.size * span.shape[1])
     return np.concatenate(out, axis=1)
+
+
+def all_pairs_geometric_layers(sysm, chunk=1 << 12):
+    """`covering._geometric_layers` before the subline filter, with no
+    budget and no early stop: a copy of the bitmap after each level,
+    where level 2 computes the line basis of every pair of points of
+    L_U, and level w >= 3 of every pair of a point first covered at
+    level w - 1 with a point of L_U, through the package's line kernels."""
+    from ranksat.covering import _distinct_flats, _flat_points, _line_bases
+    tower = sysm.tower
+    indexer = PointIndexer(tower, sysm.k)
+    covered = np.zeros(indexer.total, dtype=bool)
+    yield covered.copy()
+    _, idx, _ = indexer.canonicalize(sysm.vectors(1 << 26))
+    covered[idx] = True
+    yield covered.copy()
+    L = frontier = indexer.decode(np.unique(idx))
+    level = 1
+    while not covered.all():
+        level += 1
+        before = covered.copy()
+        pairs = (np.arange(len(L))[:, None] > np.arange(len(L)) if level == 2
+                 else np.ones((len(frontier), len(L)), dtype=bool))
+        ia, iu = np.nonzero(pairs)
+        for c in range(0, ia.size, chunk):
+            R, pivots = _line_bases(frontier[ia[c:c + chunk]],
+                                    L[iu[c:c + chunk]], tower)
+            first, _ = _distinct_flats(R, pivots, indexer)
+            covered[_flat_points(R[first], pivots[first], indexer)] = True
+        frontier = indexer.decode(np.flatnonzero(covered & ~before))
+        yield covered.copy()
 
 
 def affine_coverage(covered, tower, r):

@@ -234,6 +234,32 @@ def test_geometric_sweep_charges_pairs_to_the_budget(budget):
     assert exc.value.coverage == (1 + 63 * 28_225) / 64 ** 4
 
 
+@pytest.mark.parametrize("q, m, n, most", [(2, 6, 9, 29_162),
+                                           (3, 3, 6, 11_337)])
+def test_geometric_level_2_computes_a_line_per_subline(monkeypatch, q, m, n,
+                                                        most):
+    # [9,4]/F_64 and [6,4]/F_27 blocks: of the C(449, 2) = 100,576 and
+    # C(352, 2) = 61,776 pairs charged at level 2, only the first pair of
+    # each F_q-subline of L_U, or a pair with the point of weight m, gets
+    # a line basis; the levels' bitmaps do not change (test_sweep_properties)
+    from ranksat import covering
+    sysm = construct_identity_block(make_tower(q, m), 4, 3)
+    assert sysm.n == n
+    sizes = []
+    line_bases = covering._line_bases
+
+    def spy(a, u, tower):
+        sizes.append(a.shape[0])
+        return line_bases(a, u, tower)
+
+    monkeypatch.setattr(covering, "_line_bases", spy)
+    per_level = []
+    for _ in covering._geometric_layers(sysm, 1 << 26):
+        per_level.append(sum(sizes))
+        sizes.clear()
+    assert len(per_level) == 4 and 0 < per_level[2] <= most
+
+
 def test_geometric_sweep_bounds_pair_batches(monkeypatch):
     # [6,4]/F_27 block: its level-3 frontier has 8,424 points, so even one
     # linear-set point per chunk pairs far more than 64 at level 3

@@ -87,7 +87,8 @@ def test_fq_basis_matches_rref_rows_on_digits(name, b, n, span, seed):
     """The kernel's pivots are the pivot columns of the RREF of the digit
     matrix whose column j holds the digits of code j, and its packed
     coordinates are that RREF's columns, digit i from row i, in the
-    scalar form and in each row of the batched form.  The codes are drawn
+    scalar form and in each row of the batched form, whose pivot i is
+    the first column with coordinates q^i.  The codes are drawn
     from the F_q-span of `span` random elements (all of F_{q^m} when it
     is 0), so that many depend on the ones before, and a third are 0."""
     tower = SPAN_TOWERS[name]
@@ -99,8 +100,8 @@ def test_fq_basis_matches_rref_rows_on_digits(name, b, n, span, seed):
     else:
         X = rng.integers(0, tower.order, (b, n))
     X = X * (rng.random((b, n)) >= 1 / 3)
-    coords, pivots, rank = fqlinalg.fq_basis_batch(X, tower)
-    assert coords.shape == (b, n) and pivots.shape == (b, min(n, m))
+    coords, rank = fqlinalg.fq_basis_batch(X, tower)
+    assert coords.shape == (b, n) and rank.shape == (b,)
     for s in range(b):
         R = tower.digit_table()[X[s]].T.astype(np.int64).reshape(m, n).tolist()
         ref = fqlinalg.rref_rows(R, tower.base)
@@ -108,7 +109,8 @@ def test_fq_basis_matches_rref_rows_on_digits(name, b, n, span, seed):
                   for j in range(n)]
         assert fqlinalg.fq_basis(X[s].tolist(), tower) == (ref, packed)
         assert rank[s] == len(ref)
-        assert pivots[s].tolist() == ref + [n] * (min(n, m) - len(ref))
+        assert [coords[s].tolist().index(q ** i)
+                for i in range(rank[s])] == ref
         assert coords[s].tolist() == packed
 
 

@@ -23,13 +23,15 @@ from ranksat import (BudgetExceeded, QSystem, associated_code, covering,
                      linear_set, make_tower, rank_covering_radius,
                      random_system, saturation_radius,
                      saturation_radius_geometric)
+from ranksat.constructions import (construct_identity_block,
+                                   construct_subgeometry)
 from ranksat.covering import _geometric_layers, _rank_layers
 from ranksat.linalg import ext_matmul, rank_weight
 from ranksat.qsystem import PointIndexer, SystemError_, random_code
 
 from oracles import (affine_coverage, affine_hamming_covering_radius,
                      affine_rank_layers, affine_saturation_radius,
-                     brute_cutting,
+                     all_pairs_geometric_layers, brute_cutting,
                      brute_hamming_covering_radius, brute_is_minimal,
                      brute_min_coefficient_rank, brute_rank_covering_radius,
                      coverage_through_level, degenerate_code,
@@ -72,6 +74,14 @@ FIELDS = ([(TOWERS[qm].base, qm[0]) for qm in [(2, 2), (3, 2), (4, 2)]]
 # F_2, F_7 (m = 1), F_4/F_2, F_9/F_3, F_16/F_4 (e > 1), F_27 and F_256
 KERNEL_TOWERS = [make_tower(*qm) for qm in [(2, 1), (7, 1), (2, 2), (3, 2),
                                             (4, 2), (3, 3), (2, 8)]]
+
+# planes and 3-spaces over F_4/F_2, F_9/F_3, F_16/F_4 and F_27/F_3 with at
+# most 1,000 points and 3^7 vectors of U, for level 2's subline filter
+SUBLINE_TOWERS = {qm: make_tower(*qm)
+                  for qm in [(2, 2), (3, 2), (4, 2), (3, 3)]}
+SUBLINE = [(qm, k, n) for qm, tower in SUBLINE_TOWERS.items() for k in (3, 4)
+           for n in range(k, qm[1] * k + 1)
+           if PointIndexer(tower, k).total <= 1000 and qm[0] ** n <= 3 ** 7]
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
@@ -284,6 +294,39 @@ def test_geometric_sweep_matches_oracle(case, seed):
     assert len(levels) - 1 == least.max() == saturation_radius_geometric(sysm)
     for w, covered in enumerate(levels):
         assert np.array_equal(covered, point_least <= w)
+
+
+def _same_levels(sysm):
+    got = [covered.copy() for _, covered in _geometric_layers(sysm, 1 << 26)]
+    want = list(all_pairs_geometric_layers(sysm))
+    return len(got) == len(want) and all(
+        np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@PROPERTY
+@given(st.sampled_from(SUBLINE), st.booleans(), SEEDS)
+def test_subline_filter_keeps_geometric_levels(case, nonscattered, seed):
+    # level 2 computes one pair of weight-1 points per F_q-subline of L_U,
+    # or a pair with a heavier point: every level's bitmap is the one of
+    # the sweep over all pairs, for scattered and nonscattered systems
+    qm, k, n = case
+    sysm = _system(SUBLINE_TOWERS[qm], k, n, nonscattered, random.Random(seed))
+    assert _same_levels(sysm)
+
+
+@pytest.mark.parametrize("sysm", [
+    construct_identity_block(make_tower(3, 2), 3, 2),
+    construct_identity_block(make_tower(4, 2), 3, 1),
+    construct_identity_block(make_tower(3, 3), 3, 2),
+    construct_identity_block(make_tower(2, 3), 4, 2),
+    construct_identity_block(make_tower(2, 6), 3, 2),
+    construct_identity_block(make_tower(3, 2), 4, 2),
+    construct_subgeometry(make_tower(2, 4), 2, 2, 1)], ids=repr)
+def test_subline_filter_keeps_levels_with_heavier_points(sysm):
+    # their points of weight > 1 (m in a block, t in a subgeometry) lie on
+    # sublines whose pairs of weight-1 points are all dropped
+    assert max(linear_set(sysm).weights) > 1
+    assert _same_levels(sysm)
 
 
 @PROPERTY
