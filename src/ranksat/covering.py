@@ -600,9 +600,11 @@ def is_linear_cutting_blocking_set(sys: QSystem,
     x_{p_r}) C_h, C_h the RREF of supp(x), and those codewords are z C_h
     for z in the left kernel of C_h H^T, H the parity check.  It holds the
     pivot values, none zero, so it is 1-dimensional iff the first r - 1
-    rows of C_h H^T are independent.  Each row adds one row of each of two
-    tables of F_q-combinations of rows of H^T, the first ceil(n/2) and the
-    rest: q^ceil(n/2) <= q^(m(k-1)) rows, under the hyperplanes if k > 1."""
+    rows of C_h H^T are independent: iff `fqlinalg.rank_batch`, a forward
+    elimination that keeps no echelon form, gives them rank r - 1.  Each
+    row adds one row of each of two tables of F_q-combinations of rows of
+    H^T, the first ceil(n/2) and the rest: q^ceil(n/2) <= q^(m(k-1))
+    rows, under the hyperplanes if k > 1."""
     tower, G = sys.tower, sys.generator
     k, n, q = sys.k, sys.n, tower.base.q
     e = tower.base.e if tower.base.p == 2 else 0     # digits by shift
@@ -618,12 +620,13 @@ def is_linear_cutting_blocking_set(sys: QSystem,
     for start in range(0, indexer.total, per):
         h = indexer.decode(np.arange(start, min(start + per, indexer.total)))
         coords, r = fqlinalg.fq_basis_batch(ext_matmul(h, G, tower), tower)
-        at = np.zeros((len(h), rows), dtype=np.int64)  # rows of C_h, base q
+        # rows of C_h, base q; a row at i >= r - 1 is zero
+        at = np.zeros((len(h), r.max() - 1), dtype=np.int64)
         for i in range(r.max() - 1):
             c = coords >> e * i & (q - 1) if e else coords // q ** i % q
             at[:, i] = c @ qpow * (i < r - 1)
         M = tower.add_arr(lo[at % q ** half], hi[at // q ** half])
-        if (fqlinalg.echelon(M.transpose(0, 2, 1), tower)[2] < r - 1).any():
+        if (fqlinalg.rank_batch(M, tower) < r - 1).any():
             return False
     return True
 

@@ -8,15 +8,19 @@ function that takes a `field` works over F_q and over F_{q^m} alike; it
 reaches the field through them alone, and imports nothing from the
 package.  Reduced row echelon form is canonical for a row space.
 
-Two eliminations serve matrices, one per input shape.  `rref_rows`
-reduces one matrix held as Python lists of ints, through the scalar ops:
-on the small matrices its callers reduce, a dozen numpy calls per pivot
-cost more than the arithmetic.  `rref` wraps it for arrays, and `rank`,
-`kernel` and `solve` run on `rref`.  `echelon` reduces a stack of
-matrices at once through the array ops; the package calls it over
-towers only.
+Three eliminations serve matrices, one per input shape and output.
+`rref_rows` reduces one matrix held as Python lists of ints, through the
+scalar ops: on the small matrices its callers reduce, a dozen numpy
+calls per pivot cost more than the arithmetic.  `rref` wraps it for
+arrays, and `rank`, `kernel` and `solve` run on `rref`.  `echelon`
+reduces a stack of matrices at once through the array ops, to RREF; the
+package calls it over towers only, in the rank sweep at w >= 3.
+`rank_batch` returns only the rank of each matrix of a stack, by the
+forward half of that elimination on the rows, with no swaps, no clearing
+above pivots and no echelon form kept; the cutting-set test reads its
+ranks there.
 
-A third elimination serves F_{q^m} elements read as vectors over F_q:
+A fourth elimination serves F_{q^m} elements read as vectors over F_q:
 `fq_basis` finds the greedy F_q-basis of a list of codes, and the
 F_q-coordinates of every code on it, by reducing each code against the
 basis found so far, with no digit matrix; `fq_basis_batch` does the same
@@ -201,6 +205,36 @@ def echelon(M, field):
         pivot_col[blocks[has], top[has]] = j
         rank += has
     return R, pivot_col, rank
+
+
+def rank_batch(M, field):
+    """Rank of each r x c block of M (b, r, c), by forward elimination on
+    its rows: row i is reduced by the pivot rows before it, and if it is
+    left nonzero it becomes a pivot row, scaled to 1 at its first nonzero
+    column.  No row is swapped, no entry above a pivot is cleared and no
+    echelon form is kept; `echelon` gives those."""
+    M = np.asarray(M, dtype=np.int64)
+    b, r, c = M.shape
+    blocks = np.arange(b)
+    rank = np.zeros(b, dtype=np.int64)
+    # slot i holds row i reduced and scaled, with its pivot column; it is
+    # zero, so a reduction by it does nothing, if row i added no pivot.
+    # A pivot row is zero at the pivot columns before it
+    P = np.zeros((b, r, c), dtype=np.int64)
+    col = np.zeros((b, r), dtype=np.int64)
+    for i in range(r):
+        if (rank == min(r, c)).all():   # also when c = 0
+            break
+        x = M[:, i]
+        for s in range(i):
+            f = x[blocks, col[:, s]]
+            x = field.sub_arr(x, field.mul_arr(f[:, None], P[:, s]))
+        nonzero = x != 0
+        col[:, i] = np.argmax(nonzero, axis=1)
+        P[:, i] = field.mul_arr(
+            field.inv_arr(x[blocks, col[:, i]])[:, None], x)
+        rank += nonzero[blocks, col[:, i]]
+    return rank
 
 
 def rank(M, field) -> int:

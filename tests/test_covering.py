@@ -505,8 +505,8 @@ def test_cutting_refuses_above_budget(tower16):
 def test_cutting_chunks_stay_within_their_bound(monkeypatch, tower16):
     """Every array that the cutting test makes or passes per chunk of
     hyperplanes (the normals, h G, the F_q-basis kernel's inputs and
-    outputs, the two table gathers and their sum C_h H^T, `echelon`'s
-    input and outputs, and each tower op inside them) holds at most
+    outputs, the two table gathers and their sum C_h H^T, `rank_batch`'s
+    input and output, and each tower op inside them) holds at most
     _CUT_CHUNK entries: at the default bound on the [8,4] system, whose
     chunks fill it, and at a bound of 64 on the [6,3]."""
     sizes = []
@@ -525,7 +525,8 @@ def test_cutting_chunks_stay_within_their_bound(monkeypatch, tower16):
     for name in ("mul_arr", "sub_arr", "add_arr", "neg_arr", "inv_arr"):
         monkeypatch.setattr(tower16, name, spy(getattr(tower16, name)))
     for owner, name in ((covering, "ext_matmul"), (PointIndexer, "decode"),
-                        (fqlinalg, "fq_basis_batch"), (fqlinalg, "echelon")):
+                        (fqlinalg, "fq_basis_batch"),
+                        (fqlinalg, "rank_batch")):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
     for sysm, chunk in ((cutting_system_8_4(tower16), covering._CUT_CHUNK),
                         (cutting_system_6_3(tower16), 64)):
@@ -533,6 +534,21 @@ def test_cutting_chunks_stay_within_their_bound(monkeypatch, tower16):
         sizes.clear()
         assert is_linear_cutting_blocking_set(sysm)
         assert chunk // 2 < max(sizes) <= chunk
+
+
+def test_cutting_test_peak_memory(tower16):
+    # the rank of each chunk's C_h H^T comes from a forward-only
+    # elimination that keeps no echelon form (0.79 MiB); 1.00 MiB is the
+    # peak of the batched RREF it replaced
+    import tracemalloc
+    sysm = cutting_system_8_4(tower16)
+    tracemalloc.start()
+    try:
+        assert is_linear_cutting_blocking_set(sysm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 def test_8_4_system_is_cutting_at_q2(tower16):

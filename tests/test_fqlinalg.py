@@ -114,6 +114,41 @@ def test_fq_basis_matches_rref_rows_on_digits(name, b, n, span, seed):
         assert coords[s].tolist() == packed
 
 
+# towers over q = 2, 3 and 9, and their base fields
+RANK_TOWERS = {f"F{q ** m}/F{q}": make_tower(q, m)
+               for q, m in [(2, 2), (2, 4), (3, 3), (9, 2)]}
+
+
+@pytest.mark.parametrize("r, c", [(0, 3), (3, 0), (0, 0), (1, 1), (5, 2),
+                                  (2, 5), (4, 4), (6, 3)])
+@pytest.mark.parametrize("name", sorted(RANK_TOWERS))
+def test_rank_batch_matches_rank_per_block(name, r, c):
+    """The forward-only batched elimination gives `rank` of each block,
+    over the tower and over its base field, on seeded stacks of random,
+    sparse, partly zero, repeated-row and low-rank blocks, and of shapes
+    with r = 0, c = 0, r > c and r < c."""
+    tower = RANK_TOWERS[name]
+    rng = np.random.default_rng([tower.order, r, c])
+    for field in (tower, tower.base):
+        Q = len(field.elements())
+        blocks = [rng.integers(0, Q, (r, c)) for _ in range(12)]
+        blocks[1] *= rng.random((r, c)) < 0.3                   # sparse
+        blocks[2][rng.random(r) < 0.5] = 0                      # zero rows
+        blocks[3] = blocks[3][rng.integers(0, r, r)] if r else blocks[3]
+        blocks[4][:] = 0
+        blocks[5] = ext_matmul(rng.integers(0, Q, (r, 1)),      # rank <= 1
+                               rng.integers(0, Q, (1, c)), field)
+        blocks[6] = ext_matmul(rng.integers(0, Q, (r, 2)),      # rank <= 2
+                               rng.integers(0, Q, (2, c)), field)
+        M = np.array(blocks, dtype=np.int64).reshape(12, r, c)
+        got = fqlinalg.rank_batch(M, field)
+        assert got.shape == (12,)
+        assert got.tolist() == [fqlinalg.rank(B, field) for B in M]
+        # the blocks are independent: a stack of one gives the same rank
+        assert [fqlinalg.rank_batch(B[None], field)[0] for B in M] == \
+            got.tolist()
+
+
 def test_decompose_runs_no_rref_after_warm_up(monkeypatch):
     """decompose eliminates on the codes themselves (`fqlinalg.fq_basis`),
     with no digit matrix; only the first calls, which build the system's
