@@ -32,12 +32,9 @@ import numpy as np
 from . import fqlinalg
 from .gftower import FieldTower, _is_int, add_digits, expand
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, _combinations,
-                     as_matrix, ext_matmul, min_rank_distance,
-                     rank_weight_batch, weight_spectrum)
+                     as_matrix, ext_matmul, min_rank_distance, weight_spectrum)
 from .qsystem import (PointIndexer, QSystem, SystemError_, expanded_columns,
                       linear_set, is_scattered)
-
-WITNESS_CAP = 1 << 12
 
 
 class ConsistencyError(AssertionError):
@@ -135,10 +132,10 @@ def _charge(work: int, level_work: int, budget: int, what: str, w: int,
 
 def _subspace_level(H, points: PointIndexer, w: int, per: int):
     """Level w of the rank sweep, or None past min(n, m): ("rank", its
-    charge [n w]_q Q^w, chunks (M, B, marks) over at most `per` RREF
-    bases M of the w-dimensional F_q-row spaces), keeping the first M of
-    each column span of B = H M^T of rank w, marks its points (one of
-    lower rank is B(gamma + c gamma_0), B gamma_0 = 0, reached before)."""
+    charge [n w]_q Q^w, chunks (M, marks) over at most `per` RREF bases M
+    of the w-dimensional F_q-row spaces), keeping the first M of each
+    column span of B = H M^T of rank w, marks its points (one of lower
+    rank is B(gamma + c gamma_0), B gamma_0 = 0, reached before)."""
     tower = points.tower
     n = H.shape[1]
     if w > min(n, tower.m):
@@ -150,7 +147,7 @@ def _subspace_level(H, points: PointIndexer, w: int, per: int):
             B = ext_matmul(H, Ms.transpose(0, 2, 1), tower)
             if w == 1:      # the RREF of B^T is its canonical scaling
                 _, idx, keep = points.canonicalize(B[:, :, 0])
-                yield Ms[keep], B[keep], idx[:, None]
+                yield Ms[keep], idx[:, None]
                 continue
             if w == 2:      # two distinct points span a line
                 full = np.flatnonzero(B.any(axis=1).all(axis=1))
@@ -165,16 +162,16 @@ def _subspace_level(H, points: PointIndexer, w: int, per: int):
                 full = np.flatnonzero(rank == w)
                 R, pivots = R[full], pivots[full]
             first = _distinct_flats(R, pivots, points)[0]
-            yield (Ms[full[first]], B[full[first]],
-                   _flat_points(R[first], pivots[first], points))
+            yield Ms[full[first]], _flat_points(R[first], pivots[first],
+                                                points)
     return "rank", count * tower.order ** w, chunks()
 
 
 def _support_level(H, points: PointIndexer, w: int, per: int):
     """Level w of the Hamming sweep, or None past n: ("Hamming weight",
-    its charge C(n, w) (Q-1)^w, chunks (S, B, marks) over at most `per`
-    w-subsets S, B = H[:, S]), marking B gamma for gamma with no zero
-    coordinate, not the flat (1 point over F_2); no `first_touch` replay."""
+    its charge C(n, w) (Q-1)^w, chunks (S, marks) over at most `per`
+    w-subsets S), marking H[:, S] gamma for gamma with no zero
+    coordinate, not the flat (1 point over F_2)."""
     n = H.shape[1]
     if w > n:
         return None
@@ -188,27 +185,22 @@ def _support_level(H, points: PointIndexer, w: int, per: int):
             S = np.array(chunk)
             B = H[:, S].transpose(1, 0, 2)
             V = ext_matmul(B, gammas, points.tower).transpose(0, 2, 1)
-            yield S, B, points.canonicalize(V.reshape(-1, points.k))[1]
+            yield S, points.canonicalize(V.reshape(-1, points.k))[1]
     return "Hamming weight", comb(n, w) * (points.Q - 1) ** w, chunks()
 
 
-def _rank_layers(H, tower: FieldTower, budget: int,
-                 first_touch: dict | None = None, level=_subspace_level):
+def _rank_layers(H, tower: FieldTower, budget: int, level=_subspace_level):
     """Yield (w, covered) after marking {H x^T : x = gamma M, M of a
     level <= w} for w = 0, 1, ... until every syndrome is covered.  Level
     w is `level(H, points, w, per)`: its label, its charge and chunks
-    (M, B, marks), B = H M^T, M over the RREF bases of the F_q-row spaces
-    of dimension w (x over rank weight <= w), or (S, H[:, S], marks) over
-    the w-subsets S of the coordinates (x over Hamming weight <= w).
+    (M, marks), M over the RREF bases of the F_q-row spaces of dimension
+    w (x over rank weight <= w), or (S, marks) over the w-subsets S of
+    the coordinates (x over Hamming weight <= w).
 
     H (c x)^T = c H x^T, so `covered` is one bitmap over the points of
     PG(r-1, Q), updated in place; rank level w is the union of the column
-    spans (flats) of B.  A level stops once the bitmap is full (its
-    charge does not depend on the stop).  When `first_touch` is a dict
-    (rank levels only) it collects, for each syndrome (a tuple), the first
-    x = gamma * M (M, then gamma over F_{q^m}^w) that reaches it: the
-    first M of a chunk whose flat holds a point reaches its multiples, so
-    only those M are replayed over all gamma.
+    spans (flats) of B = H M^T.  A level stops once the bitmap is full
+    (its charge does not depend on the stop).
     """
     H = np.atleast_2d(np.asarray(H, dtype=np.int64))
     r = H.shape[0]
@@ -229,26 +221,9 @@ def _rank_layers(H, tower: FieldTower, budget: int,
         what, charge, chunks = lvl
         work = _charge(work, charge, budget, what, w, _coverage(covered, Q))
         fresh = 0      # bounds the points newly covered since `left`
-        for Ms, B, marks in chunks:
-            new = ~covered[marks]
-            if first_touch is not None and new.any():
-                uniq, first = np.unique(marks[new], return_index=True)
-                subs = np.unique(np.nonzero(new)[0][first])
-                # the affine gamma grid, first coordinate most significant
-                grid = np.indices((Q,) * w).reshape(w, -1)
-                idx = (ext_matmul(B[subs], grid, tower).transpose(0, 2, 1)
-                       @ points.qpow).ravel()
-                found, pos = np.unique(idx, return_index=True)
-                codes = points.multiples(points.decode(uniq)).ravel()
-                # pos = subs index * Q^w + gamma's column of the grid
-                pos = pos[np.searchsorted(found, codes)]
-                x = ext_matmul(grid.T[pos % Q ** w, None],
-                               Ms[subs[pos // Q ** w]], tower)[:, 0]
-                first_touch.update(zip(
-                    map(tuple, (codes[:, None] // points.qpow % Q).tolist()),
-                    map(tuple, x.tolist())))
+        for _, marks in chunks:
+            fresh += np.count_nonzero(~covered[marks])
             covered[marks] = True
-            fresh += np.count_nonzero(new)
             if fresh >= left:
                 left, fresh = points.total - int(np.count_nonzero(covered)), 0
                 if not left:
@@ -271,58 +246,44 @@ def rank_covering_radius(code: RankCode, budget: int = DEFAULT_BUDGET) -> int:
 class SaturationCertificate:
     """Replayable evidence for a measured saturation radius.
 
-    `witnesses` maps a target vector (tuple of element codes) to the
-    coefficient vector lambda with G lambda^T = target and
-    wt_rk(lambda) <= rho; `tightness` is a target that no rank-(rho-1)
-    coefficient vector reaches, which proves the lower bound (required
-    when rho > 0).
+    `tightness` is a target (tuple of element codes) that no
+    rank-(rho-1) coefficient vector reaches, which proves the lower bound
+    (required when rho > 0); the upper bound is proved by replaying the
+    sweep through level rho.
     """
 
-    def __init__(self, rho: int, k: int, n: int, tower: FieldTower,
-                 witnesses: dict, tightness, system_hash: str = ""):
+    def __init__(self, rho: int, k: int, n: int, tightness,
+                 system_hash: str = ""):
         self.rho = rho
         self.k = k
         self.n = n
-        self.tower = tower
-        self.witnesses = witnesses          # tuple(target) -> tuple(lambda)
         self.tightness = tightness          # tuple(target) or None
         self.system_hash = system_hash
 
     def verify(self, sys: QSystem, budget: int = DEFAULT_BUDGET) -> bool:
-        """Check that the certificate belongs to `sys`, re-check every
-        stored witness, replay the sweep through level rho and require
-        full coverage there, and confirm that the tightness target is
-        missed at level rho - 1."""
-        G, tower = sys.generator, sys.tower
+        """Check that the certificate belongs to `sys`, replay the sweep
+        through level rho and require full coverage there, and confirm
+        that the tightness target is missed at level rho - 1."""
         if (self.k, self.n, self.system_hash) != (sys.k, sys.n,
                                                   system_hash(sys)):
             return False
-        if self.rho > 0 and self.tightness is None:
+        if self.rho < 0 or (self.rho > 0 and self.tightness is None):
             return False
-        targets, lams = list(self.witnesses), list(self.witnesses.values())
         tight = [] if self.tightness is None else [self.tightness]
-        if (any(len(t) != self.k for t in targets + tight)
-                or any(len(lam) != self.n for lam in lams)):
+        if any(len(t) != self.k for t in tight):
             return False
-        lams = np.array(lams, dtype=np.int64).reshape(-1, self.n)
         tight = np.array(tight, dtype=np.int64).reshape(-1, self.k)
-        if any(a.size and (a.min() < 0 or a.max() >= tower.order)
-               for a in (lams, tight)):
-            return False
-        if (rank_weight_batch(lams, tower) > self.rho).any():
-            return False
-        if not np.array_equal(ext_matmul(G, lams.T, tower).T,
-                              np.reshape(targets, (-1, self.k))):
+        if tight.size and (tight.min() < 0 or tight.max() >= sys.tower.order):
             return False
         # a zero tightness has no point: `all` of none is True (reached)
-        _, t_idx, _ = PointIndexer(tower, self.k).canonicalize(tight)
+        _, t_idx, _ = PointIndexer(sys.tower, self.k).canonicalize(tight)
         reached = False
-        for w, covered in _rank_layers(G, tower, budget):
+        for w, covered in _rank_layers(sys.generator, sys.tower, budget):
             if w < self.rho:
                 reached = bool(covered[t_idx].all())
             if w == self.rho:
                 break
-        return covered.all() and not reached
+        return bool(covered.all()) and not reached
 
     def to_json(self) -> dict:
         return {
@@ -330,28 +291,27 @@ class SaturationCertificate:
             "rho": self.rho,
             "k": self.k,
             "n": self.n,
-            "witnesses": [{"target": list(map(int, t)),
-                           "lambda": list(map(int, l))}
-                          for t, l in sorted(self.witnesses.items())],
             "tightness": (list(map(int, self.tightness))
                           if self.tightness is not None else None),
         }
 
     @classmethod
-    def from_json(cls, data: dict, tower: FieldTower) -> "SaturationCertificate":
+    def from_json(cls, data: dict) -> "SaturationCertificate":
         """Read `to_json` output.  Every number must be an int: a float or
         a bool would be truncated into a different certificate, so any
-        other value raises ValueError."""
+        other value raises ValueError, as does the `witnesses` key of the
+        older format."""
         def ints(xs, what):
             if not isinstance(xs, (list, tuple)) or not all(map(_is_int, xs)):
                 raise ValueError(f"certificate {what} must be integers")
             return tuple(xs)
 
+        if "witnesses" in data:
+            raise ValueError("certificate field 'witnesses' is no longer "
+                             "read; recompute the certificate")
         rho, k, n = ints([data["rho"], data["k"], data["n"]], "rho, k, n")
-        wit = {ints(w["target"], "targets"): ints(w["lambda"], "lambdas")
-               for w in data.get("witnesses", [])}
         tight = data.get("tightness")
-        return cls(rho, k, n, tower, wit,
+        return cls(rho, k, n,
                    None if tight is None else ints(tight, "tightness"),
                    data.get("system_hash", ""))
 
@@ -368,21 +328,17 @@ def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET
                       ) -> tuple[int, SaturationCertificate]:
     """Smallest rho such that every ambient vector is G lambda^T for some
     lambda of rank <= rho, plus a replayable certificate."""
-    tower = sys.tower
-    points = PointIndexer(tower, sys.k)
-    first_touch = {} if tower.order ** sys.k <= WITNESS_CAP else None
+    points = PointIndexer(sys.tower, sys.k)
     tight = None
-    for rho, covered in _rank_layers(sys.generator, tower, budget,
-                                     first_touch):
+    for rho, covered in _rank_layers(sys.generator, sys.tower, budget):
         # least target missed: blocks (pivots) are in decreasing packed order
         for lo, hi in zip(points.base[-2::-1], points.base[:0:-1]):
             if not covered[lo:hi].all():
                 tight = tuple(points.decode(lo + np.argmin(covered[lo:hi]))[0]
                               .tolist())
                 break
-    cert = SaturationCertificate(rho, sys.k, sys.n, tower, first_touch or {},
-                                 tight, system_hash(sys))
-    return rho, cert
+    return rho, SaturationCertificate(rho, sys.k, sys.n, tight,
+                                      system_hash(sys))
 
 
 # ----------------------------------------------------------------------
@@ -498,15 +454,15 @@ def saturation_radius_geometric(sys: QSystem,
 
 def geometric_certificate(sys: QSystem, budget: int = DEFAULT_BUDGET
                           ) -> tuple[int, SaturationCertificate]:
-    """Geometric radius with a certificate holding no witnesses; its
-    tightness target is the first point still uncovered at level rho - 1."""
+    """Geometric radius with a certificate whose tightness target is the
+    first point still uncovered at level rho - 1."""
     tight = None
     for rho, covered in _geometric_layers(sys, budget):
         if not covered.all():
             tight = int(np.argmin(covered))
     if tight is not None:
         tight = tuple(PointIndexer(sys.tower, sys.k).decode(tight)[0].tolist())
-    return rho, SaturationCertificate(rho, sys.k, sys.n, sys.tower, {}, tight,
+    return rho, SaturationCertificate(rho, sys.k, sys.n, tight,
                                       system_hash(sys))
 
 

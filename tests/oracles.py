@@ -626,16 +626,13 @@ def coverage_through_level(G, tower, w_max, budget):
     return affine_coverage(covered, tower, np.atleast_2d(G).shape[0])
 
 
-def affine_rank_layers(H, tower, budget, first_touch=None):
+def affine_rank_layers(H, tower, budget):
     """The coefficient sweep over an affine bitmap: yield (w, covered)
     after marking the packed indices of all Q^w multiples gamma * M of
-    every RREF basis M of dimension w, finishing every level.  When
-    `first_touch` is a dict it collects, for each syndrome index, the
-    first x = gamma * M that reaches it (subspaces, then gamma).  Its
+    every RREF basis M of dimension w, finishing every level.  Its
     multiples-table kernel `_span_marks` shares no marking code with the
     package's sweep, and the brute-force oracles above check it, so it is
-    the reference for the projective marking, the early stop and the
-    witness replay."""
+    the reference for the projective marking and the early stop."""
     from ranksat.bounds import gaussian_binomial
     from ranksat.covering import _charge, _check_space
     from ranksat.linalg import ext_matmul
@@ -656,18 +653,7 @@ def affine_rank_layers(H, tower, budget, first_touch=None):
                        float(covered.sum()) / covered.size)
         for _, batch in pivot_batch_subspaces(n, w, tower.base):
             B = ext_matmul(H, batch.reshape(-1, n).T.astype(np.int64), tower)
-            idx = _span_marks(B.reshape(r, -1, w), tower).ravel()
-            if first_touch is not None:
-                fresh = np.nonzero(~covered[idx])[0]
-                uniq, upos = np.unique(idx[fresh], return_index=True)
-                pos = fresh[upos]
-                gammas = pos[:, None] // _packing(Q, w) % Q
-                terms = tower.mul_arr(gammas[:, :, None], batch[pos // Q ** w])
-                x = terms[:, 0]
-                for j in range(1, w):
-                    x = tower.add_arr(x, terms[:, j])
-                first_touch.update(zip(uniq.tolist(), map(tuple, x.tolist())))
-            covered[idx] = True
+            covered[_span_marks(B.reshape(r, -1, w), tower).ravel()] = True
         yield w, covered
 
 
@@ -702,29 +688,21 @@ def affine_hamming_covering_radius(generator, tower, budget=1 << 26):
     return w
 
 
-def affine_saturation_radius(sysm, budget=1 << 26, witness_cap=1 << 12):
+def affine_saturation_radius(sysm, budget=1 << 26):
     """`saturation_radius` over `affine_rank_layers`: the tightness target
     is the least packed target still missed when the last level starts."""
     from ranksat.covering import SaturationCertificate, system_hash
-    tower = sysm.tower
-    Q = tower.order
-    first_touch = {} if Q ** sysm.k <= witness_cap else None
+    Q = sysm.tower.order
     tight = None
-    for rho, covered in affine_rank_layers(sysm.generator, tower, budget,
-                                           first_touch):
+    for rho, covered in affine_rank_layers(sysm.generator, sysm.tower,
+                                           budget):
         if not covered.all():
             tight = int(np.argmin(covered))
-
-    def decode(idx):
-        return (np.asarray(idx)[..., None]
-                // Q ** np.arange(sysm.k - 1, -1, -1) % Q).tolist()
-
-    keys = sorted(first_touch or {})
-    witnesses = {tuple(t): first_touch[i] for i, t in zip(keys, decode(keys))}
     if tight is not None:
-        tight = tuple(decode(tight))
-    return rho, SaturationCertificate(rho, sysm.k, sysm.n, tower, witnesses,
-                                      tight, system_hash(sysm))
+        tight = tuple((tight // Q ** np.arange(sysm.k - 1, -1, -1)
+                       % Q).tolist())
+    return rho, SaturationCertificate(rho, sysm.k, sysm.n, tight,
+                                      system_hash(sysm))
 
 
 def full_subspace_s(q, m, k, rho, budget=1 << 26):

@@ -12,7 +12,7 @@ from ranksat import (BudgetExceeded, QSystem, RankCode,
                      min_rank_distance, puncture_nonscattered,
                      rank_covering_radius, random_system, saturation_radius,
                      saturation_radius_geometric, projective_hamming_code)
-from ranksat.covering import SaturationCertificate
+from ranksat.covering import SaturationCertificate, geometric_certificate
 from ranksat.qsystem import SystemError_, random_code
 
 from oracles import (brute_cutting, brute_hamming_covering_radius,
@@ -113,68 +113,66 @@ def test_characterizations_agree_nonprime_base(rng):
 def test_certificate_round_trip(tower4):
     sysm = construct_identity_block(tower4, 2, 1)
     rho, cert = saturation_radius(sysm)
-    replayed = SaturationCertificate.from_json(cert.to_json(), tower4)
+    replayed = SaturationCertificate.from_json(cert.to_json())
     assert replayed.rho == rho
     assert replayed.verify(sysm)
 
 
 def test_tampered_certificate_fails(tower4):
+    # a certificate of the older format, which listed a coefficient
+    # vector per target under `witnesses`, is refused when read, not
+    # read as one without them
     sysm = construct_identity_block(tower4, 2, 1)
     _, cert = saturation_radius(sysm)
-    data = cert.to_json()
-    assert data["witnesses"]
-    data["witnesses"][0]["lambda"][0] ^= 1
-    bad = SaturationCertificate.from_json(data, tower4)
-    assert not bad.verify(sysm)
+    data = dict(cert.to_json(), witnesses=[{"target": [0, 1],
+                                            "lambda": [1]}])
+    with pytest.raises(ValueError, match="'witnesses'"):
+        SaturationCertificate.from_json(data)
 
 
 @pytest.mark.parametrize("edit", [
-    lambda d: d["witnesses"][0].update(
-        {"lambda": [x + 0.5 for x in d["witnesses"][0]["lambda"]]}),
-    lambda d: d["witnesses"][0].update(
-        target=[float(x) for x in d["witnesses"][0]["target"]]),
     lambda d: d.update(tightness=[float(x) for x in d["tightness"]]),
     lambda d: d.update(rho=1.0),
     lambda d: d.update(k=True),
     lambda d: d.update(n="3")],
-    ids=["lambda-half", "target-float", "tightness-float", "rho-float",
-         "k-bool", "n-str"])
+    ids=["tightness-float", "rho-float", "k-bool", "n-str"])
 def test_certificate_json_accepts_only_integers(tower4, edit):
-    # int() would truncate a witness lambda + 0.5 back to one that
+    # int() would truncate a tightness entry + 0.5 back to one that
     # verifies, so non-integers must be refused when read
     sysm = construct_identity_block(tower4, 2, 1)
     _, cert = saturation_radius(sysm)
     data = json.loads(json.dumps(cert.to_json()))
-    assert SaturationCertificate.from_json(data, tower4).verify(sysm)
+    assert SaturationCertificate.from_json(data).verify(sysm)
     edit(data)
     with pytest.raises(ValueError, match="must be integers"):
-        SaturationCertificate.from_json(data, tower4)
-
-
-@pytest.mark.parametrize("reshape", [lambda lam: lam + (1,),
-                                     lambda lam: lam[:-1]],
-                         ids=["padded", "short"])
-def test_wrong_length_witnesses_fail(tower4, reshape):
-    # a trailing entry beyond n must not be ignored, and a short lambda
-    # must not raise
-    sysm = construct_identity_block(tower4, 3, 2)
-    _, cert = saturation_radius(sysm)
-    assert cert.witnesses and cert.verify(sysm)
-    cert.witnesses = {t: reshape(tuple(lam))
-                      for t, lam in cert.witnesses.items()}
-    assert not cert.verify(sysm)
+        SaturationCertificate.from_json(data)
 
 
 def test_forged_certificate_fails(tower16, tower256):
-    # no witnesses and a tightness target missed at level 0 do not make
-    # radius 1: the lifted [6,3] set has radius 2, so level 1 leaves
-    # targets uncovered
+    # a tightness target missed at level 0 does not make radius 1: the
+    # lifted [6,3] set has radius 2, so level 1 leaves targets uncovered
     from ranksat import lift_system
     from ranksat.covering import system_hash
     lifted = lift_system(cutting_system_6_3(tower16), tower256)
-    forged = SaturationCertificate(1, 3, 6, tower256, {}, (0, 0, 1),
-                                   system_hash(lifted))
+    forged = SaturationCertificate(1, 3, 6, (0, 0, 1), system_hash(lifted))
     assert not forged.verify(lifted)
+
+
+@pytest.mark.parametrize("route", [saturation_radius, geometric_certificate],
+                         ids=["coefficient", "geometric"])
+@pytest.mark.parametrize("system", ["block-4-3", "lifted-6-3"])
+@pytest.mark.parametrize("rho", [-1, -2])
+def test_negative_rho_fails(tower4, tower16, tower256, route, system, rho):
+    # the replay never reaches a negative level, so it ends with every
+    # point covered and no tightness target to miss: the radius is not
+    # below 0 however the certificate reads
+    from ranksat import lift_system
+    sysm = (construct_identity_block(tower4, 3, 2) if system == "block-4-3"
+            else lift_system(cutting_system_6_3(tower16), tower256))
+    _, cert = route(sysm)
+    assert cert.verify(sysm)
+    cert.rho, cert.tightness = rho, None
+    assert cert.verify(sysm) is False
 
 
 @pytest.mark.parametrize("field, value", [("system_hash", "0" * 16),
@@ -214,7 +212,7 @@ def test_certificate_without_tightness_fails(tower4):
     # bound it does not prove: the [4,3] identity block has radius 2
     from ranksat.covering import system_hash
     sysm = construct_identity_block(tower4, 3, 2)
-    cert = SaturationCertificate(3, 3, 4, tower4, {}, None, system_hash(sysm))
+    cert = SaturationCertificate(3, 3, 4, None, system_hash(sysm))
     assert not cert.verify(sysm)
 
 
@@ -666,12 +664,11 @@ def test_gabidulin_system_saturates_at_k(tower16):
 
 def test_lifted_cutting_set_coefficient_sweep(tower16, tower256):
     # same radius through the coefficient sweep on the 2^24-target
-    # space; certificates above the witness cap carry only tightness
+    # space, with a certificate that replays
     from ranksat import lift_system
     lifted = lift_system(cutting_system_6_3(tower16), tower256)
     rho, cert = saturation_radius(lifted)
     assert rho == 2
-    assert cert.witnesses == {}
     assert cert.verify(lifted)
 
 

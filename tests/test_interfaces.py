@@ -97,7 +97,7 @@ def test_certificate_json_round_trip(tower4):
     sysm = construct_identity_block(tower4, 2, 1)
     rho, cert = saturation_radius(sysm)
     doc = json.loads(json.dumps(cert.to_json()))
-    replay = SaturationCertificate.from_json(doc, tower4)
+    replay = SaturationCertificate.from_json(doc)
     assert replay.verify(sysm)
 
 
@@ -136,10 +136,9 @@ def test_json_round_trips(qm, random_modulus, seed):
         ls.points.tolist()
     assert [e["weight"] for e in doc] == ls.weights.tolist()
     _, cert = saturation_radius(sysm)
-    back = SaturationCertificate.from_json(_via_text(cert.to_json()), tower)
-    assert (back.rho, back.k, back.n, back.witnesses, back.tightness,
-            back.system_hash) == (cert.rho, cert.k, cert.n, cert.witnesses,
-                                  cert.tightness, cert.system_hash)
+    back = SaturationCertificate.from_json(_via_text(cert.to_json()))
+    assert (back.rho, back.k, back.n, back.tightness, back.system_hash) == \
+        (cert.rho, cert.k, cert.n, cert.tightness, cert.system_hash)
     assert back.to_json() == cert.to_json()
 
 
@@ -222,7 +221,7 @@ def test_cli_geometric_certificate_verifies(tmp_path, tower4):
                  "--certificate", str(cert)]) == 0
     data = json.loads(cert.read_text())
     assert data["tightness"] is not None
-    assert SaturationCertificate.from_json(data, tower4).verify(sysm)
+    assert SaturationCertificate.from_json(data).verify(sysm)
 
 
 def test_cli_construct_verify_round_trip(tmp_path):

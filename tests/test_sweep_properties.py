@@ -25,8 +25,9 @@ from ranksat import (BudgetExceeded, QSystem, associated_code, covering,
                      saturation_radius_geometric)
 from ranksat.constructions import (construct_identity_block,
                                    construct_subgeometry)
-from ranksat.covering import _geometric_layers, _rank_layers
-from ranksat.linalg import ext_matmul, rank_weight
+from ranksat.covering import (_geometric_layers, _rank_layers,
+                              geometric_certificate)
+from ranksat.linalg import ext_matmul
 from ranksat.qsystem import PointIndexer, SystemError_, random_code
 
 from oracles import (affine_coverage, affine_hamming_covering_radius,
@@ -109,16 +110,25 @@ def test_coefficient_sweep_matches_oracle(case, seed):
     for w in range(rho + 1):
         covered = coverage_through_level(G, tower, w, 1 << 26)
         assert np.array_equal(covered, least <= w)
-    # every nonzero target has a witness of its least coefficient rank
-    assert len(cert.witnesses) == Q ** k - 1
-    for target, lam in cert.witnesses.items():
-        lam = np.array(lam, dtype=np.int64)
-        got = ext_matmul(G, lam[:, None], tower).ravel()
-        assert tuple(got.tolist()) == target
-        assert rank_weight(lam, tower) == least[_index(target, Q)]
     if rho > 0:
         assert least[_index(cert.tightness, Q)] == rho
     assert cert.verify(sysm)
+
+
+@PROPERTY
+@given(st.sampled_from(SYSTEMS), st.booleans(), SEEDS)
+def test_certificates_verify_only_their_radius(case, nonscattered, seed):
+    # both routes' certificates verify, and with rho read as any other
+    # value from -1 to rho + 1 and the same tightness target, neither does:
+    # the replay must cover every point at rho and miss the target below
+    qm, k, n = case
+    sysm = _system(TOWERS[qm], k, n, nonscattered, random.Random(seed))
+    for route in (saturation_radius, geometric_certificate):
+        rho, cert = route(sysm)
+        assert cert.verify(sysm)
+        for other in range(-1, rho + 2):
+            cert.rho = other
+            assert cert.verify(sysm) is (other == rho)
 
 
 def _system(tower, k, n, nonscattered, rng):
@@ -153,7 +163,7 @@ def _outcome(call):
 def test_projective_sweep_matches_affine_oracle(case, nonscattered, chunk,
                                                 seed):
     # a chunk of 5 marks splits levels and batches into many chunks, so
-    # witnesses and the early stop cross chunk boundaries
+    # the flats of a level and the early stop cross chunk boundaries
     qm, k, n = case
     tower = TOWERS[qm]
     rng = random.Random(seed)
@@ -230,9 +240,8 @@ def test_rank_level_marks_column_spans(case, nonscattered, per, seed):
     points = PointIndexer(tower, r)
     for w in range(1, min(n, tower.m) + 1 if r else 1):
         grid = np.indices((Q,) * w).reshape(w, -1)
-        for Ms, B, marks in covering._subspace_level(H, points, w, per)[2]:
-            assert np.array_equal(B, ext_matmul(H, Ms.transpose(0, 2, 1),
-                                                tower))
+        for Ms, marks in covering._subspace_level(H, points, w, per)[2]:
+            B = ext_matmul(H, Ms.transpose(0, 2, 1), tower)
             assert marks.shape == (len(Ms), (Q ** w - 1) // (Q - 1))
             _, idx, keep = points.canonicalize(
                 ext_matmul(B, grid, tower).transpose(0, 2, 1).reshape(-1, r))
