@@ -53,7 +53,7 @@ _MARK_CHUNK = 1 << 16
 def _line_bases(a, u, tower: FieldTower):
     """RREF bases (R, pivots) of lines through canonical points a != u.
     Each step rebinds `top` and `other`, so that no replaced array stays
-    alive: at 16K pairs this is the geometric sweep's largest transient."""
+    alive."""
     rows = np.arange(a.shape[0])
     ja, ju = np.argmax(a != 0, axis=1), np.argmax(u != 0, axis=1)
     swap = (ju < ja)[:, None]
@@ -65,20 +65,15 @@ def _line_bases(a, u, tower: FieldTower):
     return np.stack([top, other], axis=1), np.stack([j1, j2], axis=1)
 
 
-def _distinct_flats(R, pivots, indexer: PointIndexer, seen=None):
-    """(first, seen): the ascending first positions of the distinct flats
-    of the RREF bases R (b, w, k), by the point indices of their rows,
-    less those keyed in `seen` (returned updated) if the key fits int64."""
-    rows, w = indexer.off[pivots] + R @ indexer.qpow, R.shape[1]
-    if indexer.total ** w >= 1 << 63:
-        return np.sort(np.unique(rows, axis=0, return_index=True)[1]), seen
-    key, first = np.unique(rows @ indexer.total ** np.arange(w - 1, -1, -1),
-                           return_index=True)
-    if seen is not None:
-        new = np.searchsorted(seen, key) == np.searchsorted(seen, key, "right")
-        key, first = key[new], first[new]
-        seen = np.sort(np.concatenate([seen, key]), kind="stable")
-    return np.sort(first), seen
+def _distinct_flats(rows, total: int):
+    """The ascending first positions of the distinct flats whose RREF
+    bases have the point indices `rows` (b, w), of PG(k-1, Q) with
+    `total` points."""
+    w = rows.shape[1]
+    if total ** w >= 1 << 63:
+        return np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    return np.sort(np.unique(rows @ total ** np.arange(w - 1, -1, -1),
+                             return_index=True)[1])
 
 
 def _flat_points(R, pivots, indexer: PointIndexer) -> np.ndarray:
@@ -161,7 +156,8 @@ def _subspace_level(H, points: PointIndexer, w: int, per: int):
                                                    tower)
                 full = np.flatnonzero(rank == w)
                 R, pivots = R[full], pivots[full]
-            first = _distinct_flats(R, pivots, points)[0]
+            first = _distinct_flats(points.off[pivots] + R @ points.qpow,
+                                    points.total)
             yield Ms[full[first]], _flat_points(R[first], pivots[first],
                                                 points)
     return "rank", count * tower.order ** w, chunks()
@@ -345,7 +341,152 @@ def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET
 # Saturation radius (geometric form): span marking over the linear set
 # ----------------------------------------------------------------------
 
+# Pairs per batch of the geometric sweep: level 2 filters a batch at a
+# time, and each distinct line of a batch is marked once.
 _FRONTIER_CHUNK = 1 << 14
+# Entries per array of one call of the line kernels within a batch:
+# `_line_bases` on _LINE_CHUNK // k pairs, the marking of _LINE_CHUNK // Q
+# lines.  Marking _MARK_CHUNK // Q lines and computing a batch's bases
+# at once, the sweep's traced peak on the [9,4]/F_64 and [6,4]/F_27
+# blocks reads 5.38 and 5.80 MiB, against 2.57 and 1.99 MiB here.
+_LINE_CHUNK = 1 << 13
+
+
+def _pair_batches(f: int, ell: int, covered, lower: bool):
+    """Batches (a, u) of at most _FRONTIER_CHUNK pairs of positions of a
+    frontier of f points and of the ell points of L_U, a > u only if
+    `lower`.  The u-chunks double up to ~_FRONTIER_CHUNK pairs, so a sweep
+    that finishes early (`covered` full) stops early; the batches cut
+    them, as one u pairs the whole frontier."""
+    lo, per = 0, 1
+    while lo < ell and not covered.all():
+        hi = min(ell, lo + per)
+        pairs = (np.arange(f)[:, None] > np.arange(lo, hi) if lower else
+                 np.ones((f, hi - lo), dtype=bool))
+        ia, iu = np.nonzero(pairs)
+        for c in range(0, ia.size, _FRONTIER_CHUNK):
+            yield ia[c:c + _FRONTIER_CHUNK], lo + iu[c:c + _FRONTIER_CHUNK]
+        lo, per = hi, min(2 * per, max(1, _FRONTIER_CHUNK // f))
+
+
+def _mark_distinct_lines(covered, X, a, u, L, indexer: PointIndexer):
+    """Mark the lines through X[a] and L[u] (canonical rows, distinct
+    position by position) by their RREF bases, each distinct line of the
+    batch once.  The bases are kept in X's dtype."""
+    k = indexer.k
+    R = np.empty((a.size, 2, k), dtype=X.dtype)
+    pivots = np.empty((a.size, 2), dtype=np.min_scalar_type(k))
+    rows = np.empty((a.size, 2), dtype=np.int64)
+    per = max(1, _LINE_CHUNK // k)
+    for s in range(0, a.size, per):
+        t = slice(s, s + per)
+        Rt, jt = _line_bases(X[a[t]].astype(np.int64, copy=False),
+                             L[u[t]], indexer.tower)
+        R[t], pivots[t] = Rt, jt
+        rows[t] = indexer.off[jt] + Rt @ indexer.qpow
+    first = _distinct_flats(rows, indexer.total)
+    per = max(1, _LINE_CHUNK // indexer.Q)
+    for s in range(0, first.size, per):
+        t = first[s:s + per]
+        R64 = R[t].astype(np.int64, copy=False)
+        covered[_flat_points(R64, pivots[t], indexer)] = True
+
+
+def _mark_pair_lines(covered, a, u, L, tables, indexer: PointIndexer):
+    """Mark the points of the lines through L[a] and L[u] (a != u
+    position by position) other than L[a] and L[u], with no line basis,
+    from the `tables` (T, Tm, jL) of the points L (canonical rows):
+    T[i, e] = g^e L_i packed (`multiples`), Tm[i, e - 1] = (1 - g^e) L_i
+    for e = 1..Q-2, and jL[i] the pivot of L_i.
+
+    With b the point of the smaller pivot j and d the other, a line is
+    <d> and the canonical b + nu d, nu in F_Q: b at nu = 0 and
+    off[j] + T[b, 0] (+) T[d, e] at nu = g^e.  With equal pivots j it is
+    <u - a>, canonicalised, and the canonical (1 - nu) a + nu u: a and u
+    at nu = 0, 1 and off[j] + Tm[a, e - 1] (+) T[u, e] at nu = g^e,
+    e = 1..Q-2.  (+) is `add_digits`."""
+    tower = indexer.tower
+    p, digits = tower.base.p, indexer.k * tower.m * tower.base.e
+    T, Tm, jL = tables
+    eq = jL[a] == jL[u]
+    swap = jL[u] < jL[a]
+    b, d = np.where(swap, u, a)[~eq], np.where(swap, a, u)[~eq]
+    a, u = a[eq], u[eq]
+    covered[indexer.canonicalize(tower.sub_arr(L[u], L[a]))[1]] = True
+    per = max(1, _LINE_CHUNK // indexer.Q)
+    for x, y, X, Y in ((b, d, T[:, :1], T), (a, u, Tm, T[:, 1:])):
+        for s in range(0, x.size, per):
+            xs, ys = x[s:s + per], y[s:s + per]
+            marks = add_digits(X[xs], Y[ys], p, digits)
+            marks += indexer.off[jL[xs], None]
+            covered[marks] = True
+
+
+def _mark_subline_pairs(covered, idx, uniq, L, indexer: PointIndexer,
+                        n: int):
+    """Level 2 of the geometric sweep: mark the line through each pair of
+    points of L_U (positions a > u in L, its canonical rows) that the
+    subline filter keeps.
+
+    Two points a > u of weight 1 lie on the F_q-subline of the q + 1
+    points <x>, x in <x_a, x_u>_{F_q}, and every two of them span one
+    line; the other q - 1 are <x_a + y>, y in the fibre F_q^* x_u of u.
+    With the heavier points first and the rest by position, the pair is
+    kept iff a comes before those q - 1, and a pair with a heavier point
+    always: a subline's first pair is kept, so every line is.  Vector i
+    of U (of point `idx[i]`, in `uniq`) has the base-p digits of i as
+    F_q-coordinates, so x_a + y is one `add_digits` of codes, looked up
+    in a q^n-entry table of positions.
+
+    The kept pairs' lines are marked from tables of multiples
+    (`_mark_pair_lines`) when the tables, l (2Q - 3) packed codes, hold
+    no more entries than the C(l, 2) pairs the level is charged, so the
+    budget bounds them.  Otherwise Q is large against l = |L_U|, many
+    kept pairs can share a line (for k = 2 all of them do), and the
+    lines are marked by their bases, each distinct line of a batch once
+    (`_mark_distinct_lines`)."""
+    tower, Q = indexer.tower, indexer.Q
+    q, ell = tower.base.q, L.shape[0]
+    # key[i - 1]: the position of vector i's point, -1 if heavier than 1;
+    # fib[u]: the q - 1 vectors (codes i) over u, 0 if u is heavier;
+    # low[a]: a, -1 if heavier, so those pairs are kept
+    pos = np.searchsorted(uniq, idx)
+    size = np.bincount(pos, minlength=ell)
+    light = size == q - 1
+    key = np.where(light[pos], pos, -1)
+    fib = np.argsort(pos, kind="stable")[
+        (np.cumsum(size) - size)[:, None] + np.arange(q - 1)] + 1
+    fib[~light] = 0
+    low = np.where(light, np.arange(ell), -1)
+    tables = None
+    if 2 * (2 * Q - 3) <= ell - 1:
+        T = indexer.multiples(L)
+        onem = tower._log[tower.sub_arr(1, tower._exp[1:Q - 1])]
+        tables = T, T[:, onem], np.argmax(L != 0, axis=1)
+    for a, u in _pair_batches(ell, ell, covered, True):
+        rest = key[add_digits(fib[a, :1], fib[u], tower.base.p,
+                              n * tower.base.e) - 1]
+        keep = low[a] <= rest.min(axis=1)
+        a, u = a[keep], u[keep]
+        if tables is None:
+            _mark_distinct_lines(covered, L, a, u, L, indexer)
+        else:
+            _mark_pair_lines(covered, a, u, L, tables, indexer)
+
+
+def _mark_frontier_lines(covered, frontier, L, indexer: PointIndexer):
+    """Level w >= 3 of the geometric sweep: mark the line through each
+    point of the frontier (point indices) and each point of L_U, every
+    distinct line of a batch once.  The frontier is decoded into codes
+    of the smallest dtype that holds an element, k bytes a point when
+    Q <= 256, no more than its index."""
+    k, f = indexer.k, frontier.size
+    X = np.empty((f, k), dtype=np.min_scalar_type(indexer.Q - 1))
+    per = max(1, _LINE_CHUNK // k)
+    for s in range(0, f, per):
+        X[s:s + per] = indexer.decode(frontier[s:s + per])
+    for a, u in _pair_batches(f, L.shape[0], covered, False):
+        _mark_distinct_lines(covered, X, a, u, L, indexer)
 
 
 def _geometric_layers(sys: QSystem, budget: int):
@@ -359,18 +500,18 @@ def _geometric_layers(sys: QSystem, budget: int):
     is charged the q^n vectors of U, level 2 the C(|L_U|, 2) pairs of its
     points, level w >= 3 the f |L_U| pairs of a frontier of f points with L_U.
 
-    Level 2 computes fewer line bases than it charges.  Two points a > u
-    of L_U of weight 1 lie on the F_q-subline of the q + 1 points <x>,
-    x in <x_a, x_u>_{F_q}, and every two of them span one line; the
-    other q - 1 are <x_a + y>, y in the fibre F_q^* x_u of u.  With the
-    heavier points first and the rest by position, the pair is kept iff
-    a comes before those q - 1, and a pair with a heavier point always:
-    a subline's first pair is kept, so every line is.  Vector i of U has
-    the base-p digits of i as F_q-coordinates, so x_a + y is one
-    `add_digits` of codes, looked up in a q^n-entry table of positions.
+    Level 2 (`_mark_subline_pairs`) marks fewer lines than it charges: it
+    keeps only the first pair of each F_q-subline of L_U.  While tables
+    of the packed multiples of L_U hold no more entries than the level's
+    charge, it reads the points of each kept pair's line off them, with
+    no line basis; two kept pairs can span one line, which is then marked
+    twice and sets the same bits.  Otherwise, and at every level w >= 3
+    (`_mark_frontier_lines`), the distinct lines of each batch of pairs
+    are marked by their bases.  The frontier, the points first covered
+    at level w - 1, is kept as point indices.
     """
     tower, k = sys.tower, sys.k
-    Q, q, p = tower.order, tower.base.q, tower.base.p
+    Q, q = tower.order, tower.base.q
     if k == 0:
         yield 0, np.zeros(0, dtype=bool)
         return
@@ -382,64 +523,29 @@ def _geometric_layers(sys: QSystem, budget: int):
                    _coverage(covered, Q))
     _, idx, _ = indexer.canonicalize(sys.vectors(budget))
     covered[idx] = True
-    uniq = np.unique(idx)
-    L = indexer.decode(uniq)
+    frontier = np.unique(idx)
+    L = indexer.decode(frontier)
     ell = L.shape[0]
     yield 1, covered
-    frontier = L
     level = 1
     while not covered.all():
         level += 1
         if level > k + 1:
             raise RuntimeError("span sweep failed to terminate (unreachable)")
-        f = frontier.shape[0]
+        f = frontier.size
         work = _charge(work, ell * (ell - 1) // 2 if level == 2 else f * ell,
                        budget, "span level", level, _coverage(covered, Q))
         before = covered.copy()
-        # u-chunks double up to ~_FRONTIER_CHUNK pairs, so a sweep that
-        # finishes early stops early; batches of at most _FRONTIER_CHUNK
-        # pairs cut them, as one u pairs the whole frontier.  At level 2
-        # the frontier is L_U: i > j gives each pair once, and `seen` each
-        # line once, as two points of L_U can span it; later it misses L_U.
-        seen = np.zeros(0, dtype=np.int64) if level == 2 else None
         if level == 2:
-            # key[i - 1]: the position of vector i's point, -1 if heavier
-            # than 1; fib[u]: the q - 1 vectors (codes i) over u, 0 if u is
-            # heavier; low[a]: a, -1 if heavier, so those pairs are kept
-            pos = np.searchsorted(uniq, idx)
-            size = np.bincount(pos, minlength=ell)
-            light = size == q - 1
-            key = np.where(light[pos], pos, -1)
-            fib = np.argsort(pos, kind="stable")[
-                (np.cumsum(size) - size)[:, None] + np.arange(q - 1)] + 1
-            fib[~light] = 0
-            low = np.where(light, np.arange(ell), -1)
-        lo, per = 0, 1
-        while lo < ell and not covered.all():
-            hi = min(ell, lo + per)
-            pairs = (np.ones((f, hi - lo), dtype=bool) if level > 2 else
-                     np.arange(f)[:, None] > np.arange(lo, hi))
-            ia, iu = np.nonzero(pairs)
-            for c in range(0, ia.size, _FRONTIER_CHUNK):
-                a, u = ia[c:c + _FRONTIER_CHUNK], iu[c:c + _FRONTIER_CHUNK]
-                if level == 2:
-                    rest = key[add_digits(fib[a, :1], fib[lo + u], p,
-                                          sys.n * tower.base.e) - 1]
-                    keep = low[a] <= rest.min(axis=1)
-                    a, u = a[keep], u[keep]
-                R, pivots = _line_bases(frontier[a], L[lo + u], tower)
-                first, seen = _distinct_flats(R, pivots, indexer, seen)
-                for s in range(0, first.size, max(1, _MARK_CHUNK // Q)):
-                    t = first[s:s + max(1, _MARK_CHUNK // Q)]
-                    covered[_flat_points(R[t], pivots[t], indexer)] = True
-            lo, per = hi, min(2 * per, max(1, _FRONTIER_CHUNK // f))
+            _mark_subline_pairs(covered, idx, frontier, L, indexer, sys.n)
+        else:
+            _mark_frontier_lines(covered, frontier, L, indexer)
         if not covered.all():
-            newly = np.nonzero(covered & ~before)[0]
-            if newly.size == 0:
+            frontier = np.flatnonzero(covered & ~before)
+            if frontier.size == 0:
                 raise RuntimeError(
                     "no progress in span sweep; system does not saturate "
                     "(unreachable for valid systems)")
-            frontier = indexer.decode(newly)
         yield level, covered
 
 

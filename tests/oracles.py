@@ -598,7 +598,8 @@ def all_pairs_geometric_layers(sysm, chunk=1 << 12):
         for c in range(0, ia.size, chunk):
             R, pivots = _line_bases(frontier[ia[c:c + chunk]],
                                     L[iu[c:c + chunk]], tower)
-            first, _ = _distinct_flats(R, pivots, indexer)
+            first = _distinct_flats(indexer.off[pivots] + R @ indexer.qpow,
+                                    indexer.total)
             covered[_flat_points(R[first], pivots[first], indexer)] = True
         frontier = indexer.decode(np.flatnonzero(covered & ~before))
         yield covered.copy()

@@ -238,29 +238,39 @@ def test_geometric_level_2_computes_a_line_per_subline(monkeypatch, q, m, n,
                                                         most):
     # [9,4]/F_64 and [6,4]/F_27 blocks: of the C(449, 2) = 100,576 and
     # C(352, 2) = 61,776 pairs charged at level 2, only the first pair of
-    # each F_q-subline of L_U, or a pair with the point of weight m, gets
-    # a line basis; the levels' bitmaps do not change (test_sweep_properties)
+    # each F_q-subline of L_U, or a pair with the point of weight m, has
+    # its line marked, from the tables of multiples with no line basis;
+    # the levels' bitmaps do not change (test_sweep_properties)
     from ranksat import covering
     sysm = construct_identity_block(make_tower(q, m), 4, 3)
     assert sysm.n == n
-    sizes = []
+    marked, bases = [], []
+    mark_pair_lines = covering._mark_pair_lines
     line_bases = covering._line_bases
 
-    def spy(a, u, tower):
-        sizes.append(a.shape[0])
+    def spy_marks(covered, a, u, *rest):
+        marked.append(a.size)
+        return mark_pair_lines(covered, a, u, *rest)
+
+    def spy_bases(a, u, tower):
+        bases.append(a.shape[0])
         return line_bases(a, u, tower)
 
-    monkeypatch.setattr(covering, "_line_bases", spy)
+    monkeypatch.setattr(covering, "_mark_pair_lines", spy_marks)
+    monkeypatch.setattr(covering, "_line_bases", spy_bases)
     per_level = []
     for _ in covering._geometric_layers(sysm, 1 << 26):
-        per_level.append(sum(sizes))
-        sizes.clear()
-    assert len(per_level) == 4 and 0 < per_level[2] <= most
+        per_level.append((sum(marked), sum(bases)))
+        marked.clear()
+        bases.clear()
+    assert len(per_level) == 4 and 0 < per_level[2][0] <= most
+    assert per_level[2][1] == 0 and per_level[3][0] == 0 < per_level[3][1]
 
 
 def test_geometric_sweep_bounds_pair_batches(monkeypatch):
     # [6,4]/F_27 block: its level-3 frontier has 8,424 points, so even one
-    # linear-set point per chunk pairs far more than 64 at level 3
+    # linear-set point per chunk pairs far more than 64 at level 3, and
+    # level 2 filters C(352, 2) pairs
     from ranksat import covering
     sysm = construct_identity_block(make_tower(3, 3), 4, 3)
 
@@ -269,22 +279,84 @@ def test_geometric_sweep_bounds_pair_batches(monkeypatch):
                 for w, covered in covering._geometric_layers(sysm, 1 << 26)]
 
     expected = levels()
-    sizes = []
+    filtered, sizes = [], []
+    mark_pair_lines = covering._mark_pair_lines
     line_bases = covering._line_bases
 
-    def spy(a, u, tower):
+    def spy_marks(covered, a, u, *rest):
+        filtered.append(a.size)
+        return mark_pair_lines(covered, a, u, *rest)
+
+    def spy_bases(a, u, tower):
         sizes.append(a.shape[0])
         return line_bases(a, u, tower)
 
     monkeypatch.setattr(covering, "_FRONTIER_CHUNK", 64)
-    monkeypatch.setattr(covering, "_line_bases", spy)
+    monkeypatch.setattr(covering, "_mark_pair_lines", spy_marks)
+    monkeypatch.setattr(covering, "_line_bases", spy_bases)
     bounded = levels()
     # L_U, then the frontier of 8,424 points, then all of PG(3, 27)
     assert [int(c.sum()) for _, c in expected] == [0, 352, 8_776, 20_440]
-    assert max(sizes) == 64
+    assert max(sizes) == 64 and 0 < max(filtered) <= 64
     assert [w for w, _ in bounded] == [w for w, _ in expected] == [0, 1, 2, 3]
     assert all(np.array_equal(c, e) for (_, c), (_, e) in zip(bounded,
                                                               expected))
+
+
+@pytest.mark.parametrize("q, m, mib", [(2, 6, 2.7), (3, 3, 2.1)])
+def test_geometric_sweep_peak_memory(q, m, mib):
+    """The perfbench worker keeps the output of every job it runs, so
+    its RSS grows with each cycle, and a faster sweep runs more cycles:
+    the traced peak of the sweep on the [9,4]/F_64 and [6,4]/F_27 blocks
+    pays for them.  Level 2 marks from tables of multiples, and level 3
+    keeps its frontier as point indices and its line bases as one-byte
+    codes: 2.57 and 1.99 MiB, against 6.12 and 4.52 MiB when both levels
+    decoded the frontier whole and computed line bases 16K pairs at a
+    time."""
+    import tracemalloc
+    sysm = construct_identity_block(make_tower(q, m), 4, 3)
+    saturation_radius_geometric(sysm)     # the field's tables, built once
+    tracemalloc.start()
+    try:
+        assert saturation_radius_geometric(sysm) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2 ** 20, peak
+
+
+def test_geometric_level_2_large_field_marks_by_distinct_lines(monkeypatch):
+    """A [9,2] system over F_1024 has |L_U| <= 511 points on the one line
+    PG(1, 1024), so every pair spans it.  Tables of multiples of L_U
+    would hold 511 * 2045 codes (8 MiB), more than the C(511, 2) pairs
+    level 2 is charged, and each kept pair would mark the same 1,025
+    points: level 2 marks the distinct lines of a batch by their bases
+    instead, one line here, and its traced peak stays at the 0.13-0.15
+    MiB it reads with no tables (6.9 MiB with them)."""
+    import random
+    import tracemalloc
+    from ranksat import covering
+    sysm = random_system(make_tower(2, 10), 2, 9, random.Random(5))
+    assert saturation_radius_geometric(sysm) == 2
+    lines, flat_points = [], covering._flat_points
+
+    def spy(R, pivots, indexer):
+        lines.append(R.shape[0])
+        return flat_points(R, pivots, indexer)
+
+    def no_tables(*args):
+        raise AssertionError("level 2 marked from tables")
+
+    monkeypatch.setattr(covering, "_flat_points", spy)
+    monkeypatch.setattr(covering, "_mark_pair_lines", no_tables)
+    tracemalloc.start()
+    try:
+        assert saturation_radius_geometric(sysm) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == [1]
+    assert peak <= 0.5 * 2 ** 20, peak
 
 
 def test_distinct_flats_dedupe_keys_past_int64():
@@ -306,8 +378,8 @@ def test_distinct_flats_dedupe_keys_past_int64():
     order = [3, 0, 3, 5, 1, 0, 2, 4, 5, 1, 2, 4, 3, 0]
     R = np.array([planes[i][1] for i in order], dtype=np.int64)
     pivots = np.array([planes[i][0] for i in order], dtype=np.int64)
-    first, seen = covering._distinct_flats(R, pivots, indexer)
-    assert seen is None
+    first = covering._distinct_flats(indexer.off[pivots] + R @ indexer.qpow,
+                                     indexer.total)
     assert first.tolist() == sorted(order.index(i) for i in range(6))
     assert np.array_equal(
         np.unique(covering._flat_points(R[first], pivots[first], indexer)),
