@@ -7,9 +7,9 @@ refused the sweep (stderr names the last completed level and coverage).
 3 when the budget refuses a dimension before one is found.  `construct`,
 `bounds` and `search` exit 2, with a one-line message, when the
 parameters name no field, no valid cell or no valid construction: q not
-a prime power, m, k, kmax or rhomax below 1, rho out of range, a modulus
-coefficient outside 0..q-1, a malformed --v, or an unreadable or
-malformed --left/--right matrix.
+a prime power, a field beyond the tables, m, k, kmax or rhomax below 1,
+rho out of range, a modulus coefficient outside 0..q-1, a malformed --v,
+or an unreadable or malformed --left/--right matrix.
 """
 
 from __future__ import annotations
@@ -165,13 +165,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_search(args) -> int:
     try:
-        bnd._validate_params(args.q, args.m, args.k, args.rho)
+        witness = bnd.brute_force_witness(args.q, args.m, args.k, args.rho,
+                                          args.budget)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    try:
-        witness = bnd.brute_force_witness(args.q, args.m, args.k, args.rho,
-                                          args.budget)
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3

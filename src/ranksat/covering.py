@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from . import fqlinalg
-from .gftower import FieldTower, _is_int, add_digits, expand
+from .gftower import FieldTower, _is_int, add_digits
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, _combinations,
                      as_matrix, ext_matmul, min_rank_distance, weight_spectrum)
 from .qsystem import (PointIndexer, QSystem, SystemError_, expanded_columns,
@@ -48,21 +48,6 @@ class ConsistencyError(AssertionError):
 
 # Marks per chunk; bounds the size of the sweeps' intermediates.
 _MARK_CHUNK = 1 << 16
-
-
-def _line_bases(a, u, tower: FieldTower):
-    """RREF bases (R, pivots) of lines through canonical points a != u.
-    Each step rebinds `top` and `other`, so that no replaced array stays
-    alive."""
-    rows = np.arange(a.shape[0])
-    ja, ju = np.argmax(a != 0, axis=1), np.argmax(u != 0, axis=1)
-    swap = (ju < ja)[:, None]
-    top, other = np.where(swap, u, a), np.where(swap, a, u)
-    other = np.where((ja == ju)[:, None], tower.sub_arr(other, top), other)
-    j1, j2 = np.minimum(ja, ju), np.argmax(other != 0, axis=1)
-    other = tower.mul_arr(tower.inv_arr(other[rows, j2])[:, None], other)
-    top = tower.sub_arr(top, tower.mul_arr(top[rows, j2][:, None], other))
-    return np.stack([top, other], axis=1), np.stack([j1, j2], axis=1)
 
 
 def _distinct_flats(rows, total: int):
@@ -128,9 +113,11 @@ def _charge(work: int, level_work: int, budget: int, what: str, w: int,
 def _subspace_level(H, points: PointIndexer, w: int, per: int):
     """Level w of the rank sweep, or None past min(n, m): ("rank", its
     charge [n w]_q Q^w, chunks (M, marks) over at most `per` RREF bases M
-    of the w-dimensional F_q-row spaces), keeping the first M of each
-    column span of B = H M^T of rank w, marks its points (one of lower
-    rank is B(gamma + c gamma_0), B gamma_0 = 0, reached before)."""
+    of the w-dimensional F_q-row spaces).  The column span of B = H M^T
+    is read off the RREF of B^T: at w = 1 the canonical scaling of B's
+    column, past that `fqlinalg.echelon`.  The first M of each span of
+    rank w marks its points (one of lower rank is B(gamma + c gamma_0),
+    B gamma_0 = 0, reached before)."""
     tower = points.tower
     n = H.shape[1]
     if w > min(n, tower.m):
@@ -144,18 +131,9 @@ def _subspace_level(H, points: PointIndexer, w: int, per: int):
                 _, idx, keep = points.canonicalize(B[:, :, 0])
                 yield Ms[keep], idx[:, None]
                 continue
-            if w == 2:      # two distinct points span a line
-                full = np.flatnonzero(B.any(axis=1).all(axis=1))
-                W, idx, _ = points.canonicalize(
-                    B[full].transpose(0, 2, 1).reshape(-1, points.k))
-                line = idx[0::2] != idx[1::2]
-                full = full[line]
-                R, pivots = _line_bases(W[0::2][line], W[1::2][line], tower)
-            else:
-                R, pivots, rank = fqlinalg.echelon(B.transpose(0, 2, 1),
-                                                   tower)
-                full = np.flatnonzero(rank == w)
-                R, pivots = R[full], pivots[full]
+            R, pivots, rank = fqlinalg.echelon(B.transpose(0, 2, 1), tower)
+            full = np.flatnonzero(rank == w)
+            R, pivots = R[full], pivots[full]
             first = _distinct_flats(points.off[pivots] + R @ points.qpow,
                                     points.total)
             yield Ms[full[first]], _flat_points(R[first], pivots[first],
@@ -367,6 +345,21 @@ def _pair_batches(f: int, ell: int, covered, lower: bool):
         for c in range(0, ia.size, _FRONTIER_CHUNK):
             yield ia[c:c + _FRONTIER_CHUNK], lo + iu[c:c + _FRONTIER_CHUNK]
         lo, per = hi, min(2 * per, max(1, _FRONTIER_CHUNK // f))
+
+
+def _line_bases(a, u, tower: FieldTower):
+    """RREF bases (R, pivots) of lines through canonical points a != u.
+    Each step rebinds `top` and `other`, so that no replaced array stays
+    alive."""
+    rows = np.arange(a.shape[0])
+    ja, ju = np.argmax(a != 0, axis=1), np.argmax(u != 0, axis=1)
+    swap = (ju < ja)[:, None]
+    top, other = np.where(swap, u, a), np.where(swap, a, u)
+    other = np.where((ja == ju)[:, None], tower.sub_arr(other, top), other)
+    j1, j2 = np.minimum(ja, ju), np.argmax(other != 0, axis=1)
+    other = tower.mul_arr(tower.inv_arr(other[rows, j2])[:, None], other)
+    top = tower.sub_arr(top, tower.mul_arr(top[rows, j2][:, None], other))
+    return np.stack([top, other], axis=1), np.stack([j1, j2], axis=1)
 
 
 def _mark_distinct_lines(covered, X, a, u, L, indexer: PointIndexer):
@@ -727,20 +720,19 @@ def puncture_nonscattered(sys: QSystem, budget: int = DEFAULT_BUDGET,
     point = ls.points[heavy]
     indexer = PointIndexer(tower, sys.k)
     target_idx = indexer.index_of(point)
-    vecs = sys.vectors(budget)
+    vecs, q = sys.vectors(budget), tower.base.q
     _, idx, keep = indexer.canonicalize(vecs)
-    fibre = vecs[np.nonzero(keep)[0][idx == target_idx]]
-    u_a = fibre[0]
+    fibre = np.nonzero(keep)[0][idx == target_idx]
+    u_a = vecs[fibre[0]]
     # F_q-dependent on u_a iff cand = c u_a with c in F_q
-    u_b = next((cand for cand in fibre[1:]
-                if not any(np.array_equal(cand, tower.mul_arr(c, u_a))
-                           for c in range(1, tower.base.q))), None)
-    if u_b is None:
+    b = next((i for i in fibre[1:]
+              if not any(np.array_equal(vecs[i], tower.mul_arr(c, u_a))
+                         for c in range(1, q))), None)
+    if b is None:
         raise RuntimeError("a point of weight >= 2 carries no two independent "
                            "vectors (unreachable)")
-    cols = expanded_columns(sys.generator, tower)
-    c_a = fqlinalg.solve(cols, expand(u_a, tower).reshape(-1), tower.base)
-    c_b = fqlinalg.solve(cols, expand(u_b, tower).reshape(-1), tower.base)
+    # vector i of U has the base-q digits of i as its F_q-coordinates
+    c_a, c_b = (i // q ** np.arange(sys.n) % q for i in (fibre[0], b))
     # functional vanishing on c_a but not on c_b
     K = fqlinalg.kernel(c_a.reshape(1, -1), tower.base)
     phi = next((row for row in K if ext_matmul(row[None], c_b[:, None],

@@ -8,19 +8,18 @@ function that takes a `field` works over F_q and over F_{q^m} alike; it
 reaches the field through them alone, and imports nothing from the
 package.  Reduced row echelon form is canonical for a row space.
 
-Three eliminations serve matrices, one per input shape and output.
-`rref_rows` reduces one matrix held as Python lists of ints, through the
-scalar ops: on the small matrices its callers reduce, a dozen numpy
-calls per pivot cost more than the arithmetic.  `rref` wraps it for
-arrays, and `rank`, `kernel` and `solve` run on `rref`.  `echelon`
-reduces a stack of matrices at once through the array ops, to RREF; the
-package calls it over towers only, in the rank sweep at w >= 3.
-`rank_batch` returns only the rank of each matrix of a stack, by the
-forward half of that elimination on the rows, with no swaps, no clearing
-above pivots and no echelon form kept; the cutting-set test reads its
-ranks there.
+Two eliminations serve matrices, one per input shape.  `rref_rows`
+reduces one matrix held as Python lists of ints, through the scalar ops:
+on the small matrices its callers reduce, a dozen numpy calls per pivot
+cost more than the arithmetic.  `rref` wraps it for arrays, and `rank`,
+`kernel` and `solve` run on `rref`.  A stack of matrices is reduced at
+once, through the array ops, by one forward elimination on the rows,
+with no swaps and no clearing above pivots.  `rank_batch` returns only
+its ranks, which the cutting-set test reads; `echelon` sorts its pivot
+rows and clears above each pivot, to RREF, for the rank sweep at
+w >= 2.
 
-A fourth elimination serves F_{q^m} elements read as vectors over F_q:
+A third elimination serves F_{q^m} elements read as vectors over F_q:
 `fq_basis` finds the greedy F_q-basis of a list of codes, and the
 F_q-coordinates of every code on it, by reducing each code against the
 basis found so far, with no digit matrix; `fq_basis_batch` does the same
@@ -177,49 +176,18 @@ def rref(M, field):
     return np.array(R, dtype=np.int64).reshape(len(pivots), M.shape[1]), pivots
 
 
-def echelon(M, field):
-    """Batched RREF of the r x c blocks of M (b, r, c): (R, pivot_col,
-    rank), where R[s] holds its rank[s] pivot rows, then zero rows, and
-    pivot_col[s, i] is c for a zero row i."""
-    R = np.array(M, dtype=np.int64)
-    b, r, c = R.shape
-    blocks, rows = np.arange(b), np.arange(r)
-    rank = np.zeros(b, dtype=np.int64)
-    pivot_col = np.full((b, r), c, dtype=np.int64)
-    for j in range(c):
-        if (rank == r).all():
-            break
-        live = (R[:, :, j] != 0) & (rows >= rank[:, None])
-        has = live.any(axis=1)
-        top = np.minimum(rank, r - 1)
-        piv = np.where(has, np.argmax(live, axis=1), top)
-        R[blocks, top], R[blocks, piv] = R[blocks, piv], R[blocks, top]
-        # rows from rank on are zero left of column j
-        row = field.mul_arr(field.inv_arr(R[blocks, top, j])[:, None],
-                            R[blocks, top, j:])
-        f = np.where(has[:, None], R[:, :, j], 0)
-        f[blocks, top] = 0
-        R[:, :, j:] = field.sub_arr(R[:, :, j:],
-                                    field.mul_arr(f[:, :, None], row[:, None]))
-        R[blocks[has], top[has], j:] = row[has]
-        pivot_col[blocks[has], top[has]] = j
-        rank += has
-    return R, pivot_col, rank
-
-
-def rank_batch(M, field):
-    """Rank of each r x c block of M (b, r, c), by forward elimination on
-    its rows: row i is reduced by the pivot rows before it, and if it is
-    left nonzero it becomes a pivot row, scaled to 1 at its first nonzero
-    column.  No row is swapped, no entry above a pivot is cleared and no
-    echelon form is kept; `echelon` gives those."""
+def _forward(M, field):
+    """The forward elimination of each r x c block of M (b, r, c), on its
+    rows: (P, col, rank).  Row i is reduced by the pivot rows before it,
+    and if it is left nonzero it becomes pivot row P[:, i], scaled to 1
+    at its first nonzero column col[:, i]; else P[:, i] is zero.  No row
+    is swapped and no entry above a pivot is cleared."""
     M = np.asarray(M, dtype=np.int64)
     b, r, c = M.shape
     blocks = np.arange(b)
     rank = np.zeros(b, dtype=np.int64)
-    # slot i holds row i reduced and scaled, with its pivot column; it is
-    # zero, so a reduction by it does nothing, if row i added no pivot.
-    # A pivot row is zero at the pivot columns before it
+    # a zero slot makes a reduction by it do nothing; a pivot row is zero
+    # at the pivot columns before it
     P = np.zeros((b, r, c), dtype=np.int64)
     col = np.zeros((b, r), dtype=np.int64)
     for i in range(r):
@@ -234,7 +202,34 @@ def rank_batch(M, field):
         P[:, i] = field.mul_arr(
             field.inv_arr(x[blocks, col[:, i]])[:, None], x)
         rank += nonzero[blocks, col[:, i]]
-    return rank
+    return P, col, rank
+
+
+def echelon(M, field):
+    """Batched RREF of the r x c blocks of M (b, r, c): (R, pivot_col,
+    rank), where R[s] holds its rank[s] pivot rows, then zero rows, and
+    pivot_col[s, i] is c for a zero row i.  The pivot rows of the forward
+    elimination, stably sorted by pivot column, are a row echelon form
+    with leading ones; then pivot row i clears its column in the rows
+    above it."""
+    P, col, rank = _forward(M, field)
+    b, r, c = P.shape
+    order = np.argsort(np.where(P.any(axis=2), col, c), axis=1,
+                       kind="stable")
+    R = np.take_along_axis(P, order[:, :, None], axis=1)
+    col = np.take_along_axis(col, order, axis=1)
+    blocks = np.arange(b)
+    for i in range(1, min(r, c)):   # a zero row i clears nothing
+        f = R[blocks, :i, col[:, i]]
+        R[:, :i] = field.sub_arr(R[:, :i],
+                                 field.mul_arr(f[:, :, None], R[:, None, i]))
+    return R, np.where(R.any(axis=2), col, c), rank
+
+
+def rank_batch(M, field):
+    """Rank of each r x c block of M (b, r, c), read off the forward
+    elimination of `echelon`, with no echelon form kept."""
+    return _forward(M, field)[2]
 
 
 def rank(M, field) -> int:

@@ -461,6 +461,28 @@ def test_projective_code_bridge(tower4, rng):
         assert lhs == rhs
 
 
+def test_syndrome_sweeps_run_without_the_line_kernel(monkeypatch, tower16,
+                                                     tower256):
+    # `_line_bases` is the geometric route's line kernel; the coefficient
+    # sweep, its certificate replay and the rank and Hamming syndrome
+    # sweeps reach level 2 and beyond without it, so a fault there cannot
+    # make them agree with the geometric route
+    from ranksat import covering, lift_system
+
+    def refuse(*args):
+        raise AssertionError("the line kernel of the geometric route ran")
+
+    monkeypatch.setattr(covering, "_line_bases", refuse)
+    for sysm in (lift_system(cutting_system_6_3(tower16), tower256),
+                 cutting_system_8_4(tower16)):
+        rho, cert = saturation_radius(sysm)
+        assert rho == 2 and cert.verify(sysm)
+        assert rank_covering_radius(associated_code(sysm).dual()) == 2
+    code = gabidulin(tower16, 4, 1, 1)
+    assert rank_covering_radius(code) == 3
+    assert hamming_covering_radius(code.generator, tower16) == 3
+
+
 # ------------------------------------------------------------- maximality
 
 def test_gabidulin_is_maximal(tower16):
@@ -697,6 +719,29 @@ def test_puncture_radius_growth_bounded(tower4, rng):
         out = puncture_nonscattered(sysm)
         rho_new, _ = saturation_radius(out)
         assert rho_new <= rho_old + 1
+
+
+@pytest.mark.parametrize("q, m", [(2, 3), (3, 2), (4, 2)])
+def test_puncture_drops_a_multiple_of_a_kept_vector(q, m):
+    # the punctured system U' is an F_q-hyperplane of U, and a vector of
+    # U outside U' lies on a point of L_U', as the dropped one does
+    import random
+    from ranksat import is_scattered
+    from ranksat.qsystem import PointIndexer
+    tower, rng = make_tower(q, m), random.Random(10 * q + m)
+    indexer, checked = PointIndexer(tower, 2), 0
+    while checked < 6:
+        sysm = random_system(tower, 2, rng.choice([3, 4]), rng)
+        if is_scattered(linear_set(sysm)):
+            continue
+        out = puncture_nonscattered(sysm)
+        U = {tuple(v) for v in sysm.vectors().tolist()}
+        kept = {tuple(v) for v in out.vectors().tolist()}
+        assert kept <= U and len(kept) * q == len(U)
+        dropped = np.array(sorted(U - kept), dtype=np.int64)
+        assert set(indexer.canonicalize(dropped)[1].tolist()) & set(
+            indexer.canonicalize(out.vectors())[1].tolist())
+        checked += 1
 
 
 def test_puncture_check_raises_when_the_radius_grows(monkeypatch, tower4):

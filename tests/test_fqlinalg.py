@@ -124,9 +124,11 @@ RANK_TOWERS = {f"F{q ** m}/F{q}": make_tower(q, m)
 @pytest.mark.parametrize("name", sorted(RANK_TOWERS))
 def test_rank_batch_matches_rank_per_block(name, r, c):
     """The forward-only batched elimination gives `rank` of each block,
-    over the tower and over its base field, on seeded stacks of random,
-    sparse, partly zero, repeated-row and low-rank blocks, and of shapes
-    with r = 0, c = 0, r > c and r < c."""
+    and `echelon`, which runs on it, gives `rref` of each block (its
+    rows, then zero rows, with pivot column c), over the tower and over
+    its base field, on seeded stacks of random, sparse, partly zero,
+    repeated-row and low-rank blocks, and of shapes with r = 0, c = 0,
+    r > c and r < c."""
     tower = RANK_TOWERS[name]
     rng = np.random.default_rng([tower.order, r, c])
     for field in (tower, tower.base):
@@ -147,6 +149,14 @@ def test_rank_batch_matches_rank_per_block(name, r, c):
         # the blocks are independent: a stack of one gives the same rank
         assert [fqlinalg.rank_batch(B[None], field)[0] for B in M] == \
             got.tolist()
+        R, pivot_col, ranks = fqlinalg.echelon(M, field)
+        assert R.shape == (12, r, c) and pivot_col.shape == (12, r)
+        assert ranks.tolist() == got.tolist()
+        for s, B in enumerate(M):
+            ref, pivots = fqlinalg.rref(B, field)
+            assert np.array_equal(R[s, :len(pivots)], ref)
+            assert not R[s, len(pivots):].any()
+            assert pivot_col[s].tolist() == pivots + [c] * (r - len(pivots))
 
 
 def test_decompose_runs_no_rref_after_warm_up(monkeypatch):

@@ -277,6 +277,8 @@ def test_cli_bounds_verify_paper(capsys):
     ["bounds", "--q", "6"], ["bounds", "--q", "1"], ["bounds", "--m", "0"],
     ["bounds", "--rhomax", "0"],
     ["search", "--q", "6", "--k", "2", "--rho", "1"],
+    ["search", "--q", "1031", "--m", "1", "--k", "1", "--rho", "1"],
+    ["search", "--q", "2", "--m", "30", "--k", "2", "--rho", "1"],
     ["construct", "--family", "identity-block", "--q", "6"],
     ["construct", "--family", "identity-block", "--k", "2", "--rho", "5"],
     ["construct", "--family", "rho1", "--v", "1,x"],
@@ -285,8 +287,9 @@ def test_cli_bounds_verify_paper(capsys):
     ["construct", "--family", "identity-block", "--out",
      "/nonexistent/x.json"]],
     ids=["bounds-q6", "bounds-q1", "bounds-m0", "bounds-rhomax0",
-         "search-q6", "construct-q6", "construct-rho5", "construct-bad-v",
-         "construct-missing-left", "construct-k0",
+         "search-q6", "search-q1031", "search-q2-m30", "construct-q6",
+         "construct-rho5", "construct-bad-v", "construct-missing-left",
+         "construct-k0",
          "construct-out-missing-dir"])
 def test_cli_rejects_invalid_parameters(capsys, argv):
     assert main(argv) == 2
