@@ -8,8 +8,9 @@ refused the sweep (stderr names the last completed level and coverage).
 `bounds` and `search` exit 2, with a one-line message, when the
 parameters name no field, no valid cell or no valid construction: q not
 a prime power, a field beyond the tables, m, k, kmax or rhomax below 1,
-rho out of range, a modulus coefficient outside 0..q-1, a malformed --v,
-or an unreadable or malformed --left/--right matrix.
+rho out of range, a modulus coefficient outside 0..q-1, a malformed --v
+or --v-prime (an entry outside 0..q^m-1 too), or an unreadable or
+malformed --left/--right matrix.
 """
 
 from __future__ import annotations

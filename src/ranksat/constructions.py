@@ -27,8 +27,7 @@ from .qsystem import QSystem, SystemError_
 
 def construct_rho1(tower: FieldTower, k: int, v, v_prime) -> QSystem:
     """The [m(k-1)+1, k] system <v'>_{F_q} + <v>^perp, saturation radius 1."""
-    v = np.asarray(v, dtype=np.int64).ravel()
-    v_prime = np.asarray(v_prime, dtype=np.int64).ravel()
+    v, v_prime = tower.as_codes(v).ravel(), tower.as_codes(v_prime).ravel()
     if v.shape != (k,) or v_prime.shape != (k,):
         raise SystemError_("v and v' must be ambient vectors of length k")
     if not v.any():
@@ -103,7 +102,7 @@ def f_sum(sys1: QSystem, sys2: QSystem, f=None) -> QSystem:
     elif f is None:
         F = np.zeros((n1, n2), dtype=np.int64)
     else:
-        F = np.asarray(f, dtype=np.int64)
+        F = tower.as_codes(f)
         if F.shape != (n1, n2):
             raise SystemError_(f"f must be {n1} x {n2}, got {F.shape}")
     G1, G2 = sys1.generator, sys2.generator
@@ -135,7 +134,7 @@ def gabidulin(tower: FieldTower, n: int, k: int, i: int = 1,
         raise SystemError_(f"need gcd(i, m) = 1, got i={i}, m={m}")
     if alpha_vector is None:
         alpha_vector = [tower.pow(tower.alpha, j) for j in range(n)]
-    av = np.asarray(alpha_vector, dtype=np.int64).ravel()
+    av = tower.as_codes(alpha_vector).ravel()
     if rank_weight(av, tower) != n:
         raise SystemError_("evaluation vector is not F_q-independent")
     G = np.array([[tower.frobenius(int(x), (i * t) % m) for x in av]

@@ -30,9 +30,9 @@ from math import comb
 import numpy as np
 
 from . import fqlinalg
-from .gftower import FieldTower, _is_int, add_digits
+from .gftower import FieldError, FieldTower, _is_int, add_digits
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, _combinations,
-                     as_matrix, ext_matmul, min_rank_distance, weight_spectrum)
+                     ext_matmul, min_rank_distance, weight_spectrum)
 from .qsystem import (PointIndexer, QSystem, SystemError_, expanded_columns,
                       linear_set, is_scattered)
 
@@ -246,8 +246,9 @@ class SaturationCertificate:
         tight = [] if self.tightness is None else [self.tightness]
         if any(len(t) != self.k for t in tight):
             return False
-        tight = np.array(tight, dtype=np.int64).reshape(-1, self.k)
-        if tight.size and (tight.min() < 0 or tight.max() >= sys.tower.order):
+        try:
+            tight = sys.tower.as_codes(tight).reshape(-1, self.k)
+        except FieldError:
             return False
         # a zero tightness has no point: `all` of none is True (reached)
         _, t_idx, _ = PointIndexer(sys.tower, self.k).canonicalize(tight)
@@ -573,7 +574,7 @@ def hamming_covering_radius(generator, tower: FieldTower,
                             budget: int = DEFAULT_BUDGET) -> int:
     """Exact Hamming covering radius of the code generated by `generator`,
     by coset-leader syndrome sweep in Hamming-weight layers."""
-    H = RankCode(tower, as_matrix(tower, generator)).parity_check
+    H = RankCode(tower, generator).parity_check
     for w, _ in _rank_layers(H, tower, budget, level=_support_level):
         pass
     return w
@@ -602,8 +603,8 @@ def check_bound_consistency(code: RankCode, budget: int = DEFAULT_BUDGET,
     n, k, m = code.n, code.k, tower.m
     report: dict = {"n": n, "k": k}
     if 0 < k:
-        d = min_rank_distance(code, budget)
         spec = weight_spectrum(code, budget)
+        d = min(spec)
         report["d_rk"] = d
         report["s_rk"] = len(spec)
         rho_dual = rank_covering_radius(code.dual(), budget)

@@ -366,7 +366,10 @@ class FieldTower:
     lookups per block of base-p digits for 2 < p <= 16 (`_code_ops`);
     `mul` and `inv` read list copies of the log/exp tables when
     Q <= LIST_TABLE_ORDER, and the tables through memoryviews above, so a
-    large tower holds no copy.  A code >= Q raises IndexError.
+    large tower holds no copy.  The scalar and array ops check no code: a
+    code >= Q may raise IndexError, and a negative one wraps round the
+    tables to some other element.  Entry points check the codes they are
+    given through `as_codes`.
 
     Build towers with `make_tower`, which shares one object per field
     and process.  The tables (`_exp`, `_log`, `_inv_table`, `_qpow`,
@@ -533,6 +536,17 @@ class FieldTower:
             else rng.randrange(self.order)
 
     # -- vector operations (arrays of packed codes) -------------------------
+    def as_codes(self, entries) -> np.ndarray:
+        """`entries` as an int64 array of element codes, the one check of
+        codes from outside: FieldError unless numpy reads them as integers
+        (not bools or floats) and each lies in 0..Q-1."""
+        A = np.asarray(entries)
+        if A.size and (A.dtype.kind not in "iu" or A.min() < 0
+                       or A.max() >= self.order):
+            raise FieldError(f"entry outside the extension field: element "
+                             f"codes are integers in 0..{self.order - 1}")
+        return A.astype(np.int64, copy=False)
+
     def add_arr(self, A, B):
         return add_digits(A, B, self.base.p, self.m * self.base.e)
 
@@ -668,10 +682,7 @@ def expand(vec, tower: FieldTower) -> np.ndarray:
     Row i holds the m F_q-coordinates of entry i; the map is F_q-linear
     and injective.
     """
-    v = np.asarray(vec, dtype=np.int64).ravel()
-    if v.size and (v.min() < 0 or v.max() >= tower.order):
-        raise FieldError("entry outside the extension field")
-    return tower.digit_table()[v].copy()
+    return tower.digit_table()[tower.as_codes(vec).ravel()]
 
 def collapse(mat, tower: FieldTower) -> np.ndarray:
     """Inverse of expand: digit rows -> packed element codes."""

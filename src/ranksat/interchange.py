@@ -1,4 +1,4 @@
-"""JSON and CSV interchange for fields, matrices, linear sets, spectra.
+"""JSON, CSV and Markdown interchange for fields, matrices and bound tables.
 
 Matrix entries travel as Gamma-coordinate vectors (length-m lists of
 F_q element codes), never as packed integers, so files are readable and
@@ -12,12 +12,11 @@ import json
 import numpy as np
 
 from .gftower import FieldTower, _is_int, make_tower
-from .linalg import MatrixExt
+from .linalg import as_matrix
 
 
 def matrix_to_json(tower: FieldTower, entries) -> dict:
-    A = entries.A if isinstance(entries, MatrixExt) else \
-        np.asarray(entries, dtype=np.int64)
+    A = as_matrix(tower, entries)
     dig = tower.digit_table()
     return {
         "q": tower.base.q,
@@ -53,12 +52,6 @@ def matrix_from_json(data) -> tuple[FieldTower, np.ndarray]:
                                  f"length-{m} vector of digits 0..{q - 1}")
             A[i, j] = tower.from_digits(digs)
     return tower, A
-
-
-def spectrum_to_csv(spectrum: set[int]) -> str:
-    lines = ["rank_weight"]
-    lines += [str(w) for w in sorted(spectrum)]
-    return "\n".join(lines) + "\n"
 
 
 def bounds_to_csv(entries) -> str:

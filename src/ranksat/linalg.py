@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fqlinalg
-from .gftower import FieldError, FieldTower
+from .gftower import FieldTower
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -29,11 +29,9 @@ class MatrixExt:
     """A rows x cols matrix over the extension field of `tower`."""
 
     def __init__(self, tower: FieldTower, entries):
-        A = np.asarray(entries, dtype=np.int64)
+        A = tower.as_codes(entries)
         if A.ndim != 2:
             raise ValueError("matrix entries must be 2-dimensional")
-        if A.size and (A.min() < 0 or A.max() >= tower.order):
-            raise ValueError("entry outside the extension field")
         self.tower = tower
         self.A = A
         self.rows, self.cols = A.shape
@@ -48,8 +46,9 @@ class MatrixExt:
 
 
 def as_matrix(tower: FieldTower, entries) -> np.ndarray:
+    """The 2-D int64 codes of a MatrixExt or array-like, checked by `tower`."""
     if isinstance(entries, MatrixExt):
-        return entries.A
+        entries = entries.A
     return MatrixExt(tower, entries).A
 
 
@@ -88,10 +87,8 @@ def ext_matmul(A, B, tower: FieldTower) -> np.ndarray:
 
 def rank_weight(v, tower: FieldTower) -> int:
     """F_q-dimension of the span of the coordinates of v."""
-    v = np.asarray(v, dtype=np.int64).ravel()
-    if v.size and (v.min() < 0 or v.max() >= tower.order):
-        raise FieldError("entry outside the extension field")
-    return len(fqlinalg.fq_basis(v.tolist(), tower)[0])
+    return len(fqlinalg.fq_basis(tower.as_codes(v).ravel().tolist(),
+                                 tower)[0])
 
 
 # Entries N * n per batched elimination; bounds its intermediates.
@@ -183,10 +180,7 @@ def min_rank_distance(code: RankCode, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum rank weight over nonzero codewords (exhaustive)."""
     if code.k == 0:
         raise ValueError("minimum distance of the zero code is undefined")
-    words = code.codewords(budget)
-    weights = rank_weight_batch(words, code.tower)
-    nz = weights[np.any(words != 0, axis=1)]
-    return int(nz.min())
+    return min(weight_spectrum(code, budget))
 
 
 def weight_spectrum(code: RankCode, budget: int = DEFAULT_BUDGET) -> set[int]:

@@ -125,7 +125,9 @@ class QSystem:
                         dtype=bool).reshape(V.shape[:-1])
 
     def vectors(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """All q^n elements of U as a (q^n, k) array."""
+        """All q^n elements of U as a (q^n, k) array: row i is sum_j d_j(i)
+        g_j, d_j(i) base-q digit j of i (digit 0 goes with column 0), so a
+        row's position gives its F_q-coordinates on the columns g_j."""
         return fq_span_vectors(self.generator, self.tower, budget)
 
     def __repr__(self):
@@ -219,10 +221,6 @@ class LinearSet:
 
     def __len__(self):
         return self.points.shape[0]
-
-    def max_size(self) -> int:
-        q = self.tower.base.q
-        return (q ** self.n - 1) // (q - 1)
 
     def weight_multiset(self):
         return tuple(sorted(int(w) for w in self.weights))

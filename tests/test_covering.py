@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -514,12 +515,18 @@ def test_bound_consistency_random_codes(tower4, tower16, rng):
 
 
 def test_bound_consistency_gabidulin_chain(tower16):
+    sweep = RankCode.codewords
     for k in (1, 2, 3):
         sub = gabidulin(tower16, 4, k, 1)
         sup = gabidulin(tower16, 4, k + 1, 1)
-        report = check_bound_consistency(sub, supercode=sup)
+        with mock.patch.object(RankCode, "codewords", autospec=True,
+                               side_effect=sweep) as spy:
+            report = check_bound_consistency(sub, supercode=sup)
         # the chain pins the radius exactly: rho = d(supercode) = n - k
         assert report["rho"] == report["d_rk_supercode"] == 4 - k
+        # d and s_rk come from one codeword sweep of each code
+        assert report["d_rk"] == 4 - k + 1 and report["s_rk"] == k
+        assert [call.args[0] for call in spy.call_args_list] == [sub, sup]
 
 
 def test_trivial_codes_exempt(tower4):

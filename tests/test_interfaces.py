@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import ranksat
 from ranksat import (FieldError, QSystem, construct_identity_block,
-                     cutting_system_6_3, gabidulin, linear_set, make_tower,
-                     saturation_radius, tower_from_json, weight_spectrum)
+                     cutting_system_6_3, linear_set, make_tower,
+                     saturation_radius, tower_from_json)
 from ranksat import interchange as io
 from ranksat.cli import build_parser, main
 from ranksat.covering import SaturationCertificate
@@ -84,13 +84,6 @@ def test_linear_set_export_sorted(tower16):
     packed = [tuple(sum(d * q ** i for i, d in enumerate(c))
                     for c in entry["point"]) for entry in doc]
     assert packed == sorted(packed)
-
-
-def test_spectrum_csv(tower16):
-    spec = weight_spectrum(gabidulin(tower16, 4, 2, 1))
-    text = io.spectrum_to_csv(spec)
-    assert text.splitlines()[0] == "rank_weight"
-    assert [int(x) for x in text.splitlines()[1:]] == sorted(spec)
 
 
 def test_certificate_json_round_trip(tower4):
@@ -284,12 +277,17 @@ def test_cli_bounds_verify_paper(capsys):
     ["construct", "--family", "rho1", "--v", "1,x"],
     ["construct", "--family", "f-sum", "--left", "/nonexistent"],
     ["construct", "--family", "rho1", "--k", "0"],
+    *(["construct", "--family", "rho1", "--q", "2", "--m", "2", "--k", "2",
+       *v] for v in (["--v=-1,1", "--v-prime", "1,0"],
+                     ["--v=9,1", "--v-prime", "1,0"], ["--v-prime=-1,0"],
+                     ["--v-prime=9,1"])),
     ["construct", "--family", "identity-block", "--out",
      "/nonexistent/x.json"]],
     ids=["bounds-q6", "bounds-q1", "bounds-m0", "bounds-rhomax0",
          "search-q6", "search-q1031", "search-q2-m30", "construct-q6",
          "construct-rho5", "construct-bad-v", "construct-missing-left",
-         "construct-k0",
+         "construct-k0", "construct-v-negative", "construct-v-Q",
+         "construct-v-prime-negative", "construct-v-prime-Q",
          "construct-out-missing-dir"])
 def test_cli_rejects_invalid_parameters(capsys, argv):
     assert main(argv) == 2
@@ -428,7 +426,8 @@ def test_package_has_no_assert_statements():
 # the public names deleted because only tests reached them, by module
 DELETED = {"gftower": ["ComplementBasis", "project"],
            "linalg": ["SubspaceFq", "rank_support", "dual"],
-           "fqlinalg": ["inv"], "interchange": ["linear_set_to_json"]}
+           "fqlinalg": ["inv"],
+           "interchange": ["linear_set_to_json", "spectrum_to_csv"]}
 
 
 def test_exports_resolve_once_and_omit_deleted_names():
@@ -441,3 +440,4 @@ def test_exports_resolve_once_and_omit_deleted_names():
             assert not hasattr(getattr(ranksat, module), name), name
     for method in ("complement_basis", "random_complement_basis"):
         assert not hasattr(ranksat.FieldTower, method)
+    assert not hasattr(ranksat.LinearSet, "max_size")

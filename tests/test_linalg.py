@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranksat import (BudgetExceeded, FieldError, RankCode, gabidulin, linalg,
+from ranksat import (BudgetExceeded, FieldError, QSystem, RankCode,
+                     construct_rho1, expand, f_sum, gabidulin, linalg,
                      make_tower, min_rank_distance, rank_weight,
                      weight_spectrum)
+from ranksat import interchange as io
 from ranksat.linalg import ext_matmul, ext_rref, rank_weight_batch
 from ranksat import fqlinalg
 
@@ -79,6 +81,32 @@ def test_rank_weight_rejects_codes_outside_the_field(tower16):
         rank_weight([1, 16], tower16)
     with pytest.raises(FieldError, match="outside"):
         rank_weight([-1, 0], tower16)
+
+
+# each public entry on an input of one value x, valid at x = 1 over F_4
+CODE_ENTRIES = {
+    "QSystem": lambda t, x: QSystem(t, [[x]]),
+    "RankCode": lambda t, x: RankCode(t, [[x]]),
+    "expand": lambda t, x: expand([x], t),
+    "rank_weight": lambda t, x: rank_weight([x], t),
+    "rho1-v": lambda t, x: construct_rho1(t, 1, [x], [1]),
+    "rho1-v-prime": lambda t, x: construct_rho1(t, 1, [1], [x]),
+    "f_sum": lambda t, x: f_sum(QSystem(t, [[1]]), QSystem(t, [[1]]), [[x]]),
+    "gabidulin": lambda t, x: gabidulin(t, 1, 1, alpha_vector=[x]),
+    "matrix_to_json": lambda t, x: io.matrix_to_json(t, [[x]]),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 0.5, True],
+                         ids=["negative", "Q", "float", "bool"])
+@pytest.mark.parametrize("entry", CODE_ENTRIES)
+def test_entries_refuse_codes_outside_the_field(tower4, entry, bad):
+    """Every entry point reads its codes through `FieldTower.as_codes`:
+    a code below 0 or at Q, and a float or bool array, raise FieldError
+    rather than wrap, index past the tables or truncate to a valid code."""
+    CODE_ENTRIES[entry](tower4, 1)
+    with pytest.raises(FieldError, match="outside"):
+        CODE_ENTRIES[entry](tower4, bad)
 
 
 def test_rank_weight_bounded_by_hamming_and_m(tower16, rng):

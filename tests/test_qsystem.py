@@ -4,7 +4,7 @@ import pytest
 from ranksat import (BudgetExceeded, FieldError, QSystem, RankCode,
                      associated_code, associated_system, gabidulin,
                      is_nondegenerate, is_scattered, linear_set,
-                     projective_hamming_code, random_system,
+                     make_tower, projective_hamming_code, random_system,
                      weight_spectrum)
 from ranksat.constructions import construct_identity_block, cutting_system_6_3
 from ranksat.gftower import expand
@@ -44,9 +44,8 @@ def test_weight_two_point(tower16):
 
 def test_golden_cutting_set_is_scattered(tower16):
     ls = linear_set(cutting_system_6_3(tower16))
-    assert len(ls) == 63
+    assert len(ls) == 63 == (2 ** 6 - 1) // (2 - 1)   # (q^n - 1)/(q - 1)
     assert is_scattered(ls)
-    assert ls.max_size() == 63
 
 
 def test_partition_identity_random(tower4, rng):
@@ -55,8 +54,28 @@ def test_partition_identity_random(tower4, rng):
         sysm = random_system(tower4, 2, rng.choice([2, 3, 4]), rng)
         ls = linear_set(sysm)
         assert int(np.sum(q ** ls.weights - 1)) == q ** sysm.n - 1
-        assert len(ls) <= ls.max_size()
-        assert is_scattered(ls) == (len(ls) == ls.max_size())
+        points = (q ** sysm.n - 1) // (q - 1)     # of PG(n - 1, q)
+        assert len(ls) <= points
+        assert is_scattered(ls) == (len(ls) == points)
+
+
+@pytest.mark.parametrize("q, m, k, n", [(2, 4, 2, 5), (4, 2, 2, 3),
+                                        (3, 2, 2, 3)])
+def test_vectors_row_i_has_the_digits_of_i_as_coordinates(q, m, k, n, rng):
+    """Row i of `vectors()` is sum_j d_j(i) g_j, d_j(i) the base-q digit j
+    of i: the puncture and the level-2 subline filter read the
+    F_q-coordinates of a vector from its row position."""
+    t = make_tower(q, m)
+    sysm = random_system(t, k, n, rng)
+    G = sysm.generator.tolist()
+    want = []
+    for i in range(q ** n):
+        row = [0] * k
+        for j in range(n):
+            d = i // q ** j % q
+            row = [t.add(r, t.mul(d, G[a][j])) for a, r in enumerate(row)]
+        want.append(row)
+    assert sysm.vectors().tolist() == want
 
 
 def test_nondegenerate_examples(tower4):
@@ -129,7 +148,7 @@ def test_projective_hamming_code_shorter_when_not_scattered(tower16):
                                       [0, 0, 1]], dtype=np.int64))
     ls = linear_set(sysm)
     GH = projective_hamming_code(sysm)
-    assert GH.A.shape[1] == len(ls) < ls.max_size()
+    assert GH.A.shape[1] == len(ls) < (2 ** 3 - 1) // (2 - 1)
 
 
 def test_equivalence_invariance_of_weights(tower4, rng):
