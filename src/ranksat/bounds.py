@@ -24,6 +24,8 @@ from .gftower import _factor, _prime_power, make_tower
 from .linalg import BudgetExceeded, DEFAULT_BUDGET
 from .qsystem import QSystem
 
+_QMAX, _MMAX, _KMAX = 5, 12, 12    # the grid of verify_published_rows
+
 
 @dataclass(frozen=True)
 class BoundValue:
@@ -253,18 +255,18 @@ def bounds_table(q: int, m: int, kmax: int, rhomax: int | None = None
     return out
 
 
-def verify_published_rows(qmax: int = 5, mmax: int = 12, kmax: int = 12
-                          ) -> list[str]:
-    """Re-derive every published exact row on the grid and check the
-    sandwich everywhere; returns a list of discrepancies (empty = pass).
-    A (q, m) whose table `bounds_table` refuses (a broken sandwich, or a
-    bad kmax) is one diff, and its row checks are not made."""
+def verify_published_rows() -> list[str]:
+    """Re-derive every published exact row on the grid q <= 5, m <= 12,
+    k <= 12 and check the sandwich everywhere; returns a list of
+    discrepancies (empty = pass).  A (q, m) whose table `bounds_table`
+    refuses (a broken sandwich) is one diff, and its row checks are not
+    made."""
     diffs: list[str] = []
-    qs = [q for q in range(2, qmax + 1) if len(_factor(q)) == 1]
+    qs = [q for q in range(2, _QMAX + 1) if len(_factor(q)) == 1]
     for q in qs:
-        for m in range(1, mmax + 1):
+        for m in range(1, _MMAX + 1):
             try:        # it validates every entry
-                table = bounds_table(q, m, kmax)
+                table = bounds_table(q, m, _KMAX)
             except ValueError as exc:
                 diffs.append(str(exc))
                 continue

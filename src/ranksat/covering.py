@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from . import fqlinalg
-from .gftower import FieldError, FieldTower, _is_int, add_digits
+from .gftower import FieldTower, _is_int, add_digits
 from .linalg import (BudgetExceeded, DEFAULT_BUDGET, RankCode, _combinations,
                      ext_matmul, min_rank_distance, weight_spectrum)
 from .qsystem import (PointIndexer, QSystem, SystemError_, expanded_columns,
@@ -223,7 +223,7 @@ class SaturationCertificate:
     `tightness` is a target (tuple of element codes) that no
     rank-(rho-1) coefficient vector reaches, which proves the lower bound
     (required when rho > 0); the upper bound is proved by replaying the
-    sweep through level rho.
+    sweep through level rho.  `_certify` builds it for both rank routes.
     """
 
     def __init__(self, rho: int, k: int, n: int, tightness,
@@ -243,22 +243,17 @@ class SaturationCertificate:
             return False
         if self.rho < 0 or (self.rho > 0 and self.tightness is None):
             return False
-        tight = [] if self.tightness is None else [self.tightness]
-        if any(len(t) != self.k for t in tight):
-            return False
         try:
-            tight = sys.tower.as_codes(tight).reshape(-1, self.k)
-        except FieldError:
+            tight = (None if self.tightness is None else
+                     PointIndexer(sys.tower, self.k).index_of(self.tightness))
+        except ValueError:      # not k codes, or the zero vector
             return False
-        # a zero tightness has no point: `all` of none is True (reached)
-        _, t_idx, _ = PointIndexer(sys.tower, self.k).canonicalize(tight)
-        reached = False
         for w, covered in _rank_layers(sys.generator, sys.tower, budget):
-            if w < self.rho:
-                reached = bool(covered[t_idx].all())
+            if w < self.rho and covered[tight]:
+                return False    # the target is reached below rho
             if w == self.rho:
                 break
-        return bool(covered.all()) and not reached
+        return bool(covered.all())
 
     def to_json(self) -> dict:
         return {
@@ -299,21 +294,28 @@ def system_hash(sys: QSystem) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _certify(sys: QSystem, layers) -> tuple[int, SaturationCertificate]:
+    """Radius and certificate of a sweep: `layers` yields (w, covered), one
+    bitmap over PG(k-1, q^m) filled in place until full at rho.  Both rank
+    routes mark the same level sets, so one tightness rule serves both."""
+    points = PointIndexer(sys.tower, sys.k)
+    miss = None
+    for rho, covered in layers:
+        # least target missed: blocks (pivots) are in decreasing packed order
+        for lo, hi in zip(points.base[-2::-1], points.base[:0:-1]):
+            if not covered[lo:hi].all():
+                miss = lo + int(np.argmin(covered[lo:hi]))
+                break
+    tight = None if miss is None else tuple(points.decode(miss)[0].tolist())
+    return rho, SaturationCertificate(rho, sys.k, sys.n, tight,
+                                      system_hash(sys))
+
+
 def saturation_radius(sys: QSystem, budget: int = DEFAULT_BUDGET
                       ) -> tuple[int, SaturationCertificate]:
     """Smallest rho such that every ambient vector is G lambda^T for some
     lambda of rank <= rho, plus a replayable certificate."""
-    points = PointIndexer(sys.tower, sys.k)
-    tight = None
-    for rho, covered in _rank_layers(sys.generator, sys.tower, budget):
-        # least target missed: blocks (pivots) are in decreasing packed order
-        for lo, hi in zip(points.base[-2::-1], points.base[:0:-1]):
-            if not covered[lo:hi].all():
-                tight = tuple(points.decode(lo + np.argmin(covered[lo:hi]))[0]
-                              .tolist())
-                break
-    return rho, SaturationCertificate(rho, sys.k, sys.n, tight,
-                                      system_hash(sys))
+    return _certify(sys, _rank_layers(sys.generator, sys.tower, budget))
 
 
 # ----------------------------------------------------------------------
@@ -554,16 +556,8 @@ def saturation_radius_geometric(sys: QSystem,
 
 def geometric_certificate(sys: QSystem, budget: int = DEFAULT_BUDGET
                           ) -> tuple[int, SaturationCertificate]:
-    """Geometric radius with a certificate whose tightness target is the
-    first point still uncovered at level rho - 1."""
-    tight = None
-    for rho, covered in _geometric_layers(sys, budget):
-        if not covered.all():
-            tight = int(np.argmin(covered))
-    if tight is not None:
-        tight = tuple(PointIndexer(sys.tower, sys.k).decode(tight)[0].tolist())
-    return rho, SaturationCertificate(rho, sys.k, sys.n, tight,
-                                      system_hash(sys))
+    """Geometric radius with its certificate, as `saturation_radius`'s."""
+    return _certify(sys, _geometric_layers(sys, budget))
 
 
 # ----------------------------------------------------------------------

@@ -117,9 +117,9 @@ class QSystem:
         return s
 
     def contains(self, V) -> np.ndarray:
-        """Membership in U of each row of V (codes in 0..Q-1): a zero
-        `syndrome`, one per row, on the rows as Python ints."""
-        V = np.asarray(V, dtype=np.int64)
+        """Membership in U of each row of V (codes, read by `as_codes`): a
+        zero `syndrome`, one per row, on the rows as Python ints."""
+        V = self.tower.as_codes(V)
         rows = V.reshape(prod(V.shape[:-1]), self.k).tolist()
         return np.array([not self.syndrome(r) for r in rows],
                         dtype=bool).reshape(V.shape[:-1])
@@ -183,10 +183,12 @@ class PointIndexer:
         return out
 
     def index_of(self, v) -> int:
-        W, idx, _ = self.canonicalize(np.asarray(v, dtype=np.int64)[None, :])
-        if idx.size == 0:
-            raise ValueError("zero vector has no projective point")
-        return int(idx[0])
+        """The index of the point of v, read through `tower.as_codes`:
+        ValueError unless v is k codes, not all zero."""
+        v = self.tower.as_codes(v)
+        if v.shape != (self.k,) or not v.any():
+            raise ValueError(f"a point has {self.k} codes, not all zero")
+        return int(self.canonicalize(v[None, :])[1][0])
 
     def decode(self, idx) -> np.ndarray:
         """Canonical representative vectors for an index array."""

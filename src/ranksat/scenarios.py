@@ -144,7 +144,7 @@ def _decompose_check(q: int, r: int, t: int, h: int, trials: int = 200):
 
 
 def _bounds_diff(budget):
-    return len(bnd.verify_published_rows(5, 12, 12))
+    return len(bnd.verify_published_rows())
 
 
 def _brute_s(q, m, k, rho):

@@ -137,7 +137,7 @@ def test_bounds_table_rejects_invalid_field(q, m, match):
 
 
 def test_verify_published_rows_clean_grid():
-    assert verify_published_rows(5, 12, 12) == []
+    assert verify_published_rows() == []
 
 
 def test_verify_published_rows_reports_a_broken_sandwich(capsys):
@@ -149,7 +149,7 @@ def test_verify_published_rows_reports_a_broken_sandwich(capsys):
                 if (q, m, k, rho) == (2, 4, 3, 2) else lo)
 
     with mock.patch("ranksat.bounds.lower_bound", raised):
-        diffs = verify_published_rows(5, 12, 12)
+        diffs = verify_published_rows()
         assert cli_main(["bounds", "--verify-paper"]) == 1
     cell = "bound sandwich violated at (q=2,m=4,k=3,rho=2): 104 > 6"
     assert diffs == [cell]

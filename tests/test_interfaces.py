@@ -206,15 +206,21 @@ def test_cli_verify_unwritable_certificate(tmp_path, tower4, capsys):
 
 
 def test_cli_geometric_certificate_verifies(tmp_path, tower4):
-    sysm = construct_identity_block(tower4, 3, 2)
-    p = tmp_path / "sys.json"
-    _write_system(p, sysm)
-    cert = tmp_path / "geo.cert.json"
-    assert main(["verify", str(p), "--rho", "2", "--method", "geometric",
-                 "--certificate", str(cert)]) == 0
-    data = json.loads(cert.read_text())
-    assert data["tightness"] is not None
-    assert SaturationCertificate.from_json(data).verify(sysm)
+    # both methods write one certificate, byte for byte: on the [3,2]
+    # block (radius 1) the first point missed and the least packed target
+    # missed differ, so a route with its own tightness rule shows
+    for k, rho in [(3, 2), (2, 1)]:
+        sysm = construct_identity_block(tower4, k, rho)
+        p = tmp_path / f"sys{k}.json"
+        _write_system(p, sysm)
+        cert, coeff = tmp_path / f"geo{k}.json", tmp_path / f"coeff{k}.json"
+        for method, path in [("geometric", cert), ("coefficient", coeff)]:
+            assert main(["verify", str(p), "--rho", str(rho), "--method",
+                         method, "--certificate", str(path)]) == 0
+        data = json.loads(cert.read_text())
+        assert data["tightness"] is not None
+        assert SaturationCertificate.from_json(data).verify(sysm)
+        assert coeff.read_bytes() == cert.read_bytes()
 
 
 def test_cli_construct_verify_round_trip(tmp_path):
@@ -276,6 +282,9 @@ def test_cli_bounds_verify_paper(capsys):
     ["construct", "--family", "identity-block", "--k", "2", "--rho", "5"],
     ["construct", "--family", "rho1", "--v", "1,x"],
     ["construct", "--family", "f-sum", "--left", "/nonexistent"],
+    ["construct", "--family", "f-sum", "--right", "SYS"],
+    ["construct", "--family", "f-sum", "--left", "SYS"],
+    ["construct", "--family", "example-5.8", "--lift-m", "0"],
     ["construct", "--family", "rho1", "--k", "0"],
     *(["construct", "--family", "rho1", "--q", "2", "--m", "2", "--k", "2",
        *v] for v in (["--v=-1,1", "--v-prime", "1,0"],
@@ -286,10 +295,16 @@ def test_cli_bounds_verify_paper(capsys):
     ids=["bounds-q6", "bounds-q1", "bounds-m0", "bounds-rhomax0",
          "search-q6", "search-q1031", "search-q2-m30", "construct-q6",
          "construct-rho5", "construct-bad-v", "construct-missing-left",
+         "construct-f-sum-no-left", "construct-f-sum-no-right",
+         "construct-lift-m0",
          "construct-k0", "construct-v-negative", "construct-v-Q",
          "construct-v-prime-negative", "construct-v-prime-Q",
          "construct-out-missing-dir"])
-def test_cli_rejects_invalid_parameters(capsys, argv):
+def test_cli_rejects_invalid_parameters(capsys, tmp_path, argv):
+    if "SYS" in argv:       # a readable system file
+        p = tmp_path / "sys.json"
+        _write_system(p, QSystem(make_tower(2, 2), np.eye(1, dtype=np.int64)))
+        argv = [str(p) if a == "SYS" else a for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""

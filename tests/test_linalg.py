@@ -10,6 +10,7 @@ from ranksat import (BudgetExceeded, FieldError, QSystem, RankCode,
                      weight_spectrum)
 from ranksat import interchange as io
 from ranksat.linalg import ext_matmul, ext_rref, rank_weight_batch
+from ranksat.qsystem import PointIndexer
 from ranksat import fqlinalg
 
 from oracles import digit_rank_weight, echelon_rank_weight_batch
@@ -94,6 +95,8 @@ CODE_ENTRIES = {
     "f_sum": lambda t, x: f_sum(QSystem(t, [[1]]), QSystem(t, [[1]]), [[x]]),
     "gabidulin": lambda t, x: gabidulin(t, 1, 1, alpha_vector=[x]),
     "matrix_to_json": lambda t, x: io.matrix_to_json(t, [[x]]),
+    "contains": lambda t, x: QSystem(t, [[1]]).contains([[x]]),
+    "index_of": lambda t, x: PointIndexer(t, 1).index_of([x]),
 }
 
 

@@ -118,11 +118,14 @@ def test_coefficient_sweep_matches_oracle(case, seed):
 @PROPERTY
 @given(st.sampled_from(SYSTEMS), st.booleans(), SEEDS)
 def test_certificates_verify_only_their_radius(case, nonscattered, seed):
-    # both routes' certificates verify, and with rho read as any other
-    # value from -1 to rho + 1 and the same tightness target, neither does:
-    # the replay must cover every point at rho and miss the target below
+    # both routes write the same certificate, which verifies, and with rho
+    # read as any other value from -1 to rho + 1 and the same tightness
+    # target, does not: the replay must cover every point at rho and miss
+    # the target below
     qm, k, n = case
     sysm = _system(TOWERS[qm], k, n, nonscattered, random.Random(seed))
+    assert (saturation_radius(sysm)[1].to_json()
+            == geometric_certificate(sysm)[1].to_json())
     for route in (saturation_radius, geometric_certificate):
         rho, cert = route(sysm)
         assert cert.verify(sysm)
